@@ -44,23 +44,29 @@ class RbfKernel:
             raise ParameterError(
                 f"kernel inputs disagree on dimension: {xa.shape[1]} vs {xb.shape[1]}"
             )
-        sq = (
-            np.sum(xa * xa, axis=1)[:, None]
-            + np.sum(xb * xb, axis=1)[None, :]
-            - 2.0 * xa @ xb.T
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return self.signal_variance * np.exp(-0.5 * sq / (self.lengthscale**2))
+        k = np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :]
+        k -= 2.0 * xa @ xb.T
+        np.maximum(k, 0.0, out=k)
+        k *= -0.5
+        k /= self.lengthscale**2
+        np.exp(k, out=k)
+        k *= self.signal_variance
+        return k
 
 
 def _train_chol(kernel: RbfKernel, x: np.ndarray, sigma2: float) -> np.ndarray:
     kff = kernel.gram(x, x)
     n = x.shape[0]
-    base = (kff + kff.T) / 2.0 + sigma2 * np.eye(n)
+    a = kff + kff.T
+    a /= 2.0
+    del kff  # not held through the factorisation
+    diag = a.diagonal() + sigma2
+    a.flat[:: n + 1] = diag + _JITTER
     try:
-        return cholesky(base + _JITTER * np.eye(n))
+        return cholesky(a)
     except NotPositiveDefiniteError:
-        return cholesky(base + _JITTER_RETRY * np.eye(n))
+        a.flat[:: n + 1] = diag + _JITTER_RETRY
+        return cholesky(a)
 
 
 def gp_predict(

@@ -108,6 +108,11 @@ def load_csv(path: str, has_header: bool = False) -> Dataset:
                 raise ParseError(
                     f"{path}: non-numeric cell {cell.strip()!r}", row=ln, col=j + 1
                 ) from None
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, j = bad[0].tolist()
+        ln, cells = data_rows[i]
+        raise ParseError(f"{path}: non-finite cell {cells[j].strip()!r}", row=ln, col=j + 1)
     return Dataset(out[:, :-1], out[:, -1])
 
 

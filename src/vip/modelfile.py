@@ -64,6 +64,16 @@ def model_from_dict(d: dict) -> TrainedModel:
         train_y = np.asarray(d["train"]["y"], dtype=float)
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFileError(f"malformed model file: {e}") from e
+    if train_x.ndim != 2 or train_x.shape[1] != prior.input_dim:
+        raise ModelFileError(
+            f"train.x has shape {train_x.shape}, prior.input_dim is {prior.input_dim}"
+        )
+    if train_y.shape != (train_x.shape[0],):
+        raise ModelFileError(
+            f"train.y has shape {train_y.shape}, train.x has {train_x.shape[0]} rows"
+        )
+    if q.dim != int(config.num_draws):
+        raise ModelFileError(f"q has dimension {q.dim}, config.num_draws is {config.num_draws}")
     return TrainedModel(
         prior=prior,
         q=q,

@@ -8,8 +8,6 @@ named streams; library code never touches ``numpy.random``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.linalg
 
@@ -196,24 +194,26 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 def cholesky(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Outer-product form, one column at a time, so a failure can report which
-    pivot went non-positive instead of a bare library error.
+    LAPACK ``dpotrf`` on the lower triangle of a copy of ``a``. When it stops
+    at a non-positive pivot, ``info`` names it and the factor's diagonal
+    holds the offending value, so the error reports which pivot failed
+    instead of a bare library code. A NaN pivot, which ``dpotrf`` may pass
+    through, is reported the same way.
     """
     a = as_matrix(a, "cholesky input")
     n, m = a.shape
     if n != m:
         raise DimensionError(f"cholesky needs a square matrix, got {n}x{m}")
     scale = max(1.0, float(np.max(np.abs(a))) if n else 1.0)
-    if n and float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
+    # a - a.T is exactly antisymmetric, so its max is its largest magnitude
+    if n and float(np.max(a - a.T)) > 1e-8 * scale:
         raise ParameterError("cholesky input is not symmetric")
-    L = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - L[j, :j] @ L[j, :j]
-        if not math.isfinite(d) or d <= 0.0:
-            raise NotPositiveDefiniteError(j, float(d))
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    L, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+    if info == 0:
+        bad = np.flatnonzero(~np.isfinite(np.diagonal(L)))
+        info = int(bad[0]) + 1 if bad.size else 0
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1, float(L[info - 1, info - 1]))
     return L
 
 

@@ -125,11 +125,17 @@ def predict_dense(
 
     dt = draws_train.deltas
     ds = draws_test.deltas
-    kff = dt.T @ dt * scale + ridge * np.eye(n)
+    kff = dt.T @ dt
+    kff *= scale
+    kff.flat[:: n + 1] += ridge
     ksf = ds.T @ dt * scale
     kss_diag = np.einsum("sk,sk->k", ds, ds) * scale + ridge
 
-    la = cholesky((kff + kff.T) / 2.0 + sigma2 * np.eye(n))
+    a = kff + kff.T
+    a /= 2.0
+    del kff  # not held through the factorisation
+    a.flat[:: n + 1] += sigma2
+    la = cholesky(a)
     alpha = chol_solve(la, y - draws_train.mean[0])
     mean = draws_test.mean[0] + ksf @ alpha
     v = solve_triangular(la, ksf.T)

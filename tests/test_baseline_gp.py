@@ -1,10 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vip import baseline_gp
 from vip.baseline_gp import GpFit, RbfKernel, gp_fit_grid, gp_log_marginal, gp_predict
-from vip.errors import ParameterError
+from vip.errors import NotPositiveDefiniteError, ParameterError
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -40,6 +44,50 @@ class TestKernel:
             RbfKernel(0.0, 1.0)
         with pytest.raises(ParameterError):
             RbfKernel(1.0, -2.0)
+
+
+class TestTrainMatrix:
+    @staticmethod
+    def _reference(x, ls, sv, sigma2, jitter):
+        # the Gram and jittered training matrix written out as plain
+        # expressions, one temporary per operation
+        sq = (
+            np.sum(x * x, axis=1)[:, None]
+            + np.sum(x * x, axis=1)[None, :]
+            - 2.0 * x @ x.T
+        )
+        np.maximum(sq, 0.0, out=sq)
+        kff = sv * np.exp(-0.5 * sq / (ls**2))
+        n = x.shape[0]
+        base = (kff + kff.T) / 2.0 + sigma2 * np.eye(n)
+        return base + jitter * np.eye(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        ls=st.floats(0.05, 5.0),
+        sv=st.floats(0.05, 5.0),
+        sigma2=st.floats(1e-6, 2.0),
+        retry=st.booleans(),
+    )
+    def test_bitwise_equal_to_plain_expression(self, n, d, seed, ls, sv, sigma2, retry):
+        x = np.random.default_rng(seed).standard_normal((n, d))
+        seen = []
+
+        def recording_cholesky(a):
+            seen.append(a.copy())
+            if retry and len(seen) == 1:
+                raise NotPositiveDefiniteError(0, -1.0)
+            return np.linalg.cholesky(a)
+
+        with mock.patch.object(baseline_gp, "cholesky", recording_cholesky):
+            baseline_gp._train_chol(RbfKernel(ls, sv), x, sigma2)
+        jitters = [baseline_gp._JITTER] + [baseline_gp._JITTER_RETRY] * retry
+        assert len(seen) == len(jitters)
+        for a, jitter in zip(seen, jitters):
+            assert a.tobytes() == self._reference(x, ls, sv, sigma2, jitter).tobytes()
 
 
 class TestGpPredict:

@@ -91,6 +91,13 @@ class TestTrain:
         rc = cli.main(["train", "--data", str(bad), "--model-out", str(tmp_path / "m.json")])
         assert rc == 3
 
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("0.1,0.2\n0.3,0.4\n0.5,nan\n0.7,0.8\n")
+        rc = cli.main(["train", "--data", str(bad), "--model-out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert "row 3, column 2" in capsys.readouterr().err
+
     def test_grid_mode(self, tmp_path, capsys):
         data = _synth(tmp_path, n=40)
         cfg = _cfg_file(tmp_path, extra={"sigma2_mode": "grid", "sigma2_grid": [0.1, 0.5]})
@@ -150,6 +157,27 @@ class TestPredictEval:
         pred = tmp_path / "p.csv"
         pred.write_text("x1,mu,v\n" + "\n".join("0,0,1" for _ in range(10)) + "\n")
         assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
+
+    @pytest.mark.parametrize("field", ["train.x", "train.y", "q"])
+    @pytest.mark.parametrize("coeff", ["exact", "learned"])
+    def test_tampered_model_shape_is_data_error(self, tmp_path, capsys, field, coeff):
+        data = _synth(tmp_path, n=10)
+        model_out = tmp_path / "m.json"
+        assert cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path),
+                         "--model-out", str(model_out)]) == 0
+        d = json.loads(model_out.read_text())
+        if field == "train.x":
+            d["train"]["x"] = [row + [0.0] for row in d["train"]["x"]]
+        elif field == "train.y":
+            d["train"]["y"] = d["train"]["y"][:-1]
+        else:
+            d["q"] = {"mu": d["q"]["mu"][:-1], "chol": [r[:-1] for r in d["q"]["chol"][:-1]]}
+        model_out.write_text(json.dumps(d))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model_out), "--data", data,
+                       "--out", str(tmp_path / "p.csv"), "--coeff", coeff])
+        assert rc == 3
+        assert f"{field} has " in capsys.readouterr().err
 
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)

@@ -49,6 +49,14 @@ class TestLoadCsv:
             load_csv(str(p), has_header=True)
         assert e.value.row == 3 and e.value.col == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cites_row_col(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(ParseError) as e:
+            load_csv(str(p))
+        assert e.value.row == 3 and e.value.col == 2
+
     def test_ragged_row_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("1,2\n3,4,5\n")

@@ -110,3 +110,21 @@ class TestValidation:
         d["config"]["learning_rte"] = 0.1
         with pytest.raises(Exception):
             model_from_dict(d)
+
+    def test_train_x_width_checked_against_prior(self):
+        d = model_to_dict(_small_model())
+        d["train"]["x"] = [row + [0.0] for row in d["train"]["x"]]
+        with pytest.raises(ModelFileError, match=r"train\.x .*prior\.input_dim"):
+            model_from_dict(d)
+
+    def test_train_y_length_checked_against_train_x(self):
+        d = model_to_dict(_small_model())
+        d["train"]["y"].append(0.0)
+        with pytest.raises(ModelFileError, match=r"train\.y .*train\.x has 20 rows"):
+            model_from_dict(d)
+
+    def test_q_dimension_checked_against_num_draws(self):
+        d = model_to_dict(_small_model())
+        d["config"]["num_draws"] = 5
+        with pytest.raises(ModelFileError, match=r"q has dimension 4, config\.num_draws is 5"):
+            model_from_dict(d)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vip import numkit
 from vip.errors import (
@@ -25,6 +28,14 @@ class TestCholesky:
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert exc.value.pivot == 1
 
+    def test_nan_pivot_from_finite_input_reported(self):
+        # L[2, 0] overflows to inf and L[2, 1] = (0 - inf * 0) / 1 is NaN, so
+        # pivot 2 is NaN; dpotrf returns that with info == 0
+        a = np.array([[1e-320, 0.0, 1e200], [0.0, 1.0, 0.0], [1e200, 0.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(a)
+        assert exc.value.pivot == 2 and np.isnan(exc.value.value)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -42,6 +53,67 @@ class TestCholesky:
             L = cholesky(a)
             assert np.all(np.diag(L) > 0)
             np.testing.assert_allclose(L @ L.T, a, rtol=0, atol=1e-10 * np.abs(a).max())
+
+
+def _spd(rng, n, cond_shift):
+    m = rng.standard_normal((n, n))
+    return m @ m.T / n + cond_shift * np.eye(n)
+
+
+def _column_cholesky(a):
+    """Reference: outer-product Cholesky one column at a time; returns
+    (factor, None) or (None, (pivot, value)) at the first non-positive pivot."""
+    n = a.shape[0]
+    L = np.zeros((n, n))
+    for j in range(n):
+        d = a[j, j] - L[j, :j] @ L[j, :j]
+        if not d > 0.0:
+            return None, (j, d)
+        L[j, j] = np.sqrt(d)
+        L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L, None
+
+
+class TestCholeskyProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        cond_shift=st.floats(1e-3, 10.0),
+        scale=st.floats(1e-3, 1e3),
+    )
+    def test_matches_lapack_reference(self, n, seed, cond_shift, scale):
+        a = scale * _spd(np.random.default_rng(seed), n, cond_shift)
+        L = cholesky(a)
+        assert np.array_equal(L, np.tril(L))
+        ref = scipy.linalg.cholesky(a, lower=True)
+        assert np.max(np.abs(L - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the column loop sums in another order: allow rounding growing with n
+        loop, _ = _column_cholesky(a)
+        assert np.max(np.abs(L - loop)) <= 100 * n * np.finfo(float).eps * np.max(np.abs(loop))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(0, 60),
+        extra=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(1e-2, 10.0),
+    )
+    def test_indefinite_reports_schur_pivot(self, p, extra, seed, c):
+        # SPD leading p x p block; a[p, p] is chosen so that the Schur
+        # complement of that block, i.e. the pivot at index p, equals -c
+        rng = np.random.default_rng(seed)
+        n = p + 1 + extra
+        a = _spd(rng, n, 1.0)
+        b = a[p, :p]
+        a[p, p] = b @ np.linalg.solve(a[:p, :p], b) - c if p else -c
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(a)
+        tol = 1e-9 * max(1.0, abs(a[p, p]))
+        assert exc.value.pivot == p
+        assert exc.value.value == pytest.approx(-c, abs=tol)
+        _, (loop_pivot, loop_value) = _column_cholesky(a)
+        assert loop_pivot == p and loop_value == pytest.approx(exc.value.value, abs=tol)
 
 
 class TestSolveTriangular:

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vip import autodiff as ad
 from vip import predict as pr
@@ -144,6 +147,36 @@ class TestPredictDense:
         ridged = predict_dense(dt, ds, y, 0.1, estimator="pm", psi=0.5)
         assert np.all(ridged.var_f >= plain.var_f - 1e-12)
         assert ridged.var_f.max() > plain.var_f.max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        s=st.integers(2, 30),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        sigma2=st.floats(1e-6, 2.0),
+        psi=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    )
+    def test_factored_matrix_equals_plain_expression(self, s, n, seed, sigma2, psi):
+        rng = np.random.default_rng(seed)
+        joint = FunctionDraws.from_matrix(rng.standard_normal((s, n + 2)))
+        dt, ds = joint.slice_columns(0, n), joint.slice_columns(n, n + 2)
+        if psi is None:
+            kwargs, scale, ridge = {}, 1.0 / s, 0.0
+        else:
+            # nu equal to the joint column count leaves nu + S - N - 1 = S - 1
+            kwargs = {"estimator": "pm", "psi": psi, "nu": n + 2}
+            scale, ridge = 1.0 / (s - 1), psi / (s - 1)
+        seen = []
+
+        def recording_cholesky(a):
+            seen.append(a.copy())
+            return np.linalg.cholesky(a)
+
+        with mock.patch.object(pr, "cholesky", recording_cholesky):
+            predict_dense(dt, ds, rng.standard_normal(n), sigma2, **kwargs)
+        kff = dt.deltas.T @ dt.deltas * scale + ridge * np.eye(n)
+        expected = (kff + kff.T) / 2.0 + sigma2 * np.eye(n)
+        assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
 
     def test_mixed_joint_evaluations_rejected(self):
         dt, _ = joint_draws(seed=8)  # joint has 9 columns
