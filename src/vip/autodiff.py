@@ -4,7 +4,7 @@ Every value is a 2-D float64 array; scalars ride along as 1x1. The op set is
 deliberately small and closed: composite quantities (divisions, diagonal
 embeddings, row stacking) are built from these primitives rather than added
 as new ops. Gradients accumulate in a fixed order (descending node index),
-``sum``/``mean``/``dot`` reduce with math.fsum so their forward values do not
+``sum`` and ``dot`` reduce with math.fsum so their forward values do not
 depend on element order, and relu takes derivative 0 at exactly 0.
 """
 
@@ -137,13 +137,6 @@ def matmul(a, b) -> Var:
     return _binary("matmul", a, b, av @ bv, lambda g: (g @ bv.T, av.T @ g))
 
 
-def matvec(a, v) -> Var:
-    a, v = _pair("matvec", a, v)
-    if v.value.shape[1] != 1:
-        raise DimensionError(f"matvec: second operand must be a column, got {v.value.shape}")
-    return matmul(a, v)
-
-
 def transpose(a: Var) -> Var:
     return _unary("transpose", a, a.value.T.copy(), lambda g: (g.T,))
 
@@ -181,15 +174,6 @@ def vsum(a: Var) -> Var:
     return _unary("sum", a, val, lambda g: (np.full(shape, g[0, 0]),))
 
 
-def vmean(a: Var) -> Var:
-    shape = a.value.shape
-    size = a.value.size
-    if size == 0:
-        raise DimensionError("mean: empty operand")
-    val = np.array([[_fsum(a.value) / size]])
-    return _unary("mean", a, val, lambda g: (np.full(shape, g[0, 0] / size),))
-
-
 def dot(a, b) -> Var:
     a, b = _pair("dot", a, b)
     _same_shape("dot", a, b)
@@ -213,13 +197,6 @@ def vlog(a: Var) -> Var:
         raise NumericalError("log: non-positive operand")
     av = a.value
     return _unary("log", a, np.log(av), lambda g: (g / av,))
-
-
-def vsqrt(a: Var) -> Var:
-    if np.any(a.value < 0.0):
-        raise NumericalError("sqrt: negative operand")
-    out = np.sqrt(a.value)
-    return _unary("sqrt", a, out, lambda g: (g / (2.0 * out),))
 
 
 def vtanh(a: Var) -> Var:

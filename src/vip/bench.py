@@ -87,13 +87,43 @@ def _split_for(protocol, data, k_seed, train_frac, n_segments, segment_len,
     return datamod.interp_split(data, n_segments, segment_len, k_seed)
 
 
-def _check_protocol(protocol, data, splits):
+def _repeated_splits(protocol, data, splits, seed, fit_predict, head=None, **split_opts) -> dict:
+    """Run ``fit_predict`` on every split and summarize on the original scale.
+
+    ``fit_predict(train, test_x, split_seed)`` gets the standardized training
+    set and test inputs and returns (predictive distribution, extra per-split
+    fields). ``head`` adds report fields after ``protocol``.
+    """
     if protocol not in ("toy", "uci", "interp"):
         raise ParameterError(f"unknown protocol {protocol!r}")
     if protocol != "toy" and data is None:
         raise ParameterError(f"{protocol} protocol needs a dataset")
     if splits < 1:
         raise ParameterError("splits must be >= 1")
+    per = []
+    for k in range(splits):
+        sk = derive_seed(seed, SPLIT_STREAM_BASE + k)
+        raw_tr, raw_te = _split_for(protocol, data, sk, **split_opts)
+        stats = datamod.compute_stats(raw_tr)
+        tr = datamod.apply_stats(raw_tr, stats)
+        pred, fields = fit_predict(tr, datamod.apply_stats(raw_te, stats).x, sk)
+        metrics = nll_rmse(pred, raw_te.y, stats=stats)
+        per.append(
+            {"split": k, "seed": sk, **fields, "nll": metrics["nll"], "rmse": metrics["rmse"]}
+        )
+    nll_mean, nll_se = _mean_se([p["nll"] for p in per])
+    rmse_mean, rmse_se = _mean_se([p["rmse"] for p in per])
+    return {
+        "protocol": protocol,
+        **(head or {}),
+        "splits": splits,
+        "seed": seed,
+        "nll_mean": nll_mean,
+        "nll_se": nll_se,
+        "rmse_mean": rmse_mean,
+        "rmse_se": rmse_se,
+        "per_split": per,
+    }
 
 
 def run_protocol(
@@ -116,45 +146,22 @@ def run_protocol(
     segments held out.  sigma2_mode 'grid' in cfg routes each split through
     grid_search_sigma2.
     """
-    _check_protocol(protocol, data, splits)
-    per = []
-    for k in range(splits):
-        sk = derive_seed(seed, SPLIT_STREAM_BASE + k)
-        raw_tr, raw_te = _split_for(
-            protocol, data, sk, train_frac, n_segments, segment_len, toy_n, toy_noise
-        )
-        stats = datamod.compute_stats(raw_tr)
-        tr = datamod.apply_stats(raw_tr, stats)
-        te_x = (raw_te.x - stats.feature_means) / stats.feature_stds
+
+    def fit_predict(tr, te_x, sk):
         cfg_k = replace(cfg, seed=sk)
         if cfg.sigma2_mode == "grid":
             model = grid_search_sigma2(
                 tr, cfg_k, grid=list(cfg.sigma2_grid), val_frac=grid_val_frac, seed=sk
             ).model
         else:
-            model = train(tr.x, tr.y, cfg_k, stats=stats)
-        metrics = nll_rmse(posterior_predict(model, te_x), raw_te.y, stats=stats)
-        per.append(
-            {
-                "split": k,
-                "seed": sk,
-                "sigma2": float(model.sigma2),
-                "nll": metrics["nll"],
-                "rmse": metrics["rmse"],
-            }
-        )
-    nll_mean, nll_se = _mean_se([p["nll"] for p in per])
-    rmse_mean, rmse_se = _mean_se([p["rmse"] for p in per])
-    return {
-        "protocol": protocol,
-        "splits": splits,
-        "seed": seed,
-        "nll_mean": nll_mean,
-        "nll_se": nll_se,
-        "rmse_mean": rmse_mean,
-        "rmse_se": rmse_se,
-        "per_split": per,
-    }
+            model = train(tr.x, tr.y, cfg_k, stats=tr.stats)
+        return posterior_predict(model, te_x), {"sigma2": float(model.sigma2)}
+
+    return _repeated_splits(
+        protocol, data, splits, seed, fit_predict,
+        train_frac=train_frac, n_segments=n_segments, segment_len=segment_len,
+        toy_n=toy_n, toy_noise=toy_noise,
+    )
 
 
 DEFAULT_GP_LENGTHSCALES = (0.3, 1.0, 3.0)
@@ -178,41 +185,19 @@ def gp_baseline_protocol(
 ) -> dict:
     """Same split schedule as run_protocol, with an exact squared-exponential
     GP fit by marginal-likelihood grid search as the model."""
-    _check_protocol(protocol, data, splits)
-    per = []
-    for k in range(splits):
-        sk = derive_seed(seed, SPLIT_STREAM_BASE + k)
-        raw_tr, raw_te = _split_for(
-            protocol, data, sk, train_frac, n_segments, segment_len, toy_n, toy_noise
-        )
-        stats = datamod.compute_stats(raw_tr)
-        tr = datamod.apply_stats(raw_tr, stats)
-        te_x = (raw_te.x - stats.feature_means) / stats.feature_stds
+
+    def fit_predict(tr, te_x, sk):
         fit = gp_fit_grid(tr.x, tr.y, lengthscales, signal_variances, sigma2s)
         pred = gp_predict(fit.kernel, tr.x, tr.y, fit.sigma2, te_x)
-        metrics = nll_rmse(pred, raw_te.y, stats=stats)
-        per.append(
-            {
-                "split": k,
-                "seed": sk,
-                "lengthscale": fit.kernel.lengthscale,
-                "signal_variance": fit.kernel.signal_variance,
-                "sigma2": fit.sigma2,
-                "log_marginal": fit.log_marginal,
-                "nll": metrics["nll"],
-                "rmse": metrics["rmse"],
-            }
-        )
-    nll_mean, nll_se = _mean_se([p["nll"] for p in per])
-    rmse_mean, rmse_se = _mean_se([p["rmse"] for p in per])
-    return {
-        "protocol": protocol,
-        "model": "gp_rbf_baseline",
-        "splits": splits,
-        "seed": seed,
-        "nll_mean": nll_mean,
-        "nll_se": nll_se,
-        "rmse_mean": rmse_mean,
-        "rmse_se": rmse_se,
-        "per_split": per,
-    }
+        return pred, {
+            "lengthscale": fit.kernel.lengthscale,
+            "signal_variance": fit.kernel.signal_variance,
+            "sigma2": fit.sigma2,
+            "log_marginal": fit.log_marginal,
+        }
+
+    return _repeated_splits(
+        protocol, data, splits, seed, fit_predict, head={"model": "gp_rbf_baseline"},
+        train_frac=train_frac, n_segments=n_segments, segment_len=segment_len,
+        toy_n=toy_n, toy_noise=toy_noise,
+    )

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -23,14 +24,12 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .inference import TrainConfig, train
+from .inference import TrainConfig, check_value_types, train
 from .modelfile import canonical_json, load_model, save_model
-from .predict import posterior_predict
+from .predict import gaussian_nll_rmse, posterior_predict
 
 
-def _load_config(path) -> TrainConfig:
-    if path is None:
-        return TrainConfig()
+def _load_json_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
@@ -38,7 +37,13 @@ def _load_config(path) -> TrainConfig:
             raise ParseError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(d, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    return TrainConfig.from_dict(d)
+    return d
+
+
+def _load_config(path) -> TrainConfig:
+    if path is None:
+        return TrainConfig()
+    return TrainConfig.from_dict(_load_json_object(path))
 
 
 def _write_csv(path, header, rows):
@@ -94,15 +99,9 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     raw = datamod.load_csv(args.data, has_header=args.has_header)
-    x = raw.x
-    if model.stats is not None:
-        x = (x - model.stats.feature_means) / model.stats.feature_stds
+    x = raw.x if model.stats is None else datamod.apply_stats(raw, model.stats).x
     pred = posterior_predict(model, x, mode=args.coeff)
-    mean, var = pred.mean, pred.var_y
-    if model.stats is not None:
-        sd = model.stats.target_std
-        mean = mean * sd + model.stats.target_mean
-        var = var * sd * sd
+    mean, var = datamod.destandardize_moments(pred.mean, pred.var_y, model.stats)
     header = [f"x{j + 1}" for j in range(raw.d)] + ["mean", "var_y"]
     _write_csv(args.out, header, np.column_stack([raw.x, mean, var]))
     _emit({"path": args.out, "rows": raw.n})
@@ -110,33 +109,17 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.pred, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if len(rows) < 2:
-        raise ParseError(f"{args.pred}: no prediction rows")
-    header = [c.strip() for c in rows[0]]
+    header, table = datamod.load_table(args.pred, has_header=True)
     try:
         i_mean, i_var = header.index("mean"), header.index("var_y")
     except ValueError:
         raise ParseError(f"{args.pred}: header must name 'mean' and 'var_y' columns") from None
-    try:
-        mean = np.array([float(r[i_mean]) for r in rows[1:]])
-        var = np.array([float(r[i_var]) for r in rows[1:]])
-    except (ValueError, IndexError) as e:
-        raise ParseError(f"{args.pred}: bad prediction row ({e})") from None
     data = datamod.load_csv(args.data, has_header=args.has_header)
-    if data.n != mean.shape[0]:
+    if data.n != table.shape[0]:
         raise ParameterError(
-            f"{mean.shape[0]} predictions but {data.n} data rows"
+            f"{table.shape[0]} predictions but {data.n} data rows"
         )
-    if np.any(var <= 0):
-        raise ParameterError("var_y entries must be positive")
-    y = data.y
-    nll = float(
-        np.mean(0.5 * (np.log(2 * np.pi * var)) + (y - mean) ** 2 / (2 * var))
-    )
-    rmse = float(np.sqrt(np.mean((y - mean) ** 2)))
-    _emit({"n": data.n, "nll": nll, "rmse": rmse})
+    _emit({"n": data.n, **gaussian_nll_rmse(data.y, table[:, i_mean], table[:, i_var])})
     return 0
 
 
@@ -163,32 +146,22 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_GRID_KEYS = {
-    "lengthscales",
-    "signal_variances",
-    "sigma2s",
-    "splits",
-    "seed",
-    "train_frac",
-    "protocol",
-    "n_segments",
-    "segment_len",
-    "toy_n",
-    "toy_noise",
+# grid-config keys and their defaults: gp_baseline_protocol's own keyword arguments
+_GRID_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(benchmod.gp_baseline_protocol).parameters.items()
+    if name != "data"
 }
 
 
 def _cmd_gp_baseline(args) -> int:
     opts = {}
     if args.grid_config is not None:
-        with open(args.grid_config, encoding="utf-8") as fh:
-            try:
-                opts = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{args.grid_config}: not valid JSON ({e})") from e
-        unknown = sorted(set(opts) - _GRID_KEYS)
+        opts = _load_json_object(args.grid_config)
+        unknown = sorted(set(opts) - set(_GRID_DEFAULTS))
         if unknown:
             raise ParameterError(f"unknown grid-config keys: {', '.join(unknown)}")
+        check_value_types(opts, _GRID_DEFAULTS)
     protocol = opts.pop("protocol", "uci")
     data = None
     if protocol != "toy":

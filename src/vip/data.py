@@ -75,23 +75,24 @@ class Dataset:
         return Dataset(self.x[idx], self.y[idx], stats=self.stats)
 
 
-def load_csv(path: str, has_header: bool = False) -> Dataset:
-    """Parse a regression CSV; last column is the target.
+def load_table(path: str, has_header: bool = False, min_width: int = 1):
+    """Parse a numeric CSV into (header cells or None, float matrix).
 
-    Errors cite 1-based (row, col) file coordinates, counting the header
-    row when present.
+    Blank lines are skipped; every data row must be as wide as the first,
+    which needs at least ``min_width`` cells. Errors cite 1-based (row, col)
+    file coordinates, counting the header row when present.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
+    header = [c.strip() for c in rows[0]] if has_header and rows else None
     start = 1 if has_header else 0
-    data_rows = [(i + 1, r) for i, r in enumerate(rows) if i >= start]
-    data_rows = [(ln, r) for ln, r in data_rows if r]  # skip blank lines
+    data_rows = [(i + 1, r) for i, r in enumerate(rows) if i >= start and r]
     if not data_rows:
         raise ParseError(f"{path}: no data rows")
     width = len(data_rows[0][1])
-    if width < 2:
+    if width < min_width:
         raise ParseError(
-            f"{path}: need at least one feature column plus a target",
+            f"{path}: need at least {min_width} columns, found {width}",
             row=data_rows[0][0],
             col=1,
         )
@@ -113,7 +114,13 @@ def load_csv(path: str, has_header: bool = False) -> Dataset:
         i, j = bad[0].tolist()
         ln, cells = data_rows[i]
         raise ParseError(f"{path}: non-finite cell {cells[j].strip()!r}", row=ln, col=j + 1)
-    return Dataset(out[:, :-1], out[:, -1])
+    return header, out
+
+
+def load_csv(path: str, has_header: bool = False) -> Dataset:
+    """Parse a regression CSV: feature columns, then the target last."""
+    _, table = load_table(path, has_header, min_width=2)
+    return Dataset(table[:, :-1], table[:, -1])
 
 
 _MIN_STD = 1e-12
@@ -146,8 +153,13 @@ def standardize(data: Dataset) -> Dataset:
     return apply_stats(data, compute_stats(data))
 
 
-def destandardize_y(y: np.ndarray, stats: Stats) -> np.ndarray:
-    return np.asarray(y, dtype=float) * stats.target_std + stats.target_mean
+def destandardize_moments(mean, var, stats: Stats):
+    """Map a predictive mean and variance from the standardized target scale
+    back to original units; without ``stats`` both pass through unchanged."""
+    if stats is None:
+        return mean, var
+    sd = stats.target_std
+    return mean * sd + stats.target_mean, var * sd * sd
 
 
 def split(data: Dataset, train_frac: float, seed: int):

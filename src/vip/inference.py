@@ -281,6 +281,45 @@ def adam_step(
 _GRID_DEFAULT = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
 
 
+def _type_name(default) -> str:
+    if default is None:
+        return "null or a finite number"
+    if isinstance(default, tuple):
+        return "a list of " + ("integers" if isinstance(default[0], int) else "finite numbers")
+    if isinstance(default, str):
+        return "a string"
+    return "an integer" if isinstance(default, int) else "a finite number"
+
+
+def _type_matches(value, default) -> bool:
+    if isinstance(value, bool):
+        return False  # true/false is never a valid setting, though bool subclasses int
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_type_matches(v, default[0]) for v in value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if value is None:
+        return default is None
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def check_value_types(d: dict, defaults: dict) -> None:
+    """Reject a settings dict whose values are not typed like the defaults.
+
+    An int default takes integers, a float default any finite number, a None
+    default null or a finite number, a str default a string and a tuple
+    default a list of items typed like its first entry. The ParameterError
+    names the key.
+    """
+    for key, value in d.items():
+        if not _type_matches(value, defaults[key]):
+            raise ParameterError(
+                f"{key} must be {_type_name(defaults[key])}, got {value!r}"
+            )
+
+
 @dataclass
 class TrainConfig:
     alpha: float = 0.5
@@ -337,10 +376,11 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(d) - set(defaults))
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
+        check_value_types(d, defaults)
         kwargs = dict(d)
         for key in ("sigma2_grid", "hidden"):
             if key in kwargs:

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .data import Stats
-from .errors import ModelFileError
+from .errors import DimensionError, ModelFileError, ParameterError
 from .inference import CoefficientPosterior, TrainConfig, TrainedModel
 from .priors import prior_from_dict
 
@@ -62,7 +62,7 @@ def model_from_dict(d: dict) -> TrainedModel:
         stats = None if d.get("stats") is None else Stats.from_dict(d["stats"])
         train_x = np.asarray(d["train"]["x"], dtype=float)
         train_y = np.asarray(d["train"]["y"], dtype=float)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ParameterError, DimensionError) as e:
         raise ModelFileError(f"malformed model file: {e}") from e
     if train_x.ndim != 2 or train_x.shape[1] != prior.input_dim:
         raise ModelFileError(

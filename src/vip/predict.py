@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import destandardize_moments
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .inference import LOG_2PI, CoefficientPosterior, TrainedModel, _check_sigma2
 from .numkit import STREAM_PREDICT, Rng, as_matrix, as_vector, chol_solve, cholesky, solve_triangular
-from .priors import FunctionDraws, sample_functions
+from .priors import FunctionDraws, kernel_normaliser, sample_functions
 
 _VAR_FLOOR = -1e-10  # anything below this is an error, above is clamped to 0
 
@@ -77,24 +78,6 @@ def exact_coefficient_posterior(b, y_centered, sigma2: float) -> CoefficientPost
     return CoefficientPosterior(mu, cholesky((sig + sig.T) / 2.0))
 
 
-def _kernel_pieces(draws: FunctionDraws, estimator: str, psi: float, nu):
-    s = draws.num_draws
-    if estimator == "mle":
-        return 1.0 / s, 0.0
-    if estimator == "pm":
-        if psi < 0:
-            raise ParameterError(f"psi must be >= 0, got {psi}")
-        n_eval = draws.eval_count
-        nu_val = float(n_eval if nu is None else nu)
-        denom = nu_val + s - n_eval - 1
-        if denom <= 0:
-            raise ParameterError(
-                f"posterior-mean denominator nu + S - N - 1 = {denom:g} must be positive"
-            )
-        return 1.0 / denom, psi / denom
-    raise ParameterError(f"unknown estimator {estimator!r}")
-
-
 def predict_dense(
     draws_train: FunctionDraws,
     draws_test: FunctionDraws,
@@ -121,7 +104,8 @@ def predict_dense(
     if y.shape[0] != n:
         raise DimensionError(f"{n} training columns vs {y.shape[0]} targets")
     sigma2 = _check_sigma2(sigma2)
-    scale, ridge = _kernel_pieces(draws_train, estimator, psi, nu)
+    denom, ridge = kernel_normaliser(draws_train, estimator, psi, nu)
+    scale, ridge = 1.0 / denom, ridge / denom
 
     dt = draws_train.deltas
     ds = draws_test.deltas
@@ -231,12 +215,12 @@ def nll_rmse(pred: PredictiveDistribution, y_true, stats=None) -> dict:
     y = as_vector(y_true, "true targets")
     if y.shape[0] != len(pred):
         raise DimensionError(f"{len(pred)} predictions vs {y.shape[0]} targets")
-    mean = pred.mean
-    var = pred.var_y
-    if stats is not None:
-        sd = stats.target_std
-        mean = mean * sd + stats.target_mean
-        var = var * sd * sd
+    mean, var = destandardize_moments(pred.mean, pred.var_y, stats)
+    return gaussian_nll_rmse(y, mean, var)
+
+
+def gaussian_nll_rmse(y: np.ndarray, mean: np.ndarray, var: np.ndarray) -> dict:
+    """Average NLL and RMSE of targets y under independent N(mean, var)."""
     if np.any(var <= 0):
         raise ContractError("observation variance must be positive for the NLL")
     nll = float(np.mean(0.5 * (LOG_2PI + np.log(var)) + (y - mean) ** 2 / (2 * var)))

@@ -16,6 +16,7 @@ collapses the denominator to S - 1).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -311,14 +312,6 @@ class FunctionDraws:
         )
 
 
-def _act_sym(name):
-    return ad.vtanh if name == "tanh" else ad.relu
-
-
-def _act_num(name, h):
-    return np.tanh(h) if name == "tanh" else np.where(h > 0.0, h, 0.0)
-
-
 def _bnn_draw_eps(prior: BnnPrior, rng: Rng):
     eps = []
     for fi, fo in zip(prior.layer_sizes[:-1], prior.layer_sizes[1:]):
@@ -356,12 +349,11 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
     n = x.shape[0]
     s = int(num_draws)
     if tape is None:
+        params = dict(prior.param_items())
         rows = np.empty((s, n))
         for k in range(s):
-            rows[k] = _forward_numeric(prior, x, rng)
-        mean = (np.full((1, s), 1.0 / s)) @ rows
-        deltas = rows - np.ones((s, 1)) @ mean
-        return FunctionDraws(rows, mean, deltas, n)
+            rows[k] = _forward(prior, x, rng, _NUMPY_OPS, params)[:, 0]
+        return FunctionDraws.from_matrix(rows)
 
     if params is None:
         params = {name: tape.leaf(arr, requires_grad=True) for name, arr in prior.param_items()}
@@ -370,9 +362,10 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
         if sorted(params) != sorted(expected):
             raise ContractError("params dict does not match the prior's parameter names")
 
+    ops = _tape_ops(tape)
     f = None
     for k in range(s):
-        row = _forward_symbolic(prior, x, rng, tape, params)
+        row = ad.transpose(_forward(prior, x, rng, ops, params))
         basis = np.zeros((s, 1))
         basis[k, 0] = 1.0
         term = ad.matmul(tape.constant(basis), row)
@@ -382,60 +375,70 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
     return FunctionDraws(f, mean, deltas, n, param_vars=params)
 
 
-def _forward_numeric(prior, x: np.ndarray, rng: Rng) -> np.ndarray:
-    n_layers = len(prior.layer_sizes) - 1
-    if prior.family == "bnn":
-        eps = _bnn_draw_eps(prior, rng)
-        h = x
-        for l in range(n_layers):
-            w = np.exp(prior.weight_log_scale[l]) * eps[l][0] + prior.weight_mean[l]
-            b = np.exp(prior.bias_log_scale[l]) * eps[l][1] + prior.bias_mean[l]
-            h = h @ w + b
-            if l + 1 < n_layers:
-                h = _act_num(prior.activation, h)
-        return h[:, 0]
-    z = _ns_draw_z(prior, rng)
-    h = np.hstack([x, np.broadcast_to(z, (x.shape[0], prior.noise_dim))])
-    for l in range(n_layers):
-        h = h @ prior.weights[l] + prior.biases[l]
-        if l + 1 < n_layers:
-            h = _act_num(prior.activation, h)
-    return h[:, 0]
+# The arithmetic of one draw: plain numpy for prediction, tape ops for training.
+_Ops = namedtuple("_Ops", "const add mul exp matmul add_row tanh relu")
+_NUMPY_OPS = _Ops(
+    lambda v: v, np.add, np.multiply, np.exp, np.matmul, np.add, np.tanh,
+    lambda h: np.where(h > 0.0, h, 0.0),
+)
 
 
-def _forward_symbolic(prior, x: np.ndarray, rng: Rng, tape, params) -> ad.Var:
+def _tape_ops(tape) -> _Ops:
+    return _Ops(
+        tape.constant, ad.add, ad.mul, ad.vexp, ad.matmul, ad.broadcast_add_row, ad.vtanh, ad.relu
+    )
+
+
+def _forward(prior, x: np.ndarray, rng: Rng, ops: _Ops, p: dict):
+    """One draw at the rows of x as an N x 1 column, in the arithmetic of ``ops``.
+
+    ``p`` maps the prior's parameter names to arrays (numpy ops) or Vars
+    (tape ops). Both consume the RNG identically, so the two agree bitwise.
+    """
     n_layers = len(prior.layer_sizes) - 1
-    act = _act_sym(prior.activation)
+    act = ops.tanh if prior.activation == "tanh" else ops.relu
     if prior.family == "bnn":
         eps = _bnn_draw_eps(prior, rng)
-        h = tape.constant(x)
+        h = ops.const(x)
         for l in range(n_layers):
-            sig_w = ad.vexp(params[f"w_log_scale_{l}"])
-            sig_b = ad.vexp(params[f"b_log_scale_{l}"])
-            w = ad.add(ad.mul(sig_w, tape.constant(eps[l][0])), params[f"w_mean_{l}"])
-            b = ad.add(ad.mul(sig_b, tape.constant(eps[l][1])), params[f"b_mean_{l}"])
-            h = ad.broadcast_add_row(ad.matmul(h, w), b)
+            sig_w = ops.exp(p[f"w_log_scale_{l}"])
+            sig_b = ops.exp(p[f"b_log_scale_{l}"])
+            w = ops.add(ops.mul(sig_w, ops.const(eps[l][0])), p[f"w_mean_{l}"])
+            b = ops.add(ops.mul(sig_b, ops.const(eps[l][1])), p[f"b_mean_{l}"])
+            h = ops.add_row(ops.matmul(h, w), b)
             if l + 1 < n_layers:
                 h = act(h)
-        return ad.transpose(h)
+        return h
     z = _ns_draw_z(prior, rng)
-    h = tape.constant(np.hstack([x, np.broadcast_to(z, (x.shape[0], prior.noise_dim))]))
+    h = ops.const(np.hstack([x, np.broadcast_to(z, (x.shape[0], prior.noise_dim))]))
     for l in range(n_layers):
-        h = ad.broadcast_add_row(ad.matmul(h, params[f"w_{l}"]), params[f"b_{l}"])
+        h = ops.add_row(ops.matmul(h, p[f"w_{l}"]), p[f"b_{l}"])
         if l + 1 < n_layers:
             h = act(h)
-    return ad.transpose(h)
+    return h
 
 
-def _pm_denominator(draws: FunctionDraws, nu) -> float:
-    n_eval = draws.eval_count
-    nu = float(n_eval if nu is None else nu)
-    denom = nu + draws.num_draws - n_eval - 1
-    if denom <= 0:
-        raise ParameterError(
-            f"posterior-mean denominator nu + S - N - 1 = {denom:g} must be positive"
-        )
-    return denom
+def kernel_normaliser(draws: FunctionDraws, estimator: str, psi: float = 0.0, nu=None):
+    """(denominator, ridge) of an estimator: K = (Delta^T Delta + ridge I) / denominator.
+
+    'mle' is the plain average (S, no ridge); 'pm' the inverse-Wishart
+    posterior mean, nu + S - N - 1 with ridge psi, N being the draws'
+    ``eval_count``.
+    """
+    s = draws.num_draws
+    if estimator == "mle":
+        return s, 0.0
+    if estimator == "pm":
+        if psi < 0:
+            raise ParameterError(f"psi must be >= 0, got {psi}")
+        n_eval = draws.eval_count
+        denom = float(n_eval if nu is None else nu) + s - n_eval - 1
+        if denom <= 0:
+            raise ParameterError(
+                f"posterior-mean denominator nu + S - N - 1 = {denom:g} must be positive"
+            )
+        return denom, psi
+    raise ParameterError(f"unknown estimator {estimator!r}")
 
 
 def empirical_kernel(
@@ -443,29 +446,22 @@ def empirical_kernel(
 ) -> float:
     """Covariance estimate between evaluation columns i and j."""
     d = draws.deltas_array()
-    s, n = d.shape
+    n = d.shape[1]
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError(f"column indices ({i}, {j}) out of range for {n} points")
+    denom, ridge = kernel_normaliser(draws, estimator, psi, nu)
     raw = float(d[:, i] @ d[:, j])
-    if estimator == "mle":
-        return raw / s
-    if estimator == "pm":
-        if psi < 0:
-            raise ParameterError(f"psi must be >= 0, got {psi}")
-        return (raw + (psi if i == j else 0.0)) / _pm_denominator(draws, nu)
-    raise ParameterError(f"unknown estimator {estimator!r}")
+    if i == j:
+        raw += ridge
+    return raw / denom
 
 
 def empirical_kernel_matrix(
     draws: FunctionDraws, estimator: str = "mle", psi: float = 0.0, nu=None
 ) -> np.ndarray:
+    denom, ridge = kernel_normaliser(draws, estimator, psi, nu)
     d = draws.deltas_array()
-    s, n = d.shape
-    gram = d.T @ d
-    if estimator == "mle":
-        return gram / s
-    if estimator == "pm":
-        if psi < 0:
-            raise ParameterError(f"psi must be >= 0, got {psi}")
-        return (gram + psi * np.eye(n)) / _pm_denominator(draws, nu)
-    raise ParameterError(f"unknown estimator {estimator!r}")
+    k = d.T @ d
+    k.flat[:: d.shape[1] + 1] += ridge
+    k /= denom
+    return k

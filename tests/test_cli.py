@@ -158,6 +158,18 @@ class TestPredictEval:
         pred.write_text("x1,mu,v\n" + "\n".join("0,0,1" for _ in range(10)) + "\n")
         assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
 
+    @pytest.mark.parametrize("column, cell", [("mean", "nan"), ("var_y", "inf"), ("mean", "-inf")])
+    def test_eval_non_finite_prediction_is_data_error(self, tmp_path, capsys, column, cell):
+        data = _synth(tmp_path, n=4)
+        rows = [["0.5", "0.1", "1.0"] for _ in range(4)]
+        col = 2 if column == "mean" else 3
+        rows[2][col - 1] = cell
+        pred = tmp_path / "p.csv"
+        pred.write_text("x1,mean,var_y\n" + "\n".join(",".join(r) for r in rows) + "\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
+        assert f"row 4, column {col}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["train.x", "train.y", "q"])
     @pytest.mark.parametrize("coeff", ["exact", "learned"])
     def test_tampered_model_shape_is_data_error(self, tmp_path, capsys, field, coeff):
@@ -184,6 +196,49 @@ class TestPredictEval:
         bad = tmp_path / "m.json"
         bad.write_text("{}")
         assert cli.main(["predict", "--model", str(bad), "--data", data, "--out", str(tmp_path / "p.csv")]) == 3
+
+
+# one wrongly typed value for each kind of setting
+BAD_CONFIG_VALUES = [
+    ("alpha", "x"),  # number
+    ("psi", float("nan")),  # finite number
+    ("learning_rate", True),  # a boolean is not a number
+    ("num_draws", 2.7),  # integer
+    ("epochs", 1.5),
+    ("seed", "3"),
+    ("hidden", 5),  # list of integers
+    ("sigma2_grid", [0.1, "a"]),  # list of numbers
+    ("activation", 3),  # string
+    ("nu", "a"),  # null or a number
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, key, value):
+        data = _synth(tmp_path, n=10)
+        model_out = tmp_path / "m.json"
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path, {key: value}),
+                       "--model-out", str(model_out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not model_out.exists()
+
+    @pytest.mark.parametrize("key, value", BAD_CONFIG_VALUES)
+    def test_wrong_type_in_model_file_is_data_error(self, tmp_path, capsys, key, value):
+        data = _synth(tmp_path, n=10)
+        model_out = tmp_path / "m.json"
+        assert cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path),
+                         "--model-out", str(model_out)]) == 0
+        d = json.loads(model_out.read_text())
+        d["config"][key] = value
+        model_out.write_text(json.dumps(d))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model_out), "--data", data,
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert key in capsys.readouterr().err
 
 
 class TestBench:
@@ -244,6 +299,22 @@ class TestGpBaseline:
         gc = tmp_path / "grid.json"
         gc.write_text(json.dumps({"lengthscale": [1.0]}))
         assert cli.main(["gp-baseline", "--data", data, "--grid-config", str(gc)]) == 2
+
+    def test_non_object_grid_config_is_data_error(self, tmp_path):
+        gc = tmp_path / "grid.json"
+        gc.write_text("[1]")
+        assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 3
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("splits", "a"), ("train_frac", "0.5"), ("lengthscales", [1.0, "x"]),
+         ("sigma2s", 0.1), ("protocol", 5), ("toy_n", 30.0)],
+    )
+    def test_wrongly_typed_grid_key_is_usage_error(self, tmp_path, capsys, key, value):
+        gc = tmp_path / "grid.json"
+        gc.write_text(json.dumps({"protocol": "toy", key: value}))
+        assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_defaults_without_config(self, tmp_path, capsys):
         data = _synth(tmp_path, n=40)

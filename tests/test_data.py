@@ -8,7 +8,7 @@ from vip.data import (
     Stats,
     apply_stats,
     compute_stats,
-    destandardize_y,
+    destandardize_moments,
     interp_split,
     load_csv,
     split,
@@ -103,7 +103,11 @@ class TestStandardize:
     def test_round_trip(self):
         raw = self._data(1)
         ds = standardize(raw)
-        np.testing.assert_allclose(destandardize_y(ds.y, ds.stats), raw.y, atol=1e-12)
+        y, var = destandardize_moments(ds.y, np.ones(ds.n), ds.stats)
+        np.testing.assert_allclose(y, raw.y, atol=1e-12)
+        np.testing.assert_allclose(var, np.full(ds.n, raw.y.var()), rtol=1e-12)
+        mean_out, var_out = destandardize_moments(ds.y, var, None)
+        assert mean_out is ds.y and var_out is var
 
     def test_constant_feature_rejected(self):
         x = np.ones((10, 2))

@@ -194,19 +194,25 @@ class TestPredictDense:
 
 
 class TestWoodburyEquivalence:
-    def test_dense_and_reduced_agree(self):
-        for seed in range(5):
-            dt, ds = joint_draws(seed=seed, n_train=7, n_test=4, s=6)
-            rng = np.random.default_rng(seed)
-            y = rng.standard_normal(7)
-            sig2 = 0.15 + 0.1 * seed
-            dense = predict_dense(dt, ds, y, sig2, want_cov=True)
-            b = dt.deltas.T / math.sqrt(dt.num_draws)
-            q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
-            red = predict_features(ds, q, sig2, want_cov=True)
-            np.testing.assert_allclose(red.mean, dense.mean, atol=1e-8)
-            np.testing.assert_allclose(red.var_f, dense.var_f, atol=1e-8)
-            np.testing.assert_allclose(red.cov, dense.cov, atol=1e-8)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        k=st.integers(1, 6),
+        s=st.integers(2, 20),
+        seed=st.integers(0, 2**32 - 1),
+        sig2=st.floats(0.05, 1.0),
+    )
+    def test_dense_and_reduced_agree(self, n, k, s, seed, sig2):
+        # S > N: more coefficients than training points; S <= N: Kff has rank < N
+        dt, ds = joint_draws(seed=seed, n_train=n, n_test=k, s=s)
+        y = np.random.default_rng(seed).standard_normal(n)
+        dense = predict_dense(dt, ds, y, sig2, want_cov=True)
+        b = dt.deltas.T / math.sqrt(dt.num_draws)
+        q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
+        red = predict_features(ds, q, sig2, want_cov=True)
+        np.testing.assert_allclose(red.mean, dense.mean, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(red.var_f, dense.var_f, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(red.cov, dense.cov, rtol=1e-8, atol=1e-8)
 
     def test_elbo_at_exact_posterior_equals_log_marginal(self):
         # conjugate check stitching training loss, exact posterior and the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vip import autodiff as ad
 from vip import priors
@@ -47,18 +49,29 @@ class TestSampleShapes:
         with pytest.raises(DimensionError):
             sample_functions(toy_bnn(), np.zeros((3, 2)), 4, Rng(0))
 
-    def test_numeric_and_symbolic_paths_agree_bitwise(self):
-        x = np.linspace(-2, 2, 9).reshape(-1, 1)
-        for prior in (
-            toy_bnn(sizes=(1, 4, 3, 1)),
-            NeuralSamplerPrior.init(1, (4, 3), "tanh", Rng(5, 0), noise_dim=2),
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["bnn", "ns"]),
+        activation=st.sampled_from(["tanh", "relu"]),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        s=st.integers(2, 7),
+        n=st.integers(1, 9),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_numeric_and_symbolic_paths_agree_bitwise(
+        self, family, activation, hidden, s, n, d, seed
+    ):
+        prior = init_prior(family, d, hidden, activation, Rng(seed, 0), noise_dim=2)
+        x = Rng(seed, 1).standard_normal(n * d).reshape(n, d)
+        numeric = sample_functions(prior, x, s, Rng(seed, 2))
+        symbolic = sample_functions(prior, x, s, Rng(seed, 2), tape=ad.Tape())
+        for got, want in (
+            (symbolic.values.value, numeric.values),
+            (symbolic.mean.value, numeric.mean),
+            (symbolic.deltas.value, numeric.deltas),
         ):
-            numeric = sample_functions(prior, x, 5, Rng(7, 1))
-            tape = ad.Tape()
-            symbolic = sample_functions(prior, x, 5, Rng(7, 1), tape=tape)
-            np.testing.assert_array_equal(numeric.values, symbolic.values.value)
-            np.testing.assert_array_equal(numeric.mean, symbolic.mean.value)
-            np.testing.assert_array_equal(numeric.deltas, symbolic.deltas.value)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBnnDistribution:
