@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation on a dynamic tape.
 
 Every value is a 2-D float64 array; scalars ride along as 1x1. The op set is
-deliberately small and closed: composite quantities (divisions, diagonal
-embeddings, row stacking) are built from these primitives rather than added
-as new ops. Gradients accumulate in a fixed order (descending node index),
-``sum`` and ``dot`` reduce with math.fsum so their forward values do not
-depend on element order, and relu takes derivative 0 at exactly 0.
+deliberately small and closed: elementwise arithmetic and activations,
+``matmul``, ``transpose``, ``reshape``, ``broadcast_add_row``, ``sum`` and
+``dot``. Composite quantities (divisions, diagonal embeddings, row stacking)
+are built from these primitives rather than added as new ops. Gradients
+accumulate in a fixed order (descending node index), ``sum`` and ``dot``
+reduce with math.fsum so their forward values do not depend on element
+order, and relu takes derivative 0 at exactly 0.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, DimensionError, NumericalError
 
@@ -141,6 +142,15 @@ def transpose(a: Var) -> Var:
     return _unary("transpose", a, a.value.T.copy(), lambda g: (g.T,))
 
 
+def reshape(a: Var, shape) -> Var:
+    """The entries of a, in row-major order, laid out as a 2-D ``shape``."""
+    old = a.value.shape
+    shape = tuple(int(k) for k in shape)
+    if len(shape) != 2 or shape[0] * shape[1] != a.value.size:
+        raise DimensionError(f"reshape: cannot lay out {old} as {shape}")
+    return _unary("reshape", a, a.value.reshape(shape), lambda g: (g.reshape(old),))
+
+
 def scale(a: Var, c: float) -> Var:
     c = float(c)
     return _unary("scale", a, a.value * c, lambda g: (g * c,))
@@ -210,10 +220,24 @@ def relu(a: Var) -> Var:
     return _unary("relu", a, np.where(mask, av, 0.0), lambda g: (np.where(mask, g, 0.0),))
 
 
+def _sigmoid(v: float) -> float:
+    # libm exp, as scipy.special.expit computes it; exp(-v) overflows only
+    # where the sigmoid rounds to 0
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
 def softplus(a: Var) -> Var:
     av = a.value
     out = np.logaddexp(0.0, av)
-    return _unary("softplus", a, out, lambda g: (expit(av) * g,))
+
+    def vjp(g):
+        sig = np.array([_sigmoid(v) for v in av.ravel().tolist()]).reshape(av.shape)
+        return (sig * g,)
+
+    return _unary("softplus", a, out, vjp)
 
 
 def backward(loss: Var) -> dict[int, np.ndarray]:

@@ -12,7 +12,13 @@ import numpy as np
 
 from .data import Stats
 from .errors import DimensionError, ModelFileError, ParameterError
-from .inference import CoefficientPosterior, TrainConfig, TrainedModel
+from .inference import (
+    CoefficientPosterior,
+    TrainConfig,
+    TrainedModel,
+    _check_sigma2,
+    check_value_types,
+)
 from .priors import prior_from_dict
 
 FORMAT_VERSION = 1
@@ -43,6 +49,7 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 _REQUIRED = ("format_version", "seed", "sigma2", "config", "prior", "q", "train")
+_SCALARS = {"seed": 0, "sigma2": 0.1}  # typed like these
 
 
 def model_from_dict(d: dict) -> TrainedModel:
@@ -56,6 +63,9 @@ def model_from_dict(d: dict) -> TrainedModel:
             f"unsupported format_version {d['format_version']!r}, expected {FORMAT_VERSION}"
         )
     try:
+        check_value_types({k: d[k] for k in _SCALARS}, _SCALARS)
+        sigma2 = _check_sigma2(d["sigma2"])
+        seed = int(d["seed"])
         prior = prior_from_dict(d["prior"])
         q = CoefficientPosterior(d["q"]["mu"], d["q"]["chol"])
         config = TrainConfig.from_dict(d["config"])
@@ -77,9 +87,9 @@ def model_from_dict(d: dict) -> TrainedModel:
     return TrainedModel(
         prior=prior,
         q=q,
-        sigma2=float(d["sigma2"]),
+        sigma2=sigma2,
         config=config,
-        seed=int(d["seed"]),
+        seed=seed,
         loss_trace=[],
         train_x=train_x,
         train_y=train_y,

@@ -312,21 +312,36 @@ class FunctionDraws:
         )
 
 
-def _bnn_draw_eps(prior: BnnPrior, rng: Rng):
-    eps = []
-    for fi, fo in zip(prior.layer_sizes[:-1], prior.layer_sizes[1:]):
-        ew = rng.standard_normal(fi * fo).reshape(fi, fo)
-        eb = rng.standard_normal(fo).reshape(1, fo)
-        eps.append((ew, eb))
-    return eps
+def _bnn_draw_eps(prior: BnnPrior, num_draws: int, rng: Rng):
+    """Each draw's per-layer (weight, bias) noise, from one request in draw order."""
+    sizes = list(zip(prior.layer_sizes[:-1], prior.layer_sizes[1:]))
+    per_draw = sum(fi * fo + fo for fi, fo in sizes)
+    flat = rng.standard_normal(num_draws * per_draw)
+    draws, pos = [], 0
+    for _ in range(num_draws):
+        eps = []
+        for fi, fo in sizes:
+            ew = flat[pos : pos + fi * fo].reshape(fi, fo)
+            pos += fi * fo
+            eb = flat[pos : pos + fo].reshape(1, fo)
+            pos += fo
+            eps.append((ew, eb))
+        draws.append(eps)
+    return draws
 
 
-def _ns_draw_z(prior: NeuralSamplerPrior, rng: Rng) -> np.ndarray:
+def _ns_inputs(prior: NeuralSamplerPrior, x: np.ndarray, num_draws: int, rng: Rng) -> np.ndarray:
+    """[x, z_s] for every draw s, stacked draw-major into one (S*N, d + noise_dim) matrix."""
+    n, d = x.shape
     a = prior.noise_halfwidth
+    h = np.empty((num_draws, n, d + prior.noise_dim))
+    h[:, :, :d] = x
     if a == 0.0:
         # frozen noise: every draw sees z = 0 and the stream is untouched
-        return np.zeros(prior.noise_dim)
-    return rng.uniform(prior.noise_dim, -a, a)
+        h[:, :, d:] = 0.0
+    else:
+        h[:, :, d:] = rng.uniform(num_draws * prior.noise_dim, -a, a).reshape(num_draws, 1, -1)
+    return h.reshape(num_draws * n, -1)
 
 
 def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None) -> FunctionDraws:
@@ -337,7 +352,8 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
     dict to reuse existing leaves; otherwise requires-grad leaves are created
     and exposed as ``draws.param_vars``). Without a tape the same arithmetic
     runs in plain numpy; both paths consume the RNG identically, so their
-    values agree bitwise.
+    values agree bitwise. Neural-sampler draws run as one pass over all S*N
+    rows; BNN draws run one pass per draw.
     """
     x = as_matrix(x, "inputs")
     if num_draws < 2:
@@ -349,70 +365,73 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
     n = x.shape[0]
     s = int(num_draws)
     if tape is None:
-        params = dict(prior.param_items())
-        rows = np.empty((s, n))
-        for k in range(s):
-            rows[k] = _forward(prior, x, rng, _NUMPY_OPS, params)[:, 0]
-        return FunctionDraws.from_matrix(rows)
-
-    if params is None:
-        params = {name: tape.leaf(arr, requires_grad=True) for name, arr in prior.param_items()}
+        ops, params = _NUMPY_OPS, dict(prior.param_items())
     else:
-        expected = [name for name, _ in prior.param_items()]
-        if sorted(params) != sorted(expected):
+        ops = _tape_ops(tape)
+        if params is None:
+            params = {name: tape.leaf(arr, requires_grad=True) for name, arr in prior.param_items()}
+        elif sorted(params) != sorted(name for name, _ in prior.param_items()):
             raise ContractError("params dict does not match the prior's parameter names")
 
-    ops = _tape_ops(tape)
-    f = None
-    for k in range(s):
-        row = ad.transpose(_forward(prior, x, rng, ops, params))
-        basis = np.zeros((s, 1))
-        basis[k, 0] = 1.0
-        term = ad.matmul(tape.constant(basis), row)
-        f = term if f is None else ad.add(f, term)
+    if prior.family == "ns":
+        f = ops.reshape(_forward(prior, _ns_inputs(prior, x, s, rng), ops, params), (s, n))
+    elif tape is None:
+        f = np.empty((s, n))
+        for k, eps in enumerate(_bnn_draw_eps(prior, s, rng)):
+            f[k] = _forward(prior, x, ops, params, eps)[:, 0]
+    else:
+        f = None
+        for k, eps in enumerate(_bnn_draw_eps(prior, s, rng)):
+            row = ad.transpose(_forward(prior, x, ops, params, eps))
+            basis = np.zeros((s, 1))
+            basis[k, 0] = 1.0
+            term = ad.matmul(tape.constant(basis), row)
+            f = term if f is None else ad.add(f, term)
+    if tape is None:
+        return FunctionDraws.from_matrix(f)
     mean = ad.matmul(tape.constant(np.full((1, s), 1.0 / s)), f)
     deltas = ad.sub(f, ad.matmul(tape.constant(np.ones((s, 1))), mean))
     return FunctionDraws(f, mean, deltas, n, param_vars=params)
 
 
-# The arithmetic of one draw: plain numpy for prediction, tape ops for training.
-_Ops = namedtuple("_Ops", "const add mul exp matmul add_row tanh relu")
+# The arithmetic of a forward pass: plain numpy for prediction, tape ops for training.
+# The numpy add_row and tanh write over their first operand, which is always an
+# array the pass has just made; at S*N rows that saves two large temporaries.
+_Ops = namedtuple("_Ops", "const add mul exp matmul add_row tanh relu reshape")
 _NUMPY_OPS = _Ops(
-    lambda v: v, np.add, np.multiply, np.exp, np.matmul, np.add, np.tanh,
-    lambda h: np.where(h > 0.0, h, 0.0),
+    lambda v: v, np.add, np.multiply, np.exp, np.matmul,
+    lambda h, b: np.add(h, b, out=h), lambda h: np.tanh(h, out=h),
+    lambda h: np.where(h > 0.0, h, 0.0), np.reshape,
 )
 
 
 def _tape_ops(tape) -> _Ops:
     return _Ops(
-        tape.constant, ad.add, ad.mul, ad.vexp, ad.matmul, ad.broadcast_add_row, ad.vtanh, ad.relu
+        tape.constant, ad.add, ad.mul, ad.vexp, ad.matmul, ad.broadcast_add_row, ad.vtanh, ad.relu,
+        ad.reshape,
     )
 
 
-def _forward(prior, x: np.ndarray, rng: Rng, ops: _Ops, p: dict):
-    """One draw at the rows of x as an N x 1 column, in the arithmetic of ``ops``.
+def _forward(prior, h: np.ndarray, ops: _Ops, p: dict, eps=None):
+    """The network at the rows of h as a column, in the arithmetic of ``ops``.
 
     ``p`` maps the prior's parameter names to arrays (numpy ops) or Vars
-    (tape ops). Both consume the RNG identically, so the two agree bitwise.
+    (tape ops), so numeric and taped passes agree bitwise. A BNN pass is one
+    draw, its weights built from that draw's ``eps``; a neural-sampler pass
+    takes the stacked [x, z] rows of all its draws.
     """
     n_layers = len(prior.layer_sizes) - 1
     act = ops.tanh if prior.activation == "tanh" else ops.relu
-    if prior.family == "bnn":
-        eps = _bnn_draw_eps(prior, rng)
-        h = ops.const(x)
-        for l in range(n_layers):
+    h = ops.const(h)
+    for l in range(n_layers):
+        if prior.family == "bnn":
             sig_w = ops.exp(p[f"w_log_scale_{l}"])
             sig_b = ops.exp(p[f"b_log_scale_{l}"])
             w = ops.add(ops.mul(sig_w, ops.const(eps[l][0])), p[f"w_mean_{l}"])
             b = ops.add(ops.mul(sig_b, ops.const(eps[l][1])), p[f"b_mean_{l}"])
-            h = ops.add_row(ops.matmul(h, w), b)
-            if l + 1 < n_layers:
-                h = act(h)
-        return h
-    z = _ns_draw_z(prior, rng)
-    h = ops.const(np.hstack([x, np.broadcast_to(z, (x.shape[0], prior.noise_dim))]))
-    for l in range(n_layers):
-        h = ops.add_row(ops.matmul(h, p[f"w_{l}"]), p[f"b_{l}"])
+        else:
+            w, b = p[f"w_{l}"], p[f"b_{l}"]
+        h = ops.add_row(ops.matmul(h, w), b)
         if l + 1 < n_layers:
             h = act(h)
     return h

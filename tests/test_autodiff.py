@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vip
 from vip import autodiff as ad
 from vip.errors import ContractError, DimensionError, NumericalError
 
@@ -36,6 +41,9 @@ class TestPerOpGradients:
         "mul": lambda t, v: ad.mul(v, ad.add(v, t.constant(np.full(v.shape, 1.5)))),
         "matmul": lambda t, v: ad.matmul(v, ad.transpose(v)),
         "transpose": lambda t, v: ad.square(ad.transpose(v)),
+        "reshape": lambda t, v: ad.matmul(
+            ad.reshape(ad.matmul(v, t.constant(np.arange(12.0).reshape(3, 4) / 10.0)), (4, 3)), v
+        ),
         "scale": lambda t, v: ad.scale(v, -1.7),
         "square": lambda t, v: ad.square(v),
         "exp": lambda t, v: ad.vexp(v),
@@ -92,6 +100,35 @@ def test_softplus_is_stable_for_large_inputs():
     g = ad.backward(ad.vsum(out))[x.nid]
     assert g[0, 0] == pytest.approx(1.0)
     assert g[0, 1] == pytest.approx(0.0, abs=1e-300)
+
+
+def test_softplus_gradient_is_bitwise_expit():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(17)
+    x = np.concatenate([
+        rng.standard_normal(2000) * 3.0,
+        rng.uniform(-760.0, 760.0, 2000),  # exp(-x) overflows below about -709.78
+        [0.0, -0.0, 1e-300, -1e-300, 36.0, 37.0, 709.0, -709.0, 709.8, -709.8, 745.2, -745.2,
+         1e300, -1e300],
+    ]).reshape(-1, 1)
+    tape = ad.Tape()
+    v = tape.leaf(x, requires_grad=True)
+    g = ad.backward(ad.vsum(ad.softplus(v)))[v.nid]
+    assert g.tobytes() == expit(x).tobytes()
+
+
+def test_importing_vip_leaves_scipy_special_unloaded():
+    # scipy.special costs a few MB of resident memory in every vip process
+    code = "import sys, vip.cli; print('scipy.special' in sys.modules)"
+    src = str(Path(vip.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_sum_uses_order_independent_reduction():
@@ -180,6 +217,14 @@ class TestContracts:
     def test_leaf_rejects_1d(self):
         with pytest.raises(DimensionError):
             ad.Tape().leaf(np.ones(3))
+
+    def test_reshape_keeps_size_and_two_dims(self):
+        v = ad.Tape().leaf(np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(ad.reshape(v, (3, 2)).value, np.arange(6.0).reshape(3, 2))
+        with pytest.raises(DimensionError, match="reshape"):
+            ad.reshape(v, (4, 2))
+        with pytest.raises(DimensionError, match="reshape"):
+            ad.reshape(v, (6,))
 
     def test_scalar_leaf_becomes_1x1(self):
         v = ad.Tape().leaf(2.5)

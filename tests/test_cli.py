@@ -191,6 +191,25 @@ class TestPredictEval:
         assert rc == 3
         assert f"{field} has " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma2", "x"), ("sigma2", -1.0), ("sigma2", 0.0), ("sigma2", None),
+        ("seed", "3"), ("seed", 1.5),
+    ])
+    def test_bad_model_scalar_is_data_error(self, tmp_path, capsys, field, value):
+        data = _synth(tmp_path, n=10)
+        model_out = tmp_path / "m.json"
+        assert cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path),
+                         "--model-out", str(model_out)]) == 0
+        d = json.loads(model_out.read_text())
+        d[field] = value
+        model_out.write_text(json.dumps(d))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model_out), "--data", data,
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert field in err and "model file" in err
+
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
         bad = tmp_path / "m.json"

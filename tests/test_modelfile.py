@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vip.data import standardize, synth_toy
 from vip.errors import ModelFileError
@@ -79,6 +81,31 @@ class TestRoundTrip:
         ):
             assert ka == kb
             np.testing.assert_array_equal(np.asarray(va), np.asarray(vb))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        family=st.sampled_from(["bnn", "ns"]),
+        activation=st.sampled_from(["tanh", "relu"]),
+        hidden=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        num_draws=st.integers(2, 5),
+        sigma2_mode=st.sampled_from(["fixed", "learned"]),
+        estimator=st.sampled_from(["mle", "pm"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_model_from_dict_round_trip_is_byte_stable(
+        self, family, activation, hidden, num_draws, sigma2_mode, estimator, seed
+    ):
+        ds = standardize(synth_toy(12, seed=seed % 1000))
+        cfg = TrainConfig(
+            epochs=2, num_draws=num_draws, hidden=tuple(hidden), activation=activation,
+            prior_family=family, sigma2_mode=sigma2_mode, estimator=estimator,
+            noise_dim=2, seed=seed,
+        )
+        text = canonical_json(model_to_dict(train(ds.x, ds.y, cfg, stats=ds.stats)))
+        again = canonical_json(model_to_dict(model_from_dict(json.loads(text))))
+        assert again == text
 
 
 class TestValidation:

@@ -223,6 +223,26 @@ class TestRngStreams:
         parts = np.concatenate([r.uniform(499), r.uniform(1)])
         np.testing.assert_array_equal(whole, parts)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 300), min_size=1, max_size=8),
+        kind=st.sampled_from(["normal", "uniform"]),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.integers(0, 10),
+    )
+    def test_any_split_of_a_request_composes(self, sizes, kind, seed, stream):
+        # odd normal requests leave a Box-Muller spare that the next one
+        # starts with; every split must still give the single request's bytes
+        def draw(r, n):
+            return r.standard_normal(n) if kind == "normal" else r.uniform(n, -0.5, 2.0)
+
+        whole = Rng(seed, stream)
+        r = Rng(seed, stream)
+        parts = np.concatenate([draw(r, n) for n in sizes])
+        assert parts.tobytes() == draw(whole, sum(sizes)).tobytes()
+        # and the streams are left at the same place
+        assert draw(r, 3).tobytes() == draw(whole, 3).tobytes()
+
     def test_zero_draws(self):
         assert Rng(1).standard_normal(0).shape == (0,)
         assert Rng(1).uniform(0).shape == (0,)

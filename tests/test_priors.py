@@ -156,6 +156,161 @@ class TestNeuralSampler:
             BnnPrior.init((1, 4, 1), "sigmoid", Rng(0))
 
 
+def _ns_per_draw(prior, x, s, rng, tape=None, params=None):
+    """The per-draw neural-sampler loop that the batched pass replaced.
+
+    Each draw takes its own ``noise_dim`` uniforms, runs the network over
+    [x, z_s] and, on a tape, is stacked into S x N with a basis-vector matmul.
+    """
+    n, nd, a = x.shape[0], prior.noise_dim, prior.noise_halfwidth
+    n_layers = len(prior.layer_sizes) - 1
+    if tape is None:
+        p = dict(prior.param_items())
+        act = np.tanh if prior.activation == "tanh" else (lambda h: np.where(h > 0.0, h, 0.0))
+    else:
+        p = params
+        act = ad.vtanh if prior.activation == "tanh" else ad.relu
+    f = np.empty((s, n)) if tape is None else None
+    for k in range(s):
+        z = rng.uniform(nd, -a, a) if a != 0.0 else np.zeros(nd)
+        h = np.hstack([x, np.broadcast_to(z, (n, nd))])
+        if tape is None:
+            for l in range(n_layers):
+                h = h @ p[f"w_{l}"] + p[f"b_{l}"]
+                h = act(h) if l + 1 < n_layers else h
+            f[k] = h[:, 0]
+            continue
+        h = tape.constant(h)
+        for l in range(n_layers):
+            h = ad.broadcast_add_row(ad.matmul(h, p[f"w_{l}"]), p[f"b_{l}"])
+            h = act(h) if l + 1 < n_layers else h
+        basis = np.zeros((s, 1))
+        basis[k, 0] = 1.0
+        term = ad.matmul(tape.constant(basis), ad.transpose(h))
+        f = term if f is None else ad.add(f, term)
+    return f
+
+
+def _close(got, want, ulps=64):
+    """Equal up to BLAS summation order: a few ulp of the largest entry."""
+    tol = ulps * np.finfo(float).eps * max(float(np.abs(want).max()), 1.0)
+    return float(np.abs(got - want).max()) <= tol
+
+
+_ns_cases = dict(
+    activation=st.sampled_from(["tanh", "relu"]),
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    s=st.integers(2, 50),
+    n=st.integers(1, 40),
+    d=st.integers(1, 3),
+    halfwidth=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _ns_case(activation, hidden, d, n, halfwidth, seed):
+    prior = NeuralSamplerPrior.init(
+        d, hidden, activation, Rng(seed, 0), noise_dim=3, noise_halfwidth=halfwidth
+    )
+    return prior, Rng(seed, 1).standard_normal(n * d).reshape(n, d)
+
+
+class TestBatchedDraws:
+    """Neural-sampler draws run as one pass; BNN noise comes from one request."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_ns_cases)
+    def test_ns_inputs_are_the_per_draw_inputs_stacked(
+        self, activation, hidden, s, n, d, halfwidth, seed
+    ):
+        prior, x = _ns_case(activation, hidden, d, n, halfwidth, seed)
+        rng_one, rng_each = Rng(seed, 2), Rng(seed, 2)
+        got = priors._ns_inputs(prior, x, s, rng_one)
+        want = np.vstack([
+            np.hstack([x, np.broadcast_to(
+                rng_each.uniform(3, -halfwidth, halfwidth) if halfwidth else np.zeros(3), (n, 3)
+            )])
+            for _ in range(s)
+        ])
+        assert got.tobytes() == want.tobytes()
+        assert rng_one.uniform(5).tobytes() == rng_each.uniform(5).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_ns_cases)
+    def test_ns_draws_match_the_per_draw_loop(self, activation, hidden, s, n, d, halfwidth, seed):
+        # One GEMM over S*N rows may round differently from S GEMMs over N:
+        # OpenBLAS picks its kernel by shape (gemv for one row, a small-matrix
+        # kernel below a size threshold), so the match is to a few ulp.
+        prior, x = _ns_case(activation, hidden, d, n, halfwidth, seed)
+        want = _ns_per_draw(prior, x, s, Rng(seed, 2))
+        rng_num, rng_tape = Rng(seed, 2), Rng(seed, 2)
+        numeric = sample_functions(prior, x, s, rng_num)
+        taped = sample_functions(prior, x, s, rng_tape, tape=ad.Tape())
+        assert numeric.values.shape == (s, n)
+        assert _close(numeric.values, want)
+        assert taped.values.value.tobytes() == numeric.values.tobytes()
+        assert taped.deltas.value.tobytes() == numeric.deltas.tobytes()
+        assert rng_num.uniform(1)[0] == rng_tape.uniform(1)[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_ns_cases)
+    def test_ns_gradients_match_the_per_draw_loop(
+        self, activation, hidden, s, n, d, halfwidth, seed
+    ):
+        prior, x = _ns_case(activation, hidden, d, n, halfwidth, seed)
+        w = Rng(seed, 3).standard_normal(s * n).reshape(s, n)
+
+        def grads(batched):
+            tape = ad.Tape()
+            params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.param_items()}
+            if batched:
+                f = sample_functions(prior, x, s, Rng(seed, 2), tape=tape, params=params).values
+            else:
+                f = _ns_per_draw(prior, x, s, Rng(seed, 2), tape=tape, params=params)
+            loss = ad.add(ad.dot(ad.vtanh(f), tape.constant(w)), ad.vsum(ad.square(f)))
+            g = ad.backward(loss)
+            return {k: g[v.nid] for k, v in params.items()}
+
+        got, want = grads(True), grads(False)
+        for name, g in want.items():
+            scale = float(np.abs(g).max())
+            assert float(np.abs(got[name] - g).max()) <= 1e-12 * scale, name
+
+    def test_ns_tape_size_does_not_depend_on_s(self):
+        prior, x = _ns_case("tanh", (10, 10), 1, 32, 1.0, 0)
+        sizes = set()
+        for s in (2, 20, 50, 200):
+            tape = ad.Tape()
+            sample_functions(prior, x, s, Rng(0, 2), tape=tape)
+            sizes.add(len(tape))
+        # 6 parameter leaves, input, 3 x (matmul, add_row), 2 tanh, reshape,
+        # then the mean and the centred residuals (3 constants, 2 matmuls, sub)
+        assert sizes == {6 + 1 + 6 + 2 + 1 + 5}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4).map(lambda l: [*l[:-1], 1]),
+        s=st.integers(1, 7),
+        lead=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bnn_eps_come_from_one_request_in_per_draw_order(self, sizes, s, lead, seed):
+        prior = BnnPrior.init(sizes, "tanh", Rng(seed, 0))
+        rng_one, rng_each = Rng(seed, 2), Rng(seed, 2)
+        # an odd lead leaves a Box-Muller spare that the next request must use first
+        rng_one.standard_normal(lead)
+        rng_each.standard_normal(lead)
+        got = priors._bnn_draw_eps(prior, s, rng_one)
+        assert len(got) == s
+        for eps in got:
+            for (ew, eb), fi, fo in zip(eps, sizes[:-1], sizes[1:]):
+                assert ew.tobytes() == rng_each.standard_normal(fi * fo).tobytes()
+                assert ew.shape == (fi, fo)
+                assert eb.tobytes() == rng_each.standard_normal(fo).tobytes()
+                assert eb.shape == (1, fo)
+        assert rng_one.standard_normal(3).tobytes() == rng_each.standard_normal(3).tobytes()
+
+
 class TestEmpiricalKernel:
     def test_hand_worked_two_draws(self):
         draws = FunctionDraws.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
