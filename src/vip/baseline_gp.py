@@ -69,9 +69,7 @@ def _train_chol(kernel: RbfKernel, x: np.ndarray, sigma2: float) -> np.ndarray:
         return cholesky(a)
 
 
-def gp_predict(
-    kernel: RbfKernel, x, y, sigma2: float, x_star, want_cov: bool = False
-) -> PredictiveDistribution:
+def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDistribution:
     """Closed-form posterior at x_star for f ~ GP(0, k), y = f + N(0, sigma2)."""
     x = as_matrix(x, "training inputs")
     y = as_vector(y, "targets")
@@ -84,11 +82,7 @@ def gp_predict(
     mean = ksf @ chol_solve(la, y)
     v = solve_triangular(la, ksf.T)
     var_f = kernel.signal_variance - np.einsum("nk,nk->k", v, v)
-    cov = None
-    if want_cov:
-        cov = kernel.gram(x_star, x_star) - v.T @ v
-        cov = (cov + cov.T) / 2.0
-    return _finish(mean, var_f, sigma2, cov)
+    return _finish(mean, var_f, sigma2)
 
 
 def gp_log_marginal(kernel: RbfKernel, x, y, sigma2: float) -> float:

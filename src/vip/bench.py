@@ -19,6 +19,8 @@ from .predict import nll_rmse, posterior_predict
 
 # offset keeping per-split seeds clear of the fixed per-purpose streams
 SPLIT_STREAM_BASE = 100
+# share of the training rows the noise grid search holds out for validation
+GRID_VAL_FRAC = 0.2
 
 
 @dataclass
@@ -28,34 +30,21 @@ class GridSearchResult:
     val_nll: dict
 
 
-def grid_search_sigma2(
-    ds: datamod.Dataset,
-    cfg: TrainConfig,
-    grid=None,
-    val_frac: float = 0.2,
-    seed: int = 0,
-) -> GridSearchResult:
-    """Pick the noise variance by validation NLL, then refit on all of ds.
+def grid_search_sigma2(ds: datamod.Dataset, cfg: TrainConfig) -> GridSearchResult:
+    """Pick sigma2 from cfg.sigma2_grid by validation NLL, then refit on all of ds.
 
     One model is trained on the sub-training rows; each grid value is scored
     by re-deriving the exact coefficient posterior at that sigma2 (the draws
     are pinned by the model seed, so nothing else moves).  Ties go to the
     smallest sigma2.  A single-element grid skips the search entirely.
     """
-    grid = list(cfg.sigma2_grid) if grid is None else [float(g) for g in grid]
-    if not grid:
-        raise ParameterError("sigma2 grid must be non-empty")
-    if any(g <= 0 for g in grid):
-        raise ParameterError("sigma2 grid values must be positive")
-    if not 0.0 < val_frac < 1.0:
-        raise ParameterError("val_frac must lie in (0, 1)")
-    grid = sorted(grid)
+    cfg.validate()
+    grid = sorted(float(g) for g in cfg.sigma2_grid)
 
     val_scores = {}
     if len(set(grid)) > 1:
-        sub_tr, val = datamod.split(ds, 1.0 - val_frac, derive_seed(seed, STREAM_GRID))
-        probe_cfg = replace(cfg, sigma2_mode="fixed", seed=seed)
-        probe = train(sub_tr.x, sub_tr.y, probe_cfg)
+        sub_tr, val = datamod.split(ds, 1.0 - GRID_VAL_FRAC, derive_seed(cfg.seed, STREAM_GRID))
+        probe = train(sub_tr.x, sub_tr.y, replace(cfg, sigma2_mode="fixed"))
         best, best_nll = None, math.inf
         for s2 in grid:
             pred = posterior_predict(replace(probe, sigma2=s2), val.x, mode="exact")
@@ -66,7 +55,7 @@ def grid_search_sigma2(
     else:
         best = grid[0]
 
-    final_cfg = replace(cfg, sigma2_mode="fixed", sigma2=best, seed=seed)
+    final_cfg = replace(cfg, sigma2_mode="fixed", sigma2=best)
     model = train(ds.x, ds.y, final_cfg, stats=ds.stats)
     return GridSearchResult(sigma2=best, model=model, val_nll=val_scores)
 
@@ -137,7 +126,6 @@ def run_protocol(
     segment_len: int = 20,
     toy_n: int = 300,
     toy_noise: str = "std",
-    grid_val_frac: float = 0.2,
 ) -> dict:
     """Train and evaluate over repeated splits; metrics on the original scale.
 
@@ -150,9 +138,7 @@ def run_protocol(
     def fit_predict(tr, te_x, sk):
         cfg_k = replace(cfg, seed=sk)
         if cfg.sigma2_mode == "grid":
-            model = grid_search_sigma2(
-                tr, cfg_k, grid=list(cfg.sigma2_grid), val_frac=grid_val_frac, seed=sk
-            ).model
+            model = grid_search_sigma2(tr, cfg_k).model
         else:
             model = train(tr.x, tr.y, cfg_k, stats=tr.stats)
         return posterior_predict(model, te_x), {"sigma2": float(model.sigma2)}

@@ -67,10 +67,6 @@ class Dataset:
     def d(self) -> int:
         return self.x.shape[1]
 
-    @property
-    def standardized(self) -> bool:
-        return self.stats is not None
-
     def take(self, idx) -> "Dataset":
         return Dataset(self.x[idx], self.y[idx], stats=self.stats)
 
@@ -78,9 +74,9 @@ class Dataset:
 def load_table(path: str, has_header: bool = False, min_width: int = 1):
     """Parse a numeric CSV into (header cells or None, float matrix).
 
-    Blank lines are skipped; every data row must be as wide as the first,
-    which needs at least ``min_width`` cells. Errors cite 1-based (row, col)
-    file coordinates, counting the header row when present.
+    Blank lines are skipped; the header and every data row must be as wide
+    as the first data row, which needs at least ``min_width`` cells. Errors
+    cite 1-based (row, col) file coordinates, counting any header row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -95,6 +91,10 @@ def load_table(path: str, has_header: bool = False, min_width: int = 1):
             f"{path}: need at least {min_width} columns, found {width}",
             row=data_rows[0][0],
             col=1,
+        )
+    if header is not None and len(header) != width:
+        raise ParseError(
+            f"{path}: header has {len(header)} cells, data rows have {width}", row=1, col=1
         )
     out = np.empty((len(data_rows), width))
     for i, (ln, cells) in enumerate(data_rows):

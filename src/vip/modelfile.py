@@ -7,6 +7,7 @@ prediction re-evaluates function draws jointly over train and test inputs.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -52,6 +53,19 @@ _REQUIRED = ("format_version", "seed", "sigma2", "config", "prior", "q", "train"
 _SCALARS = {"seed": 0, "sigma2": 0.1}  # typed like these
 
 
+def _check_stats(stats: Stats, input_dim: int) -> None:
+    for name in ("feature_means", "feature_stds"):
+        v = getattr(stats, name)
+        if v.shape != (input_dim,) or not np.all(np.isfinite(v)):
+            raise ModelFileError(f"stats.{name} must hold {input_dim} finite entries")
+    if np.any(stats.feature_stds <= 0.0):
+        raise ModelFileError("stats.feature_stds must be positive")
+    if not math.isfinite(stats.target_mean):
+        raise ModelFileError("stats.target_mean must be finite")
+    if not (stats.target_std > 0.0 and math.isfinite(stats.target_std)):
+        raise ModelFileError("stats.target_std must be positive and finite")
+
+
 def model_from_dict(d: dict) -> TrainedModel:
     if not isinstance(d, dict):
         raise ModelFileError("model file must contain a JSON object")
@@ -84,6 +98,11 @@ def model_from_dict(d: dict) -> TrainedModel:
         )
     if q.dim != int(config.num_draws):
         raise ModelFileError(f"q has dimension {q.dim}, config.num_draws is {config.num_draws}")
+    for name, v in (("train.x", train_x), ("train.y", train_y)):
+        if not np.all(np.isfinite(v)):
+            raise ModelFileError(f"{name} has non-finite entries")
+    if stats is not None:
+        _check_stats(stats, prior.input_dim)
     return TrainedModel(
         prior=prior,
         q=q,

@@ -3,8 +3,8 @@
 Two equivalent routes. The dense route conditions on the empirical kernel
 over the training block:
 
-    mean = m*(X*) + K*f (Kff + sigma2 I)^-1 (y - m*(X))
-    cov  = K** - K*f (Kff + sigma2 I)^-1 Kf*
+    mean  = m*(X*) + K*f (Kff + sigma2 I)^-1 (y - m*(X))
+    var_f = diag(K** - K*f (Kff + sigma2 I)^-1 Kf*)
 
 The reduced route stays in the S-dimensional coefficient space: with
 features phi(x) = Delta(x)/sqrt(S) and a Gaussian q(a),
@@ -34,20 +34,18 @@ _VAR_FLOOR = -1e-10  # anything below this is an error, above is clamped to 0
 
 @dataclass
 class PredictiveDistribution:
-    """Per-point Gaussian predictions; ``cov`` is the full latent covariance
-    when requested, else None. var_y = var_f + sigma2."""
+    """Per-point Gaussian predictions; var_y = var_f + sigma2."""
 
     mean: np.ndarray
     var_f: np.ndarray
     var_y: np.ndarray
     sigma2: float
-    cov: np.ndarray | None = None
 
     def __len__(self):
         return self.mean.shape[0]
 
 
-def _finish(mean, var_f, sigma2, cov=None) -> PredictiveDistribution:
+def _finish(mean, var_f, sigma2) -> PredictiveDistribution:
     mean = as_vector(np.asarray(mean, float), "predictive mean")
     var_f = np.asarray(var_f, float)
     if var_f.shape != mean.shape:
@@ -57,7 +55,7 @@ def _finish(mean, var_f, sigma2, cov=None) -> PredictiveDistribution:
         raise NumericalError(f"predictive variance broke its floor: min {low:.3e}")
     var_f = np.maximum(var_f, 0.0)
     sigma2 = _check_sigma2(sigma2)
-    return PredictiveDistribution(mean, var_f, var_f + sigma2, sigma2, cov)
+    return PredictiveDistribution(mean, var_f, var_f + sigma2, sigma2)
 
 
 def exact_coefficient_posterior(b, y_centered, sigma2: float) -> CoefficientPosterior:
@@ -86,7 +84,6 @@ def predict_dense(
     estimator: str = "mle",
     psi: float = 0.0,
     nu=None,
-    want_cov: bool = False,
 ) -> PredictiveDistribution:
     """Condition the empirical-kernel GP on the training block directly.
 
@@ -124,19 +121,11 @@ def predict_dense(
     mean = draws_test.mean[0] + ksf @ alpha
     v = solve_triangular(la, ksf.T)
     var_f = kss_diag - np.einsum("nk,nk->k", v, v)
-    cov = None
-    if want_cov:
-        kss = ds.T @ ds * scale + ridge * np.eye(draws_test.num_points)
-        cov = kss - v.T @ v
-        cov = (cov + cov.T) / 2.0
-    return _finish(mean, var_f, sigma2, cov)
+    return _finish(mean, var_f, sigma2)
 
 
 def predict_features(
-    draws_test: FunctionDraws,
-    q: CoefficientPosterior,
-    sigma2: float,
-    want_cov: bool = False,
+    draws_test: FunctionDraws, q: CoefficientPosterior, sigma2: float
 ) -> PredictiveDistribution:
     """Reduced-rank prediction through the coefficient posterior."""
     if draws_test.is_symbolic:
@@ -149,16 +138,11 @@ def predict_features(
     mean = draws_test.mean[0] + phi @ q.mu
     a = phi @ q.chol
     var_f = np.einsum("ks,ks->k", a, a)
-    cov = a @ a.T if want_cov else None
-    return _finish(mean, var_f, sigma2, cov)
+    return _finish(mean, var_f, sigma2)
 
 
 def posterior_predict(
-    model: TrainedModel,
-    x_test,
-    mode: str | None = None,
-    num_draws: int | None = None,
-    want_cov: bool = False,
+    model: TrainedModel, x_test, mode: str | None = None
 ) -> PredictiveDistribution:
     """Predict at new inputs from a trained model.
 
@@ -174,36 +158,29 @@ def posterior_predict(
         raise DimensionError(
             f"test inputs have {x_test.shape[1]} columns, training had {model.train_x.shape[1]}"
         )
-    mode = model.config.coeff_mode if mode is None else mode
+    cfg = model.config
+    mode = cfg.coeff_mode if mode is None else mode
     if mode == "auto":
         mode = "exact" if n <= 2000 else "learned"
     if mode not in ("exact", "learned"):
         raise ParameterError(f"unknown prediction mode {mode!r}")
-    s = int(num_draws) if num_draws is not None else int(model.config.num_draws)
+    s = int(cfg.num_draws)
     rng = Rng(model.seed, STREAM_PREDICT)
-    cfg = model.config
 
     if mode == "learned":
-        if s != model.q.dim:
-            raise ContractError(
-                f"learned mode is tied to the trained S={model.q.dim}, got num_draws={s}"
-            )
         draws_test = sample_functions(model.prior, x_test, s, rng)
-        return predict_features(draws_test, model.q, model.sigma2, want_cov=want_cov)
+        return predict_features(draws_test, model.q, model.sigma2)
 
-    joint = sample_functions(
-        model.prior, np.vstack([model.train_x, x_test]), s, rng
-    )
+    joint = sample_functions(model.prior, np.vstack([model.train_x, x_test]), s, rng)
     dt = joint.slice_columns(0, n)
     dtest = joint.slice_columns(n, n + x_test.shape[0])
     if cfg.estimator == "pm":
         return predict_dense(
-            dt, dtest, model.train_y, model.sigma2,
-            estimator="pm", psi=cfg.psi, nu=cfg.nu, want_cov=want_cov,
+            dt, dtest, model.train_y, model.sigma2, estimator="pm", psi=cfg.psi, nu=cfg.nu
         )
     b = dt.deltas.T / math.sqrt(s)
     q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], model.sigma2)
-    return predict_features(dtest, q, model.sigma2, want_cov=want_cov)
+    return predict_features(dtest, q, model.sigma2)
 
 
 def nll_rmse(pred: PredictiveDistribution, y_true, stats=None) -> dict:

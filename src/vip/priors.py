@@ -17,7 +17,7 @@ collapses the denominator to S - 1).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +26,6 @@ from .errors import ContractError, DimensionError, ParameterError
 from .numkit import Rng, as_matrix
 
 _ACTIVATIONS = ("tanh", "relu")
-
-
-def _check_activation(activation: str):
-    if activation not in _ACTIVATIONS:
-        raise ParameterError(f"activation must be one of {_ACTIVATIONS}, got {activation!r}")
 
 
 def _check_layers(layer_sizes):
@@ -42,198 +37,109 @@ def _check_layers(layer_sizes):
         raise ParameterError("function draws are scalar-valued: last layer size must be 1")
 
 
-@dataclass
-class BnnPrior:
-    """Factorized Gaussian weight prior: w = mean + exp(log_scale) * eps."""
+# Each family's arrays per layer, in parameter order: (model-file key,
+# parameter-name prefix, weight or bias). Layer l's array is named
+# f"{prefix}_{l}"; a weight is fan_in x fan_out, a bias 1 x fan_out.
+_LAYOUT = {
+    "bnn": (
+        ("weight_mean", "w_mean", "weight"),
+        ("weight_log_scale", "w_log_scale", "weight"),
+        ("bias_mean", "b_mean", "bias"),
+        ("bias_log_scale", "b_log_scale", "bias"),
+    ),
+    "ns": (("weights", "w", "weight"), ("biases", "b", "bias")),
+}
 
-    layer_sizes: tuple
-    activation: str
-    weight_mean: list
-    weight_log_scale: list
-    bias_mean: list
-    bias_log_scale: list
 
-    family = "bnn"
-
-    def __post_init__(self):
-        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        _check_layers(self.layer_sizes)
-        _check_activation(self.activation)
-        n_layers = len(self.layer_sizes) - 1
-        for name in ("weight_mean", "weight_log_scale", "bias_mean", "bias_log_scale"):
-            arrays = getattr(self, name)
-            if len(arrays) != n_layers:
-                raise ParameterError(f"{name}: expected {n_layers} layer arrays")
-        for l in range(n_layers):
-            fi, fo = self.layer_sizes[l], self.layer_sizes[l + 1]
-            if self.weight_mean[l].shape != (fi, fo) or self.weight_log_scale[l].shape != (fi, fo):
-                raise DimensionError(f"layer {l}: weight arrays must be {(fi, fo)}")
-            if self.bias_mean[l].shape != (1, fo) or self.bias_log_scale[l].shape != (1, fo):
-                raise DimensionError(f"layer {l}: bias arrays must be {(1, fo)}")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @classmethod
-    def init(cls, layer_sizes, activation: str, rng: Rng) -> "BnnPrior":
-        """Prior means ~ N(0, 1/fan_in), log scales at log(0.01).
-
-        The input layer is drawn wider (weight sd x3, bias sd x2) so unit
-        thresholds start spread over the standardized input range; with a
-        short optimization budget a bunched first layer spends most of it
-        just fanning out.
-        """
-        _check_layers(layer_sizes)
-        wm, wls, bm, bls = [], [], [], []
-        for l, (fi, fo) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-            sd = 1.0 / np.sqrt(fi)
-            w_sd = 3.0 * sd if l == 0 else sd
-            b_sd = 2.0 * sd if l == 0 else sd
-            wm.append(w_sd * rng.standard_normal(fi * fo).reshape(fi, fo))
-            wls.append(np.full((fi, fo), np.log(0.01)))
-            bm.append(b_sd * rng.standard_normal(fo).reshape(1, fo))
-            bls.append(np.full((1, fo), np.log(0.01)))
-        return cls(tuple(layer_sizes), activation, wm, wls, bm, bls)
-
-    def param_items(self):
-        out = []
-        for l in range(len(self.layer_sizes) - 1):
-            out.append((f"w_mean_{l}", self.weight_mean[l]))
-            out.append((f"w_log_scale_{l}", self.weight_log_scale[l]))
-            out.append((f"b_mean_{l}", self.bias_mean[l]))
-            out.append((f"b_log_scale_{l}", self.bias_log_scale[l]))
-        return out
-
-    def with_params(self, params: dict) -> "BnnPrior":
-        n = len(self.layer_sizes) - 1
-        return replace(
-            self,
-            weight_mean=[np.asarray(params[f"w_mean_{l}"], float) for l in range(n)],
-            weight_log_scale=[np.asarray(params[f"w_log_scale_{l}"], float) for l in range(n)],
-            bias_mean=[np.asarray(params[f"b_mean_{l}"], float) for l in range(n)],
-            bias_log_scale=[np.asarray(params[f"b_log_scale_{l}"], float) for l in range(n)],
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "bnn",
-            "layer_sizes": list(self.layer_sizes),
-            "activation": self.activation,
-            "weight_mean": [w.tolist() for w in self.weight_mean],
-            "weight_log_scale": [w.tolist() for w in self.weight_log_scale],
-            "bias_mean": [b.tolist() for b in self.bias_mean],
-            "bias_log_scale": [b.tolist() for b in self.bias_log_scale],
-        }
+def _check_family(family):
+    if family not in _LAYOUT:
+        raise ParameterError(f"unknown prior family {family!r}")
 
 
 @dataclass
-class NeuralSamplerPrior:
-    """Deterministic network over [x, z], z ~ Uniform[-a, a]^noise_dim.
+class Prior:
+    """A network prior over functions, in one of two families.
 
-    The weights themselves are the (trainable) prior parameters; all draw
-    randomness enters through z.
+    'bnn': factorized Gaussian weights, w = mean + exp(log_scale) * eps.
+    'ns' (neural sampler): a deterministic network over [x, z] with
+    z ~ Uniform[-a, a]^noise_dim, a = noise_halfwidth; the weights themselves
+    are the (trainable) prior parameters and all draw randomness enters
+    through z. ``params`` maps the parameter names of ``_LAYOUT`` to arrays
+    and is the prior's only copy of its weights.
     """
 
+    family: str
     layer_sizes: tuple
     activation: str
-    weights: list
-    biases: list
-    noise_dim: int
-    noise_halfwidth: float
-
-    family = "ns"
+    params: dict
+    noise_dim: int = 0
+    noise_halfwidth: float = 0.0
 
     def __post_init__(self):
+        _check_family(self.family)
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         _check_layers(self.layer_sizes)
-        _check_activation(self.activation)
-        if self.noise_dim < 1:
+        if self.activation not in _ACTIVATIONS:
+            raise ParameterError(
+                f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
+            )
+        self.noise_dim = int(self.noise_dim)
+        self.noise_halfwidth = float(self.noise_halfwidth)
+        if self.family == "bnn" and (self.noise_dim or self.noise_halfwidth):
+            raise ParameterError("only the ns family takes noise inputs")
+        if self.family == "ns" and self.noise_dim < 1:
             raise ParameterError(f"noise_dim must be >= 1, got {self.noise_dim}")
         if self.noise_halfwidth < 0:
             raise ParameterError(f"noise_halfwidth must be >= 0, got {self.noise_halfwidth}")
         if self.layer_sizes[0] <= self.noise_dim:
             raise ParameterError("first layer must be wider than noise_dim (x gets the rest)")
-        n_layers = len(self.layer_sizes) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
-            raise ParameterError(f"expected {n_layers} weight/bias arrays")
-        for l in range(n_layers):
-            fi, fo = self.layer_sizes[l], self.layer_sizes[l + 1]
-            if self.weights[l].shape != (fi, fo):
-                raise DimensionError(f"layer {l}: weights must be {(fi, fo)}")
-            if self.biases[l].shape != (1, fo):
-                raise DimensionError(f"layer {l}: biases must be {(1, fo)}")
+        shapes = {}
+        for l, (fi, fo) in enumerate(zip(self.layer_sizes[:-1], self.layer_sizes[1:])):
+            for _, prefix, kind in _LAYOUT[self.family]:
+                shapes[f"{prefix}_{l}"] = (fi, fo) if kind == "weight" else (1, fo)
+        if set(self.params) != set(shapes):
+            raise ParameterError(
+                f"a {self.family} prior with layers {self.layer_sizes} takes parameters "
+                f"{list(shapes)}, got {sorted(self.params)}"
+            )
+        self.params = {name: np.asarray(self.params[name], float) for name in shapes}
+        for name, shape in shapes.items():
+            if self.params[name].shape != shape:
+                raise DimensionError(f"{name} must be {shape}, got {self.params[name].shape}")
 
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0] - self.noise_dim
 
-    @classmethod
-    def init(
-        cls,
-        x_dim: int,
-        hidden,
-        activation: str,
-        rng: Rng,
-        noise_dim: int = 10,
-        noise_halfwidth: float = 1.0,
-    ) -> "NeuralSamplerPrior":
-        sizes = (int(x_dim) + int(noise_dim), *[int(h) for h in hidden], 1)
-        ws, bs = [], []
-        for fi, fo in zip(sizes[:-1], sizes[1:]):
-            sd = 1.0 / np.sqrt(fi)
-            ws.append(sd * rng.standard_normal(fi * fo).reshape(fi, fo))
-            bs.append(np.zeros((1, fo)))
-        return cls(sizes, activation, ws, bs, int(noise_dim), float(noise_halfwidth))
-
     def param_items(self):
-        out = []
-        for l in range(len(self.layer_sizes) - 1):
-            out.append((f"w_{l}", self.weights[l]))
-            out.append((f"b_{l}", self.biases[l]))
-        return out
+        return list(self.params.items())
 
-    def with_params(self, params: dict) -> "NeuralSamplerPrior":
-        n = len(self.layer_sizes) - 1
-        return replace(
-            self,
-            weights=[np.asarray(params[f"w_{l}"], float) for l in range(n)],
-            biases=[np.asarray(params[f"b_{l}"], float) for l in range(n)],
-        )
+    def with_params(self, params: dict) -> "Prior":
+        """This prior with its arrays taken from ``params``; other names are ignored."""
+        return replace(self, params={name: params[name] for name in self.params})
 
     def to_dict(self) -> dict:
-        return {
-            "family": "ns",
+        n_layers = len(self.layer_sizes) - 1
+        out = {
+            "family": self.family,
             "layer_sizes": list(self.layer_sizes),
             "activation": self.activation,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "noise_dim": self.noise_dim,
-            "noise_halfwidth": self.noise_halfwidth,
         }
+        for key, prefix, _ in _LAYOUT[self.family]:
+            out[key] = [self.params[f"{prefix}_{l}"].tolist() for l in range(n_layers)]
+        if self.family == "ns":
+            out.update(noise_dim=self.noise_dim, noise_halfwidth=self.noise_halfwidth)
+        return out
 
 
-def prior_from_dict(d: dict):
+def prior_from_dict(d: dict) -> Prior:
     family = d.get("family")
-    if family == "bnn":
-        return BnnPrior(
-            tuple(d["layer_sizes"]),
-            d["activation"],
-            [np.asarray(w, float) for w in d["weight_mean"]],
-            [np.asarray(w, float) for w in d["weight_log_scale"]],
-            [np.asarray(b, float) for b in d["bias_mean"]],
-            [np.asarray(b, float) for b in d["bias_log_scale"]],
-        )
-    if family == "ns":
-        return NeuralSamplerPrior(
-            tuple(d["layer_sizes"]),
-            d["activation"],
-            [np.asarray(w, float) for w in d["weights"]],
-            [np.asarray(b, float) for b in d["biases"]],
-            int(d["noise_dim"]),
-            float(d["noise_halfwidth"]),
-        )
-    raise ParameterError(f"unknown prior family {family!r}")
+    _check_family(family)
+    params = {}
+    for key, prefix, _ in _LAYOUT[family]:
+        params.update((f"{prefix}_{l}", a) for l, a in enumerate(d[key]))
+    noise = (d["noise_dim"], d["noise_halfwidth"]) if family == "ns" else ()
+    return Prior(family, d["layer_sizes"], d["activation"], params, *noise)
 
 
 def init_prior(
@@ -244,14 +150,36 @@ def init_prior(
     rng: Rng,
     noise_dim: int = 10,
     noise_halfwidth: float = 1.0,
-):
+) -> Prior:
+    """A fresh prior over x_dim inputs with the given hidden layer widths.
+
+    Weights are drawn ~ N(0, 1/fan_in) layer by layer. A BNN draws its
+    weight means so, with log scales at log(0.01) and its input layer drawn
+    wider (weight sd x3, bias sd x2) so unit thresholds start spread over
+    the standardized input range; with a short optimization budget a bunched
+    first layer spends most of it just fanning out. A neural sampler's first
+    layer also takes the noise_dim noise inputs, and its biases start at 0.
+    The noise arguments apply to 'ns' only.
+    """
+    _check_family(family)
     if family == "bnn":
-        return BnnPrior.init((int(x_dim), *[int(h) for h in hidden], 1), activation, rng)
-    if family == "ns":
-        return NeuralSamplerPrior.init(
-            x_dim, hidden, activation, rng, noise_dim=noise_dim, noise_halfwidth=noise_halfwidth
-        )
-    raise ParameterError(f"unknown prior family {family!r}")
+        noise_dim, noise_halfwidth = 0, 0.0
+    sizes = (int(x_dim) + int(noise_dim), *[int(h) for h in hidden], 1)
+    _check_layers(sizes)
+    params = {}
+    for l, (fi, fo) in enumerate(zip(sizes[:-1], sizes[1:])):
+        sd = 1.0 / np.sqrt(fi)
+        if family == "ns":
+            params[f"w_{l}"] = sd * rng.standard_normal(fi * fo).reshape(fi, fo)
+            params[f"b_{l}"] = np.zeros((1, fo))
+            continue
+        w_sd = 3.0 * sd if l == 0 else sd
+        b_sd = 2.0 * sd if l == 0 else sd
+        params[f"w_mean_{l}"] = w_sd * rng.standard_normal(fi * fo).reshape(fi, fo)
+        params[f"w_log_scale_{l}"] = np.full((fi, fo), np.log(0.01))
+        params[f"b_mean_{l}"] = b_sd * rng.standard_normal(fo).reshape(1, fo)
+        params[f"b_log_scale_{l}"] = np.full((1, fo), np.log(0.01))
+    return Prior(family, sizes, activation, params, noise_dim, noise_halfwidth)
 
 
 @dataclass
@@ -269,7 +197,6 @@ class FunctionDraws:
     mean: object
     deltas: object
     eval_count: int
-    param_vars: dict | None = field(default=None, repr=False)
 
     @property
     def is_symbolic(self) -> bool:
@@ -285,9 +212,6 @@ class FunctionDraws:
 
     def deltas_array(self) -> np.ndarray:
         return self.deltas.value if self.is_symbolic else self.deltas
-
-    def mean_array(self) -> np.ndarray:
-        return self.mean.value if self.is_symbolic else self.mean
 
     @classmethod
     def from_matrix(cls, f) -> "FunctionDraws":
@@ -312,7 +236,7 @@ class FunctionDraws:
         )
 
 
-def _bnn_draw_eps(prior: BnnPrior, num_draws: int, rng: Rng):
+def _bnn_draw_eps(prior: Prior, num_draws: int, rng: Rng):
     """Each draw's per-layer (weight, bias) noise, from one request in draw order."""
     sizes = list(zip(prior.layer_sizes[:-1], prior.layer_sizes[1:]))
     per_draw = sum(fi * fo + fo for fi, fo in sizes)
@@ -330,7 +254,7 @@ def _bnn_draw_eps(prior: BnnPrior, num_draws: int, rng: Rng):
     return draws
 
 
-def _ns_inputs(prior: NeuralSamplerPrior, x: np.ndarray, num_draws: int, rng: Rng) -> np.ndarray:
+def _ns_inputs(prior: Prior, x: np.ndarray, num_draws: int, rng: Rng) -> np.ndarray:
     """[x, z_s] for every draw s, stacked draw-major into one (S*N, d + noise_dim) matrix."""
     n, d = x.shape
     a = prior.noise_halfwidth
@@ -349,11 +273,11 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
 
     With a tape, the forward pass is recorded and the draws are
     differentiable in the prior parameters (pass ``params`` as a name->Var
-    dict to reuse existing leaves; otherwise requires-grad leaves are created
-    and exposed as ``draws.param_vars``). Without a tape the same arithmetic
-    runs in plain numpy; both paths consume the RNG identically, so their
-    values agree bitwise. Neural-sampler draws run as one pass over all S*N
-    rows; BNN draws run one pass per draw.
+    dict to reuse existing leaves; otherwise requires-grad leaves are
+    created). Without a tape the same arithmetic runs in plain numpy; both
+    paths consume the RNG identically, so their values agree bitwise.
+    Neural-sampler draws run as one pass over all S*N rows; BNN draws run
+    one pass per draw.
     """
     x = as_matrix(x, "inputs")
     if num_draws < 2:
@@ -365,12 +289,12 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
     n = x.shape[0]
     s = int(num_draws)
     if tape is None:
-        ops, params = _NUMPY_OPS, dict(prior.param_items())
+        ops, params = _NUMPY_OPS, prior.params
     else:
         ops = _tape_ops(tape)
         if params is None:
-            params = {name: tape.leaf(arr, requires_grad=True) for name, arr in prior.param_items()}
-        elif sorted(params) != sorted(name for name, _ in prior.param_items()):
+            params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.params.items()}
+        elif sorted(params) != sorted(prior.params):
             raise ContractError("params dict does not match the prior's parameter names")
 
     if prior.family == "ns":
@@ -391,7 +315,7 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
         return FunctionDraws.from_matrix(f)
     mean = ad.matmul(tape.constant(np.full((1, s), 1.0 / s)), f)
     deltas = ad.sub(f, ad.matmul(tape.constant(np.ones((s, 1))), mean))
-    return FunctionDraws(f, mean, deltas, n, param_vars=params)
+    return FunctionDraws(f, mean, deltas, n)
 
 
 # The arithmetic of a forward pass: plain numpy for prediction, tape ops for training.
@@ -412,7 +336,7 @@ def _tape_ops(tape) -> _Ops:
     )
 
 
-def _forward(prior, h: np.ndarray, ops: _Ops, p: dict, eps=None):
+def _forward(prior: Prior, h: np.ndarray, ops: _Ops, p: dict, eps=None):
     """The network at the rows of h as a column, in the arithmetic of ``ops``.
 
     ``p`` maps the prior's parameter names to arrays (numpy ops) or Vars

@@ -140,13 +140,13 @@ class TestGpPredict:
         x = rng.standard_normal((10, 1))
         y = rng.standard_normal(10)
         xt = rng.standard_normal((4, 1))
-        pred = gp_predict(k, x, y, 0.2, xt, want_cov=True)
+        pred = gp_predict(k, x, y, 0.2, xt)
         kff = k.gram(x, x) + (0.2 + 1e-10) * np.eye(10)
         ksf = k.gram(xt, x)
         inv = np.linalg.inv(kff)
         np.testing.assert_allclose(pred.mean, ksf @ inv @ y, atol=1e-9)
         np.testing.assert_allclose(
-            pred.cov, k.gram(xt, xt) - ksf @ inv @ ksf.T, atol=1e-9
+            pred.var_f, np.diag(k.gram(xt, xt) - ksf @ inv @ ksf.T), atol=1e-9
         )
 
 

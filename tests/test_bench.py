@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(bench, "train", counting_train)
         ds = _standardized(0, n=30)
-        res = grid_search_sigma2(ds, TrainConfig(**TINY), grid=[0.3], seed=1)
+        res = grid_search_sigma2(ds, TrainConfig(**TINY, sigma2_grid=(0.3,), seed=1))
         assert res.sigma2 == 0.3
         assert res.model.sigma2 == 0.3
         assert res.val_nll == {}
@@ -51,44 +52,41 @@ class TestGridSearch:
 
         monkeypatch.setattr(bench, "train", counting_train)
         ds = _standardized(1, n=30)
-        res = grid_search_sigma2(ds, TrainConfig(**TINY), grid=[0.1, 0.5], seed=1)
+        res = grid_search_sigma2(ds, TrainConfig(**TINY, sigma2_grid=(0.1, 0.5), seed=1))
         assert len(calls) == 2
         assert set(res.val_nll) == {0.1, 0.5}
 
     def test_tie_breaks_to_smallest(self, monkeypatch):
         monkeypatch.setattr(bench, "nll_rmse", lambda *a, **k: {"nll": 1.0, "rmse": 1.0})
         ds = _standardized(2, n=30)
-        res = grid_search_sigma2(ds, TrainConfig(**TINY), grid=[0.5, 0.05, 0.1], seed=3)
+        res = grid_search_sigma2(ds, TrainConfig(**TINY, sigma2_grid=(0.5, 0.05, 0.1), seed=3))
         assert res.sigma2 == 0.05
 
     def test_validation(self):
         ds = _standardized(3, n=30)
-        cfg = TrainConfig(**TINY)
         with pytest.raises(ParameterError):
-            grid_search_sigma2(ds, cfg, grid=[], seed=0)
+            grid_search_sigma2(ds, TrainConfig(**TINY, sigma2_grid=()))
         with pytest.raises(ParameterError):
-            grid_search_sigma2(ds, cfg, grid=[0.1, -0.2], seed=0)
-        with pytest.raises(ParameterError):
-            grid_search_sigma2(ds, cfg, grid=[0.1, 0.2], val_frac=1.2, seed=0)
+            grid_search_sigma2(ds, TrainConfig(**TINY, sigma2_grid=(0.1, -0.2)))
 
     def test_recovers_noise_level_within_one_step(self):
         # standardized noise variance is ~0.1 by construction; the selected
         # value should land within one grid step of it in >= 80% of runs
-        grid = [0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0]
         cfg = TrainConfig(
-            epochs=200, num_draws=10, hidden=(10,), sigma2_mode="fixed", sigma2=0.1
+            epochs=200, num_draws=10, hidden=(10,), sigma2_mode="fixed", sigma2=0.1,
+            sigma2_grid=(0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0),
         )
         hits = 0
         for seed in range(10):
             ds = _standardized(100 + seed, n=150)
-            res = grid_search_sigma2(ds, cfg, grid=grid, seed=seed)
+            res = grid_search_sigma2(ds, replace(cfg, seed=seed))
             if res.sigma2 in (0.05, 0.1, 0.25):
                 hits += 1
         assert hits >= 8
 
     def test_final_model_trained_at_selected_value(self):
         ds = _standardized(4, n=40)
-        res = grid_search_sigma2(ds, TrainConfig(**TINY), grid=[0.05, 0.5], seed=7)
+        res = grid_search_sigma2(ds, TrainConfig(**TINY, sigma2_grid=(0.05, 0.5), seed=7))
         assert res.model.sigma2 == res.sigma2
         assert res.model.config.sigma2_mode == "fixed"
         assert res.model.config.sigma2 == res.sigma2

@@ -210,6 +210,40 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert field in err and "model file" in err
 
+    # each value was once accepted, or failed later with the wrong exit code
+    @pytest.mark.parametrize("block, key, text", [
+        ("stats", "target_mean", "NaN"),
+        ("stats", "target_std", "0.0"),
+        ("stats", "feature_stds", "[-1.0]"),
+        ("stats", "feature_stds", "[1.0, 2.0]"),
+        ("stats", "feature_stds", "[0.0]"),
+        ("train", "y", "1e400"),
+    ])
+    def test_bad_stats_or_train_value_is_data_error(self, tmp_path, capsys, block, key, text):
+        data = _synth(tmp_path, n=10)
+        model_out = tmp_path / "m.json"
+        assert cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path),
+                         "--model-out", str(model_out)]) == 0
+        d = json.loads(model_out.read_text())
+        if key == "y":
+            d[block][key][3] = "@"  # one entry of the vector
+        else:
+            d[block][key] = "@"
+        model_out.write_text(json.dumps(d).replace('"@"', text))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model_out), "--data", data,
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert f"{block}.{key}" in capsys.readouterr().err
+
+    def test_eval_header_wider_than_rows_is_data_error(self, tmp_path, capsys):
+        data = _synth(tmp_path, n=3)
+        pred = tmp_path / "p.csv"
+        pred.write_text("x1,mean,var_y\n" + "\n".join("0.1,1.0" for _ in range(3)) + "\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
+        assert "row 1" in capsys.readouterr().err
+
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
         bad = tmp_path / "m.json"

@@ -49,6 +49,14 @@ class TestLoadCsv:
             load_csv(str(p), has_header=True)
         assert e.value.row == 3 and e.value.col == 2
 
+    @pytest.mark.parametrize("header", ["h1,h2,h3", "h1"])
+    def test_header_width_must_match_the_rows(self, tmp_path, header):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{header}\n1,2\n3,4\n")
+        with pytest.raises(ParseError) as e:
+            load_csv(str(p), has_header=True)
+        assert e.value.row == 1
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_cites_row_col(self, tmp_path, cell):
         p = tmp_path / "t.csv"

@@ -179,7 +179,7 @@ class TestEnergyLoss:
         q = q_from_raw(
             params["q_mu"].value, params["q_tril"].value, params["q_diag"].value
         )
-        mean = draws.mean_array()[0]
+        mean = draws.mean.value[0]
         phi = draws.deltas_array().T / math.sqrt(s)
         mb = len(y)
         if alpha > 0:

@@ -93,7 +93,7 @@ class TestPredictDense:
         dt, ds = joint.slice_columns(0, 4), joint.slice_columns(4, 6)
         y = rng.standard_normal(4)
         sig2 = 0.3
-        got = predict_dense(dt, ds, y, sig2, want_cov=True)
+        got = predict_dense(dt, ds, y, sig2)
         k = joint.deltas.T @ joint.deltas / joint.num_draws
         kff, ksf, kss = k[:4, :4], k[4:, :4], k[4:, 4:]
         a_inv = np.linalg.inv(kff + sig2 * np.eye(4))
@@ -101,7 +101,6 @@ class TestPredictDense:
         cov = kss - ksf @ a_inv @ ksf.T
         np.testing.assert_allclose(got.mean, mean, atol=1e-10)
         np.testing.assert_allclose(got.var_f, np.diag(cov), atol=1e-10)
-        np.testing.assert_allclose(got.cov, cov, atol=1e-10)
         np.testing.assert_allclose(got.var_y, got.var_f + sig2, atol=1e-14)
 
     def test_reduces_to_prior_far_from_data(self):
@@ -206,13 +205,12 @@ class TestWoodburyEquivalence:
         # S > N: more coefficients than training points; S <= N: Kff has rank < N
         dt, ds = joint_draws(seed=seed, n_train=n, n_test=k, s=s)
         y = np.random.default_rng(seed).standard_normal(n)
-        dense = predict_dense(dt, ds, y, sig2, want_cov=True)
+        dense = predict_dense(dt, ds, y, sig2)
         b = dt.deltas.T / math.sqrt(dt.num_draws)
         q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
-        red = predict_features(ds, q, sig2, want_cov=True)
+        red = predict_features(ds, q, sig2)
         np.testing.assert_allclose(red.mean, dense.mean, rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(red.var_f, dense.var_f, rtol=1e-8, atol=1e-8)
-        np.testing.assert_allclose(red.cov, dense.cov, rtol=1e-8, atol=1e-8)
 
     def test_elbo_at_exact_posterior_equals_log_marginal(self):
         # conjugate check stitching training loss, exact posterior and the
@@ -365,16 +363,6 @@ class TestPosteriorPredict:
         xt = np.array([[0.3]])
         out = posterior_predict(model, xt, mode="exact")
         assert np.isfinite(out.mean).all() and np.isfinite(out.var_y).all()
-
-    def test_learned_mode_pins_draw_count(self):
-        model, x, y = small_model()
-        with pytest.raises(ContractError):
-            posterior_predict(model, np.array([[0.0]]), mode="learned", num_draws=9)
-
-    def test_exact_mode_allows_more_draws(self):
-        model, x, y = small_model()
-        out = posterior_predict(model, np.array([[0.0]]), mode="exact", num_draws=30)
-        assert len(out) == 1
 
     def test_bad_mode(self):
         model, x, y = small_model()

@@ -8,9 +8,8 @@ from vip import priors
 from vip.errors import ContractError, DimensionError, ParameterError
 from vip.numkit import Rng
 from vip.priors import (
-    BnnPrior,
     FunctionDraws,
-    NeuralSamplerPrior,
+    Prior,
     empirical_kernel,
     empirical_kernel_matrix,
     init_prior,
@@ -19,7 +18,16 @@ from vip.priors import (
 
 
 def toy_bnn(seed=0, sizes=(1, 5, 1)):
-    return BnnPrior.init(sizes, "tanh", Rng(seed, 0))
+    return init_prior("bnn", sizes[0], sizes[1:-1], "tanh", Rng(seed, 0))
+
+
+def linear_bnn(w_mean, w_log_scale, b_mean, b_log_scale):
+    """f(x) = w x + b with w ~ N(w_mean, exp(w_log_scale)^2), b likewise."""
+    values = {
+        "w_mean_0": w_mean, "w_log_scale_0": w_log_scale,
+        "b_mean_0": b_mean, "b_log_scale_0": b_log_scale,
+    }
+    return Prior("bnn", (1, 1), "tanh", {k: np.full((1, 1), v) for k, v in values.items()})
 
 
 class TestSampleShapes:
@@ -78,14 +86,7 @@ class TestBnnDistribution:
     def test_linear_layer_moments(self):
         # f(x) = w x + b with w, b ~ N(0,1): Var f(x) = x^2 + 1,
         # Cov(f(1), f(2)) = 1*2 + 1 = 3
-        prior = BnnPrior(
-            (1, 1),
-            "tanh",
-            [np.zeros((1, 1))],
-            [np.zeros((1, 1))],
-            [np.zeros((1, 1))],
-            [np.zeros((1, 1))],
-        )
+        prior = linear_bnn(0.0, 0.0, 0.0, 0.0)
         x = np.array([[1.0], [2.0]])
         draws = sample_functions(prior, x, 20_000, Rng(11, 0))
         cov = draws.deltas.T @ draws.deltas / draws.num_draws
@@ -94,14 +95,7 @@ class TestBnnDistribution:
         assert abs(draws.mean).max() < 0.05
 
     def test_tiny_scale_collapses_to_mean_function(self):
-        prior = BnnPrior(
-            (1, 1),
-            "tanh",
-            [np.array([[2.0]])],
-            [np.full((1, 1), -40.0)],
-            [np.array([[0.5]])],
-            [np.full((1, 1), -40.0)],
-        )
+        prior = linear_bnn(2.0, -40.0, 0.5, -40.0)
         x = np.array([[0.0], [1.0], [-1.0]])
         draws = sample_functions(prior, x, 8, Rng(0, 0))
         expected = (2.0 * x + 0.5)[:, 0]
@@ -125,7 +119,7 @@ class TestBnnDistribution:
 
 class TestNeuralSampler:
     def test_zero_halfwidth_freezes_draws(self):
-        prior = NeuralSamplerPrior.init(1, (4,), "tanh", Rng(1, 0), noise_dim=3, noise_halfwidth=0.0)
+        prior = init_prior("ns", 1, (4,), "tanh", Rng(1, 0), noise_dim=3, noise_halfwidth=0.0)
         x = np.linspace(0, 1, 5).reshape(-1, 1)
         draws = sample_functions(prior, x, 5, Rng(9, 0))
         for row in draws.values[1:]:
@@ -133,27 +127,27 @@ class TestNeuralSampler:
         np.testing.assert_allclose(draws.deltas, 0.0, atol=1e-12)
 
     def test_positive_halfwidth_varies(self):
-        prior = NeuralSamplerPrior.init(1, (4,), "tanh", Rng(1, 0), noise_dim=3, noise_halfwidth=1.0)
+        prior = init_prior("ns", 1, (4,), "tanh", Rng(1, 0), noise_dim=3, noise_halfwidth=1.0)
         x = np.linspace(0, 1, 5).reshape(-1, 1)
         draws = sample_functions(prior, x, 5, Rng(9, 0))
         assert not np.array_equal(draws.values[0], draws.values[1])
 
     def test_relu_family(self):
-        prior = NeuralSamplerPrior.init(2, (6,), "relu", Rng(2, 0))
+        prior = init_prior("ns", 2, (6,), "relu", Rng(2, 0))
         draws = sample_functions(prior, np.zeros((3, 2)), 4, Rng(0, 0))
         assert np.all(np.isfinite(draws.values))
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            NeuralSamplerPrior.init(1, (4,), "tanh", Rng(0), noise_dim=0)
+            init_prior("ns", 1, (4,), "tanh", Rng(0), noise_dim=0)
         with pytest.raises(ParameterError):
-            NeuralSamplerPrior.init(1, (4,), "tanh", Rng(0), noise_halfwidth=-1.0)
+            init_prior("ns", 1, (4,), "tanh", Rng(0), noise_halfwidth=-1.0)
         with pytest.raises(ParameterError):
             init_prior("mixture", 1, (4,), "tanh", Rng(0))
         with pytest.raises(ParameterError):
-            BnnPrior.init((1, 4, 2), "tanh", Rng(0))  # vector-valued output
+            Prior("bnn", (1, 4, 2), "tanh", {})  # vector-valued output
         with pytest.raises(ParameterError):
-            BnnPrior.init((1, 4, 1), "sigmoid", Rng(0))
+            init_prior("bnn", 1, (4,), "sigmoid", Rng(0))
 
 
 def _ns_per_draw(prior, x, s, rng, tape=None, params=None):
@@ -209,8 +203,8 @@ _ns_cases = dict(
 
 
 def _ns_case(activation, hidden, d, n, halfwidth, seed):
-    prior = NeuralSamplerPrior.init(
-        d, hidden, activation, Rng(seed, 0), noise_dim=3, noise_halfwidth=halfwidth
+    prior = init_prior(
+        "ns", d, hidden, activation, Rng(seed, 0), noise_dim=3, noise_halfwidth=halfwidth
     )
     return prior, Rng(seed, 1).standard_normal(n * d).reshape(n, d)
 
@@ -295,7 +289,7 @@ class TestBatchedDraws:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bnn_eps_come_from_one_request_in_per_draw_order(self, sizes, s, lead, seed):
-        prior = BnnPrior.init(sizes, "tanh", Rng(seed, 0))
+        prior = toy_bnn(seed, sizes)
         rng_one, rng_each = Rng(seed, 2), Rng(seed, 2)
         # an odd lead leaves a Box-Muller spare that the next request must use first
         rng_one.standard_normal(lead)
@@ -451,7 +445,7 @@ class TestSerialization:
         np.testing.assert_array_equal(a, b)
 
     def test_round_trip_ns(self):
-        prior = NeuralSamplerPrior.init(2, (3,), "relu", Rng(4, 0), noise_dim=2, noise_halfwidth=0.5)
+        prior = init_prior("ns", 2, (3,), "relu", Rng(4, 0), noise_dim=2, noise_halfwidth=0.5)
         back = priors.prior_from_dict(prior.to_dict())
         x = np.zeros((3, 2))
         np.testing.assert_array_equal(
@@ -462,3 +456,33 @@ class TestSerialization:
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             priors.prior_from_dict({"family": "gp"})
+
+    def test_layer_array_count_checked(self):
+        d = toy_bnn(sizes=(2, 4, 1)).to_dict()
+        d["bias_mean"].append([[0.0]])
+        with pytest.raises(ParameterError):
+            priors.prior_from_dict(d)
+
+
+class TestPriorLayout:
+    def test_param_names_in_layer_order(self):
+        bnn = toy_bnn(sizes=(2, 4, 1))
+        assert [name for name, _ in bnn.param_items()] == [
+            f"{p}_{l}" for l in (0, 1) for p in ("w_mean", "w_log_scale", "b_mean", "b_log_scale")
+        ]
+        ns = init_prior("ns", 2, (4,), "tanh", Rng(0), noise_dim=3)
+        assert [name for name, _ in ns.param_items()] == ["w_0", "b_0", "w_1", "b_1"]
+        assert ns.layer_sizes == (5, 4, 1) and ns.input_dim == 2
+
+    def test_params_checked_against_the_layout(self):
+        params = dict(toy_bnn(sizes=(2, 3, 1)).params)
+        with pytest.raises(DimensionError):
+            Prior("bnn", (2, 3, 1), "tanh", {**params, "w_mean_1": np.zeros((1, 3))})
+        with pytest.raises(ParameterError):
+            Prior("bnn", (2, 3, 1), "tanh", {k: v for k, v in params.items() if k != "b_mean_0"})
+        with pytest.raises(ParameterError):
+            Prior("ns", (2, 3, 1), "tanh", params, noise_dim=1)
+        with pytest.raises(ParameterError):
+            Prior("bnn", (2, 3, 1), "tanh", params, noise_dim=1)
+        with pytest.raises(ParameterError):
+            Prior("bnn", (2, 3, 1), "tanh", params, noise_halfwidth=1.0)
