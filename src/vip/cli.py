@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
 
 import argparse
-import csv
 import inspect
 import json
 import sys
@@ -46,13 +45,24 @@ def _load_config(path) -> TrainConfig:
     return TrainConfig.from_dict(_load_json_object(path))
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path, header, rows):
+    """Write a numeric table as CSV with CRLF line ends.
+
+    Each value is written as its shortest round-trip ``repr``, which never
+    holds a comma, quote or line break, so no cell needs quoting. Rows are
+    rendered and written in blocks, so the text of a large table is never
+    held whole.
+    """
+    rows = np.asarray(rows, dtype=float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
         if header:
-            w.writerow(header)
-        for r in rows:
-            w.writerow([repr(float(v)) for v in r])
+            fh.write(",".join(header) + "\r\n")
+        for i in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[i : i + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, r)) + "\r\n" for r in block))
 
 
 def _emit(obj) -> None:
@@ -114,8 +124,9 @@ def _cmd_eval(args) -> int:
         raise ParseError(f"{args.pred}: header must name 'mean' and 'var_y' columns") from None
     data = datamod.load_csv(args.data, has_header=args.has_header)
     if data.n != table.shape[0]:
-        raise ParameterError(
-            f"{table.shape[0]} predictions but {data.n} data rows"
+        raise ParseError(
+            f"{args.pred}: {table.shape[0]} prediction rows, but {args.data} "
+            f"has {data.n} data rows"
         )
     _emit({"n": data.n, **gaussian_nll_rmse(data.y, table[:, i_mean], table[:, i_var])})
     return 0

@@ -71,6 +71,24 @@ class Dataset:
         return Dataset(self.x[idx], self.y[idx], stats=self.stats)
 
 
+def _parse_cells(path: str, ln: int, cells) -> list:
+    """One row's cells as floats after ``str.strip()``, naming the first bad cell.
+
+    ``float()`` strips ASCII whitespace but not the separators U+001C to
+    U+001F, which ``str.strip()`` also removes, so a row that ``float()``
+    rejects may still parse here.
+    """
+    row = []
+    for j, cell in enumerate(cells):
+        try:
+            row.append(float(cell.strip()))
+        except ValueError:
+            raise ParseError(
+                f"{path}: non-numeric cell {cell.strip()!r}", row=ln, col=j + 1
+            ) from None
+    return row
+
+
 def load_table(path: str, has_header: bool = False, min_width: int = 1):
     """Parse a numeric CSV into (header cells or None, float matrix).
 
@@ -102,13 +120,10 @@ def load_table(path: str, has_header: bool = False, min_width: int = 1):
             raise ParseError(
                 f"{path}: expected {width} cells, found {len(cells)}", row=ln, col=1
             )
-        for j, cell in enumerate(cells):
-            try:
-                out[i, j] = float(cell.strip())
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell {cell.strip()!r}", row=ln, col=j + 1
-                ) from None
+        try:
+            out[i] = cells  # numpy converts each string with float()
+        except ValueError:
+            out[i] = _parse_cells(path, ln, cells)
     bad = np.argwhere(~np.isfinite(out))
     if bad.size:
         i, j = bad[0].tolist()

@@ -66,6 +66,13 @@ def _check_stats(stats: Stats, input_dim: int) -> None:
         raise ModelFileError("stats.target_std must be positive and finite")
 
 
+def _finite_array(name: str, value) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ModelFileError(f"{name} has non-finite entries")
+    return a
+
+
 def model_from_dict(d: dict) -> TrainedModel:
     if not isinstance(d, dict):
         raise ModelFileError("model file must contain a JSON object")
@@ -81,11 +88,13 @@ def model_from_dict(d: dict) -> TrainedModel:
         sigma2 = _check_sigma2(d["sigma2"])
         seed = int(d["seed"])
         prior = prior_from_dict(d["prior"])
-        q = CoefficientPosterior(d["q"]["mu"], d["q"]["chol"])
+        q = CoefficientPosterior(
+            _finite_array("q.mu", d["q"]["mu"]), _finite_array("q.chol", d["q"]["chol"])
+        )
         config = TrainConfig.from_dict(d["config"])
         stats = None if d.get("stats") is None else Stats.from_dict(d["stats"])
-        train_x = np.asarray(d["train"]["x"], dtype=float)
-        train_y = np.asarray(d["train"]["y"], dtype=float)
+        train_x = _finite_array("train.x", d["train"]["x"])
+        train_y = _finite_array("train.y", d["train"]["y"])
     except (KeyError, TypeError, ValueError, ParameterError, DimensionError) as e:
         raise ModelFileError(f"malformed model file: {e}") from e
     if train_x.ndim != 2 or train_x.shape[1] != prior.input_dim:
@@ -98,9 +107,6 @@ def model_from_dict(d: dict) -> TrainedModel:
         )
     if q.dim != int(config.num_draws):
         raise ModelFileError(f"q has dimension {q.dim}, config.num_draws is {config.num_draws}")
-    for name, v in (("train.x", train_x), ("train.y", train_y)):
-        if not np.all(np.isfinite(v)):
-            raise ModelFileError(f"{name} has non-finite entries")
     if stats is not None:
         _check_stats(stats, prior.input_dim)
     return TrainedModel(

@@ -89,8 +89,10 @@ class Prior:
             raise ParameterError("only the ns family takes noise inputs")
         if self.family == "ns" and self.noise_dim < 1:
             raise ParameterError(f"noise_dim must be >= 1, got {self.noise_dim}")
-        if self.noise_halfwidth < 0:
-            raise ParameterError(f"noise_halfwidth must be >= 0, got {self.noise_halfwidth}")
+        if not 0.0 <= self.noise_halfwidth < np.inf:
+            raise ParameterError(
+                f"noise_halfwidth must be finite and >= 0, got {self.noise_halfwidth}"
+            )
         if self.layer_sizes[0] <= self.noise_dim:
             raise ParameterError("first layer must be wider than noise_dim (x gets the rest)")
         shapes = {}
@@ -133,11 +135,15 @@ class Prior:
 
 
 def prior_from_dict(d: dict) -> Prior:
+    """The prior a ``to_dict`` mapping describes; its arrays must be finite."""
     family = d.get("family")
     _check_family(family)
     params = {}
     for key, prefix, _ in _LAYOUT[family]:
-        params.update((f"{prefix}_{l}", a) for l, a in enumerate(d[key]))
+        arrays = [np.asarray(a, float) for a in d[key]]
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ParameterError(f"prior.{key} has non-finite entries")
+        params.update((f"{prefix}_{l}", a) for l, a in enumerate(arrays))
     noise = (d["noise_dim"], d["noise_halfwidth"]) if family == "ns" else ()
     return Prior(family, d["layer_sizes"], d["activation"], params, *noise)
 

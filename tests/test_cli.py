@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vip.cli as cli
 from vip.errors import NumericalError
@@ -244,11 +247,110 @@ class TestPredictEval:
         assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
         assert "row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
+    @pytest.mark.parametrize("field", ["prior", "q.mu", "q.chol"])
+    def test_non_finite_model_array_is_data_error(self, tmp_path, capsys, family, field):
+        data = _synth(tmp_path, n=10)
+        model_out = tmp_path / "m.json"
+        cfg = _cfg_file(tmp_path, {"prior_family": family, "noise_dim": 2})
+        assert cli.main(["train", "--data", data, "--config", cfg,
+                         "--model-out", str(model_out)]) == 0
+        d = json.loads(model_out.read_text())
+        if field == "prior":
+            field = "prior.weight_mean" if family == "bnn" else "prior.weights"
+            d["prior"][field.split(".")[1]][0][0][0] = float("nan")
+        elif field == "q.mu":
+            d["q"]["mu"][1] = float("nan")
+        else:
+            d["q"]["chol"][1][0] = float("inf")
+        model_out.write_text(json.dumps(d))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model_out), "--data", data,
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert f"{field} has non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_noise_halfwidth_is_data_error(self, tmp_path, capsys, text):
+        data = _synth(tmp_path, n=10)
+        model_out = tmp_path / "m.json"
+        cfg = _cfg_file(tmp_path, {"prior_family": "ns", "noise_dim": 2})
+        assert cli.main(["train", "--data", data, "--config", cfg,
+                         "--model-out", str(model_out)]) == 0
+        d = json.loads(model_out.read_text())
+        d["prior"]["noise_halfwidth"] = "@"
+        model_out.write_text(json.dumps(d).replace('"@"', text))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model_out), "--data", data,
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert "noise_halfwidth" in capsys.readouterr().err
+
+    def test_eval_row_count_mismatch_is_data_error(self, tmp_path, capsys):
+        data = _synth(tmp_path, n=5)
+        pred = tmp_path / "p.csv"
+        pred.write_text("x1,mean,var_y\n0.5,0.1,1.0\n0.6,0.2,1.0\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
+        err = capsys.readouterr().err
+        assert "2 prediction rows" in err and "5 data rows" in err
+
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
         bad = tmp_path / "m.json"
         bad.write_text("{}")
         assert cli.main(["predict", "--model", str(bad), "--data", data, "--out", str(tmp_path / "p.csv")]) == 3
+
+
+def _write_csv_per_cell(path, header, rows):
+    """The writer _write_csv replaced: csv.writer over one repr per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        if header:
+            w.writerow(header)
+        for r in rows:
+            w.writerow([repr(float(v)) for v in r])
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 3.0, -42.0, 1e16, 1e22, 0.1, 1 / 3]
+
+
+class TestWriteCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        table=st.integers(1, 5).flatmap(lambda width: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(_EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=width, max_size=width,
+            ),
+            min_size=1, max_size=12,
+        )),
+        with_header=st.booleans(),
+    )
+    def test_bytes_match_the_per_cell_writer(self, tmp_path_factory, table, with_header):
+        rows = np.asarray(table, dtype=float)
+        header = [f"x{j + 1}" for j in range(rows.shape[1])] if with_header else None
+        d = tmp_path_factory.getbasetemp()
+        cli._write_csv(d / "new.csv", header, rows)
+        _write_csv_per_cell(d / "old.csv", header, rows)
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                                   2 * cli._CSV_BLOCK_ROWS + 1])
+    def test_bytes_match_across_row_blocks(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        rows[::7, 1] = rng.choice(_EDGE_FLOATS, len(rows[::7]))
+        cli._write_csv(tmp_path / "new.csv", ["x1", "mean", "var_y"], rows)
+        _write_csv_per_cell(tmp_path / "old.csv", ["x1", "mean", "var_y"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_predict_header_and_line_ends(self, tmp_path):
+        out = tmp_path / "p.csv"
+        cli._write_csv(out, ["x1", "mean", "var_y"], np.array([[-0.0, 1.0, 5e-324]]))
+        assert out.read_bytes() == b"x1,mean,var_y\r\n-0.0,1.0,5e-324\r\n"
 
 
 # one wrongly typed value for each kind of setting

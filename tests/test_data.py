@@ -1,7 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vip.data import (
     Dataset,
@@ -11,6 +14,7 @@ from vip.data import (
     destandardize_moments,
     interp_split,
     load_csv,
+    load_table,
     split,
     standardize,
     synth_toy,
@@ -94,6 +98,118 @@ class TestLoadCsv:
         p.write_text(" 1 , 2\n")
         ds = load_csv(str(p))
         assert ds.x[0, 0] == 1.0 and ds.y[0] == 2.0
+
+
+def _load_table_per_cell(path, has_header=False, min_width=1):
+    """The parser load_table replaced: one float(cell.strip()) per cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = [c.strip() for c in rows[0]] if has_header and rows else None
+    start = 1 if has_header else 0
+    data_rows = [(i + 1, r) for i, r in enumerate(rows) if i >= start and r]
+    if not data_rows:
+        raise ParseError(f"{path}: no data rows")
+    width = len(data_rows[0][1])
+    if width < min_width:
+        raise ParseError(
+            f"{path}: need at least {min_width} columns, found {width}",
+            row=data_rows[0][0],
+            col=1,
+        )
+    if header is not None and len(header) != width:
+        raise ParseError(
+            f"{path}: header has {len(header)} cells, data rows have {width}", row=1, col=1
+        )
+    out = np.empty((len(data_rows), width))
+    for i, (ln, cells) in enumerate(data_rows):
+        if len(cells) != width:
+            raise ParseError(
+                f"{path}: expected {width} cells, found {len(cells)}", row=ln, col=1
+            )
+        for j, cell in enumerate(cells):
+            try:
+                out[i, j] = float(cell.strip())
+            except ValueError:
+                raise ParseError(
+                    f"{path}: non-numeric cell {cell.strip()!r}", row=ln, col=j + 1
+                ) from None
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, j = bad[0].tolist()
+        ln, cells = data_rows[i]
+        raise ParseError(f"{path}: non-finite cell {cells[j].strip()!r}", row=ln, col=j + 1)
+    return header, out
+
+
+def _outcome(parse, path, has_header, min_width):
+    try:
+        header, table = parse(path, has_header, min_width)
+    except ParseError as e:
+        return "error", str(e), e.row, e.col
+    return "ok", header, table.shape, table.tobytes()
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: f"{v:.3e}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["-0", ".5", "5.", "+1", "1_000", "1E3", "5e-324"]),
+)
+_BAD = st.sampled_from(
+    ["nan", "inf", "-Infinity", "1e400", "abc", "", "1,5", "--1", "0x10", "1 2"]
+)
+# float() strips the first five but not U+001C..U+001F; str.strip() strips all
+_PAD = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\xa0", "\u2003", "\x1c", "\x1f"])
+
+
+@st.composite
+def _cell(draw):
+    text = draw(st.one_of(_NUMBER, _NUMBER, _NUMBER, _BAD))
+    text = draw(_PAD) + text + draw(_PAD)
+    if draw(st.booleans()) or "," in text:
+        text = f'"{text}"'
+    return text
+
+
+@st.composite
+def _csv_text(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        n = width if kind == "row" else draw(st.sampled_from([width - 1, width + 1]))
+        lines.append(",".join(draw(_cell()) for _ in range(max(n, 1))))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(f"c{j}" for j in range(draw(st.integers(width - 1, width)))))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestLoadTableProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_text(), has_header=st.booleans(), min_width=st.integers(1, 2))
+    def test_matches_the_per_cell_parser(self, tmp_path_factory, text, has_header, min_width):
+        path = tmp_path_factory.getbasetemp() / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _outcome(load_table, str(path), has_header, min_width) == _outcome(
+            _load_table_per_cell, str(path), has_header, min_width
+        )
+
+    def test_first_bad_cell_in_row_order_is_named(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("1,2,3\n4,x,y\nz,5,6\n")
+        with pytest.raises(ParseError) as e:
+            load_table(str(p))
+        assert (e.value.row, e.value.col) == (2, 2) and "'x'" in str(e.value)
+
+    def test_cells_padded_with_separators_parse(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\x1c1.5,2\x1f\n")
+        _, table = load_table(str(p))
+        np.testing.assert_array_equal(table, [[1.5, 2.0]])
 
 
 class TestStandardize:
