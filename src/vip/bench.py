@@ -12,7 +12,7 @@ import numpy as np
 
 from . import data as datamod
 from .baseline_gp import gp_fit_grid, gp_predict
-from .errors import ParameterError
+from .errors import ParameterError, ParseError
 from .inference import TrainConfig, TrainedModel, train
 from .numkit import STREAM_GRID, derive_seed
 from .predict import nll_rmse, posterior_predict
@@ -93,7 +93,10 @@ def _repeated_splits(protocol, data, splits, seed, fit_predict, head=None, **spl
     for k in range(splits):
         sk = derive_seed(seed, SPLIT_STREAM_BASE + k)
         raw_tr, raw_te = _split_for(protocol, data, sk, **split_opts)
-        stats = datamod.compute_stats(raw_tr)
+        try:
+            stats = datamod.compute_stats(raw_tr)
+        except ParseError as e:
+            raise ParseError(f"split {k} training rows: {e}", col=e.col) from None
         tr = datamod.apply_stats(raw_tr, stats)
         pred, fields = fit_predict(tr, datamod.apply_stats(raw_te, stats).x, sk)
         metrics = nll_rmse(pred, raw_te.y, stats=stats)

@@ -107,6 +107,11 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     raw = datamod.load_csv(args.data, has_header=args.has_header)
+    if raw.d != model.prior.input_dim:
+        raise ParseError(
+            f"{args.data}: {raw.d} feature columns, but the model takes "
+            f"input_dim {model.prior.input_dim}"
+        )
     x = raw.x if model.stats is None else datamod.apply_stats(raw, model.stats).x
     pred = posterior_predict(model, x, mode=args.coeff)
     mean, var = datamod.destandardize_moments(pred.mean, pred.var_y, model.stats)
@@ -117,7 +122,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    header, table = datamod.load_table(args.pred, has_header=True)
+    header, table = datamod.load_table(args.pred, has_header=True, positive=("var_y",))
     try:
         i_mean, i_var = header.index("mean"), header.index("var_y")
     except ValueError:

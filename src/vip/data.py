@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ParseError
+from .errors import ParameterError, ParseError
 from .numkit import STREAM_DATA, STREAM_SPLIT, Rng
 
 
@@ -89,12 +89,14 @@ def _parse_cells(path: str, ln: int, cells) -> list:
     return row
 
 
-def load_table(path: str, has_header: bool = False, min_width: int = 1):
+def load_table(path: str, has_header: bool = False, min_width: int = 1, positive=()):
     """Parse a numeric CSV into (header cells or None, float matrix).
 
     Blank lines are skipped; the header and every data row must be as wide
-    as the first data row, which needs at least ``min_width`` cells. Errors
-    cite 1-based (row, col) file coordinates, counting any header row.
+    as the first data row, which needs at least ``min_width`` cells. Every
+    cell must be finite, and a column whose header cell is named in
+    ``positive`` must hold only values > 0. Errors cite 1-based (row, col)
+    file coordinates, counting any header row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -124,11 +126,17 @@ def load_table(path: str, has_header: bool = False, min_width: int = 1):
             out[i] = cells  # numpy converts each string with float()
         except ValueError:
             out[i] = _parse_cells(path, ln, cells)
-    bad = np.argwhere(~np.isfinite(out))
+    bad = ~np.isfinite(out)
+    what = "non-finite cell"
+    if positive and not bad.any():
+        cols = [j for j, name in enumerate(header or ()) if name in positive]
+        bad[:, cols] = out[:, cols] <= 0
+        what = "non-positive cell"
+    bad = np.argwhere(bad)
     if bad.size:
         i, j = bad[0].tolist()
         ln, cells = data_rows[i]
-        raise ParseError(f"{path}: non-finite cell {cells[j].strip()!r}", row=ln, col=j + 1)
+        raise ParseError(f"{path}: {what} {cells[j].strip()!r}", row=ln, col=j + 1)
     return header, out
 
 
@@ -142,16 +150,17 @@ _MIN_STD = 1e-12
 
 
 def compute_stats(data: Dataset) -> Stats:
-    """Column means/stds of a training set; constant columns are rejected."""
+    """Column means/stds of a training set; a constant column is rejected,
+    naming its 1-based column (the target is the last)."""
     fm = data.x.mean(axis=0)
     fs = data.x.std(axis=0)
     for j, s in enumerate(fs):
         if s <= _MIN_STD:
-            raise ContractError(f"feature column {j} is constant")
+            raise ParseError(f"feature column {j + 1} is constant", col=j + 1)
     tm = float(data.y.mean())
     ts = float(data.y.std())
     if ts <= _MIN_STD:
-        raise ContractError("target column is constant")
+        raise ParseError(f"target column {data.d + 1} is constant", col=data.d + 1)
     return Stats(fm, fs, tm, ts)
 
 

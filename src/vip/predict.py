@@ -1,19 +1,20 @@
 """GP-style prediction from a trained surrogate.
 
-Two equivalent routes. The dense route conditions on the empirical kernel
-over the training block:
+Prediction stays in the S-dimensional coefficient space. A kernel estimator
+with normaliser (denom, ridge) is K = Phi Phi^T + (ridge/denom) I over
+features phi(x) = Delta(x)/sqrt(denom); given a Gaussian q(a),
+
+    mean = m*(x) + phi(x)^T mu,    var_f = || chol(Sigma)^T phi(x) ||^2 + ridge/denom.
+
+The cross-kernel between distinct test and training columns carries no
+ridge, so by Woodbury conditioning the dense GP on the training block,
 
     mean  = m*(X*) + K*f (Kff + sigma2 I)^-1 (y - m*(X))
-    var_f = diag(K** - K*f (Kff + sigma2 I)^-1 Kf*)
+    var_f = diag(K** - K*f (Kff + sigma2 I)^-1 Kf*),
 
-The reduced route stays in the S-dimensional coefficient space: with
-features phi(x) = Delta(x)/sqrt(S) and a Gaussian q(a),
-
-    mean = m*(x) + phi(x)^T mu,    var_f = || chol(Sigma)^T phi(x) ||^2.
-
-When q is the exact coefficient posterior and the plain averaged kernel is
-used, the two routes coincide (Woodbury); the reduced one costs O(S^3)
-instead of O(N^3).
+equals these formulas with q the exact coefficient posterior at noise
+sigma2 + ridge/denom. That costs O(S^3) and never forms an N x N matrix.
+For the plain averaged kernel, denom = S and ridge = 0.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .data import destandardize_moments
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .inference import LOG_2PI, CoefficientPosterior, TrainedModel, _check_sigma2
-from .numkit import STREAM_PREDICT, Rng, as_matrix, as_vector, chol_solve, cholesky, solve_triangular
+from .numkit import STREAM_PREDICT, Rng, as_matrix, as_vector, chol_solve, cholesky
 from .priors import FunctionDraws, kernel_normaliser, sample_functions
 
 _VAR_FLOOR = -1e-10  # anything below this is an error, above is clamped to 0
@@ -76,68 +77,31 @@ def exact_coefficient_posterior(b, y_centered, sigma2: float) -> CoefficientPost
     return CoefficientPosterior(mu, cholesky((sig + sig.T) / 2.0))
 
 
-def predict_dense(
-    draws_train: FunctionDraws,
-    draws_test: FunctionDraws,
-    y_train,
-    sigma2: float,
-    estimator: str = "mle",
-    psi: float = 0.0,
-    nu=None,
-) -> PredictiveDistribution:
-    """Condition the empirical-kernel GP on the training block directly.
-
-    Both draw sets must be column slices of one joint evaluation (same draws,
-    same normalization) so the cross-kernel is consistent.
-    """
-    if draws_train.is_symbolic or draws_test.is_symbolic:
-        raise ContractError("prediction works on numeric draw sets")
-    if draws_train.num_draws != draws_test.num_draws:
-        raise ContractError("train and test draw sets disagree on S")
-    if draws_train.eval_count != draws_test.eval_count:
-        raise ContractError("train and test draw sets come from different joint evaluations")
-    y = as_vector(y_train, "targets")
-    n = draws_train.num_points
-    if y.shape[0] != n:
-        raise DimensionError(f"{n} training columns vs {y.shape[0]} targets")
-    sigma2 = _check_sigma2(sigma2)
-    denom, ridge = kernel_normaliser(draws_train, estimator, psi, nu)
-    scale, ridge = 1.0 / denom, ridge / denom
-
-    dt = draws_train.deltas
-    ds = draws_test.deltas
-    kff = dt.T @ dt
-    kff *= scale
-    kff.flat[:: n + 1] += ridge
-    ksf = ds.T @ dt * scale
-    kss_diag = np.einsum("sk,sk->k", ds, ds) * scale + ridge
-
-    a = kff + kff.T
-    a /= 2.0
-    del kff  # not held through the factorisation
-    a.flat[:: n + 1] += sigma2
-    la = cholesky(a)
-    alpha = chol_solve(la, y - draws_train.mean[0])
-    mean = draws_test.mean[0] + ksf @ alpha
-    v = solve_triangular(la, ksf.T)
-    var_f = kss_diag - np.einsum("nk,nk->k", v, v)
-    return _finish(mean, var_f, sigma2)
-
-
 def predict_features(
-    draws_test: FunctionDraws, q: CoefficientPosterior, sigma2: float
+    draws_test: FunctionDraws,
+    q: CoefficientPosterior,
+    sigma2: float,
+    denom: float | None = None,
+    ridge: float = 0.0,
 ) -> PredictiveDistribution:
-    """Reduced-rank prediction through the coefficient posterior."""
+    """Reduced-rank prediction through the coefficient posterior.
+
+    ``denom`` and ``ridge`` are the kernel normaliser the features belong
+    to; the default, (S, 0), is the plain averaged kernel.
+    """
     if draws_test.is_symbolic:
         raise ContractError("prediction works on numeric draw sets")
     s = draws_test.num_draws
     if q.dim != s:
         raise DimensionError(f"q has dimension {q.dim}, draws have S={s}")
     sigma2 = _check_sigma2(sigma2)
-    phi = draws_test.deltas.T / math.sqrt(s)  # (K, S)
+    denom = s if denom is None else denom
+    phi = draws_test.deltas.T / math.sqrt(denom)  # (K, S)
     mean = draws_test.mean[0] + phi @ q.mu
     a = phi @ q.chol
     var_f = np.einsum("ks,ks->k", a, a)
+    if ridge:
+        var_f += ridge / denom
     return _finish(mean, var_f, sigma2)
 
 
@@ -147,7 +111,9 @@ def posterior_predict(
     """Predict at new inputs from a trained model.
 
     ``mode``: 'exact' re-derives the coefficient posterior from a fresh
-    fixed-seed draw set over [train; test]; 'learned' reuses the trained
+    fixed-seed draw set over [train; test], normalised by the config's
+    kernel estimator over all of its columns, which gives the dense GP
+    conditional of that kernel; 'learned' reuses the trained
     q(a); 'auto' (default, from the config) picks exact up to 2000 training
     points. The prediction stream depends only on the master seed, so
     training length cannot shift it.
@@ -172,15 +138,12 @@ def posterior_predict(
         return predict_features(draws_test, model.q, model.sigma2)
 
     joint = sample_functions(model.prior, np.vstack([model.train_x, x_test]), s, rng)
+    denom, ridge = kernel_normaliser(joint, cfg.estimator, cfg.psi, cfg.nu)
     dt = joint.slice_columns(0, n)
     dtest = joint.slice_columns(n, n + x_test.shape[0])
-    if cfg.estimator == "pm":
-        return predict_dense(
-            dt, dtest, model.train_y, model.sigma2, estimator="pm", psi=cfg.psi, nu=cfg.nu
-        )
-    b = dt.deltas.T / math.sqrt(s)
-    q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], model.sigma2)
-    return predict_features(dtest, q, model.sigma2)
+    b = dt.deltas.T / math.sqrt(denom)
+    q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], model.sigma2 + ridge / denom)
+    return predict_features(dtest, q, model.sigma2, denom, ridge)
 
 
 def nll_rmse(pred: PredictiveDistribution, y_true, stats=None) -> dict:

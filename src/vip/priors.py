@@ -194,15 +194,12 @@ class FunctionDraws:
 
     ``values`` is S x N (draw s along row s); ``mean`` is the 1 x N column
     average; ``deltas = values - mean``. All three are Vars when the draws
-    were recorded on a tape, plain arrays otherwise. ``eval_count`` is the
-    number of columns the moment estimates are normalized against; column
-    slices of a joint evaluation keep the parent's count.
+    were recorded on a tape, plain arrays otherwise.
     """
 
     values: object
     mean: object
     deltas: object
-    eval_count: int
 
     @property
     def is_symbolic(self) -> bool:
@@ -227,7 +224,7 @@ class FunctionDraws:
         s = f.shape[0]
         mean = (np.full((1, s), 1.0 / s)) @ f
         deltas = f - np.ones((s, 1)) @ mean
-        return cls(f, mean, deltas, f.shape[1])
+        return cls(f, mean, deltas)
 
     def slice_columns(self, start: int, stop: int) -> "FunctionDraws":
         if self.is_symbolic:
@@ -238,7 +235,6 @@ class FunctionDraws:
             self.values[:, start:stop],
             self.mean[:, start:stop],
             self.deltas[:, start:stop],
-            self.eval_count,
         )
 
 
@@ -321,7 +317,7 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
         return FunctionDraws.from_matrix(f)
     mean = ad.matmul(tape.constant(np.full((1, s), 1.0 / s)), f)
     deltas = ad.sub(f, ad.matmul(tape.constant(np.ones((s, 1))), mean))
-    return FunctionDraws(f, mean, deltas, n)
+    return FunctionDraws(f, mean, deltas)
 
 
 # The arithmetic of a forward pass: plain numpy for prediction, tape ops for training.
@@ -372,7 +368,7 @@ def kernel_normaliser(draws: FunctionDraws, estimator: str, psi: float = 0.0, nu
 
     'mle' is the plain average (S, no ridge); 'pm' the inverse-Wishart
     posterior mean, nu + S - N - 1 with ridge psi, N being the draws'
-    ``eval_count``.
+    number of evaluation points.
     """
     s = draws.num_draws
     if estimator == "mle":
@@ -380,7 +376,7 @@ def kernel_normaliser(draws: FunctionDraws, estimator: str, psi: float = 0.0, nu
     if estimator == "pm":
         if psi < 0:
             raise ParameterError(f"psi must be >= 0, got {psi}")
-        n_eval = draws.eval_count
+        n_eval = draws.num_points
         denom = float(n_eval if nu is None else nu) + s - n_eval - 1
         if denom <= 0:
             raise ParameterError(

@@ -32,11 +32,7 @@ from vip.inference import (
     kl_standard_normal,
 )
 from vip.numkit import Rng
-from vip.predict import (
-    exact_coefficient_posterior,
-    predict_dense,
-    predict_features,
-)
+from vip.predict import exact_coefficient_posterior, predict_features
 from vip.priors import (
     FunctionDraws,
     empirical_kernel,
@@ -155,12 +151,18 @@ def test_criterion_03_dense_feature_equivalence():
         y = rng.standard_normal(n)
         sig2 = 0.05 + rng.random()
 
-        dense = predict_dense(dt, ds, y, sig2)
+        # dense oracle: condition K = Delta^T Delta / S on the training block
+        k = joint.deltas.T @ joint.deltas / s
+        kff, ksf = k[:n, :n], k[n:, :n]
+        a_mat = kff + sig2 * np.eye(n)
+        dense_mean = joint.mean[0, n:] + ksf @ np.linalg.solve(a_mat, y - joint.mean[0, :n])
+        dense_var = np.diag(k)[n:] - np.einsum("kn,nk->k", ksf, np.linalg.solve(a_mat, ksf.T))
+
         b = dt.deltas.T / math.sqrt(s)
         q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
         feat = predict_features(ds, q, sig2)
 
-        for a, bb in ((dense.mean, feat.mean), (dense.var_f, feat.var_f)):
+        for a, bb in ((dense_mean, feat.mean), (dense_var, feat.var_f)):
             rel = np.max(np.abs(a - bb) / (np.abs(bb) + 1e-9))
             worst = max(worst, float(rel))
     ok = worst <= 1e-6

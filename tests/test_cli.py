@@ -101,6 +101,16 @@ class TestTrain:
         assert rc == 3
         assert "row 3, column 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_constant_column_is_data_error(self, tmp_path, capsys, column):
+        table = np.column_stack([np.arange(6.0), np.linspace(-1.0, 1.0, 6)])
+        table[:, column - 1] = 0.5
+        data = tmp_path / "const.csv"
+        np.savetxt(data, table, delimiter=",")
+        rc = cli.main(["train", "--data", str(data), "--model-out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert f"column {column} is constant" in capsys.readouterr().err
+
     def test_grid_mode(self, tmp_path, capsys):
         data = _synth(tmp_path, n=40)
         cfg = _cfg_file(tmp_path, extra={"sigma2_mode": "grid", "sigma2_grid": [0.1, 0.5]})
@@ -295,6 +305,34 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert "2 prediction rows" in err and "5 data rows" in err
 
+    @pytest.mark.parametrize("cell", ["0.0", "-1.0"])
+    def test_eval_non_positive_var_y_is_data_error(self, tmp_path, capsys, cell):
+        data = _synth(tmp_path, n=3)
+        pred = tmp_path / "p.csv"
+        pred.write_text(f"mean,var_y\n0.1,1.0\n0.2,{cell}\n0.3,1.0\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
+        err = capsys.readouterr().err
+        assert f"non-positive cell '{cell}'" in err and "row 3, column 2" in err
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_predict_data_of_wrong_width_is_data_error(self, tmp_path, capsys, width):
+        # a 2-feature model; its data files have 3 columns
+        rng = np.random.default_rng(0)
+        train_csv = tmp_path / "train.csv"
+        np.savetxt(train_csv, rng.standard_normal((12, 3)), delimiter=",")
+        model_out = tmp_path / "m.json"
+        assert cli.main(["train", "--data", str(train_csv), "--config", _cfg_file(tmp_path),
+                         "--model-out", str(model_out)]) == 0
+        data = tmp_path / "wrong.csv"
+        np.savetxt(data, rng.standard_normal((5, width)), delimiter=",")
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model_out), "--data", str(data),
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(data) in err and f"{width - 1} feature columns" in err and "input_dim 2" in err
+
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
         bad = tmp_path / "m.json"
@@ -420,6 +458,15 @@ class TestBench:
     def test_uci_without_data_is_usage_error(self, tmp_path):
         assert cli.main(["bench", "--protocol", "uci", "--splits", "2"]) == 2
 
+    def test_constant_training_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "const.csv"
+        data.write_text("".join(f"{float(i)!r},0.5,{float(i % 3)!r}\n" for i in range(20)))
+        capsys.readouterr()
+        rc = cli.main(["bench", "--protocol", "uci", "--data", str(data),
+                       "--config", _cfg_file(tmp_path), "--splits", "1"])
+        assert rc == 3
+        assert "split 0 training rows: feature column 2 is constant" in capsys.readouterr().err
+
     def test_interp_protocol(self, tmp_path, capsys):
         data = _synth(tmp_path, n=60)
         cfg = _cfg_file(tmp_path)
@@ -470,6 +517,13 @@ class TestGpBaseline:
         gc.write_text(json.dumps({"protocol": "toy", key: value}))
         assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_constant_training_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "const.csv"
+        data.write_text("".join(f"{float(i)!r},0.5\n" for i in range(20)))
+        capsys.readouterr()
+        assert cli.main(["gp-baseline", "--data", str(data)]) == 3
+        assert "split 0 training rows: target column 2 is constant" in capsys.readouterr().err
 
     def test_defaults_without_config(self, tmp_path, capsys):
         data = _synth(tmp_path, n=40)

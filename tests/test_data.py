@@ -21,7 +21,7 @@ from vip.data import (
     toy_fn,
     toy_grid,
 )
-from vip.errors import ContractError, ParameterError, ParseError
+from vip.errors import ParameterError, ParseError
 
 
 class TestLoadCsv:
@@ -236,11 +236,11 @@ class TestStandardize:
     def test_constant_feature_rejected(self):
         x = np.ones((10, 2))
         x[:, 0] = np.arange(10)
-        with pytest.raises(ContractError):
+        with pytest.raises(ParseError):
             compute_stats(Dataset(x, np.arange(10.0)))
 
     def test_constant_target_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ParseError):
             compute_stats(Dataset(np.arange(10.0).reshape(-1, 1), np.ones(10)))
 
     def test_apply_training_stats_to_test(self):

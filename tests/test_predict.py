@@ -3,16 +3,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vip import autodiff as ad
 from vip import predict as pr
-from vip.errors import ContractError, DimensionError, NumericalError, ParameterError
+from vip.errors import DimensionError, NumericalError, ParameterError
 from vip.inference import (
     SOFTPLUS_INV_ONE,
     CoefficientPosterior,
     TrainConfig,
+    TrainedModel,
     energy_loss,
     train,
 )
@@ -21,7 +22,6 @@ from vip.predict import (
     exact_coefficient_posterior,
     nll_rmse,
     posterior_predict,
-    predict_dense,
     predict_features,
 )
 from vip.priors import FunctionDraws, init_prior, sample_functions
@@ -73,27 +73,68 @@ class TestExactCoefficientPosterior:
             assert phi @ q.cov() @ phi <= phi @ phi + 1e-10
 
 
+def widened(prior):
+    # widen BNN init scales so small-S kernels stay well conditioned
+    return prior.with_params(
+        {k: v + math.log(10.0) if "log_scale" in k else v for k, v in prior.param_items()}
+    )
+
+
 def joint_draws(seed=0, n_train=6, n_test=3, s=8):
-    # widen init scales so small-S kernels stay well conditioned
-    prior = init_prior("bnn", 1, (4,), "tanh", Rng(seed, 0))
-    wide = {
-        k: v + math.log(10.0) if "log_scale" in k else v
-        for k, v in prior.param_items()
-    }
-    prior = prior.with_params(wide)
+    prior = widened(init_prior("bnn", 1, (4,), "tanh", Rng(seed, 0)))
     x = np.linspace(-2, 2, n_train + n_test).reshape(-1, 1)
     joint = sample_functions(prior, x, s, Rng(seed, 1))
     return joint.slice_columns(0, n_train), joint.slice_columns(n_train, n_train + n_test)
 
 
+def dense_oracle(joint, n, y, sigma2, estimator="mle", psi=0.0, nu=None):
+    """The dense GP conditional on the first n columns of a joint draw set.
+
+    Plain numpy: K = (Delta^T Delta + ridge I) / denom over all joint
+    columns, then np.linalg.solve on Kff + sigma2 I.
+    """
+    s, cols = joint.num_draws, joint.num_points
+    if estimator == "mle":
+        denom, ridge = s, 0.0
+    else:
+        denom, ridge = (cols if nu is None else nu) + s - cols - 1, psi
+    d = joint.deltas
+    k = (d.T @ d + ridge * np.eye(cols)) / denom
+    kff, ksf, kss = k[:n, :n], k[n:, :n], k[n:, n:]
+    a = kff + sigma2 * np.eye(n)
+    mean = joint.mean[0, n:] + ksf @ np.linalg.solve(a, y - joint.mean[0, :n])
+    var_f = np.diag(kss) - np.einsum("kn,nk->k", ksf, np.linalg.solve(a, ksf.T))
+    return mean, var_f
+
+
+def fixed_model(prior, x, y, sigma2, num_draws, seed=0, **cfg):
+    """A trained model as prediction reads it: the standard q and a fixed sigma2."""
+    config = TrainConfig(num_draws=num_draws, sigma2_mode="fixed", sigma2=sigma2, **cfg)
+    q = CoefficientPosterior.standard(num_draws)
+    return TrainedModel(prior, q, sigma2, config, seed, [], x, y)
+
+
+def predict_on(joint, n, y, sigma2, **cfg):
+    """posterior_predict's exact route on a given joint draw set over n training columns."""
+    x = np.zeros((joint.num_points, 1))
+    model = fixed_model(None, x[:n], y, sigma2, joint.num_draws, **cfg)
+    with mock.patch.object(pr, "sample_functions", lambda *args: joint):
+        return posterior_predict(model, x[n:], mode="exact")
+
+
 class TestPredictDense:
+    """The exact route's predictions are the dense GP conditional of the kernel.
+
+    posterior_predict serves it through the rank-S coefficient posterior;
+    these tests check it against the dense formulas in plain numpy.
+    """
+
     def test_matches_hand_gp_formulas(self):
         rng = np.random.default_rng(3)
         joint = FunctionDraws.from_matrix(rng.standard_normal((7, 6)))
-        dt, ds = joint.slice_columns(0, 4), joint.slice_columns(4, 6)
         y = rng.standard_normal(4)
         sig2 = 0.3
-        got = predict_dense(dt, ds, y, sig2)
+        got = predict_on(joint, 4, y, sig2)
         k = joint.deltas.T @ joint.deltas / joint.num_draws
         kff, ksf, kss = k[:4, :4], k[4:, :4], k[4:, 4:]
         a_inv = np.linalg.inv(kff + sig2 * np.eye(4))
@@ -115,16 +156,16 @@ class TestPredictDense:
         joint.deltas[:, 2] -= joint.deltas[:, :2] @ (
             np.linalg.lstsq(joint.deltas[:, :2], joint.deltas[:, 2], rcond=None)[0]
         )
-        dt, ds = joint.slice_columns(0, 2), joint.slice_columns(2, 3)
-        got = predict_dense(dt, ds, np.array([4.0, 6.0]), 0.1)
-        prior_var = float(ds.deltas[:, 0] @ ds.deltas[:, 0]) / joint.num_draws
+        got = predict_on(joint, 2, np.array([4.0, 6.0]), 0.1)
+        prior_var = float(joint.deltas[:, 2] @ joint.deltas[:, 2]) / joint.num_draws
         assert got.mean[0] == pytest.approx(joint.mean[0, 2], abs=1e-8)
         assert got.var_f[0] == pytest.approx(prior_var, abs=1e-8)
 
     def test_interpolates_at_tiny_noise(self):
-        dt, ds = joint_draws(seed=5, n_train=5, n_test=0, s=12)
+        dt, _ = joint_draws(seed=5, n_train=5, n_test=0, s=12)
+        joint = FunctionDraws.from_matrix(np.hstack([dt.values, dt.values]))
         y = np.sin(np.arange(5.0))
-        got = predict_dense(dt, dt, y, 1e-10)
+        got = predict_on(joint, 5, y, 1e-10)
         np.testing.assert_allclose(got.mean, y, atol=1e-4)
 
     def test_adding_a_training_point_never_increases_variance(self):
@@ -132,64 +173,54 @@ class TestPredictDense:
         for trial in range(100):
             s = int(rng.integers(4, 10))
             n = int(rng.integers(2, 6))
-            joint = FunctionDraws.from_matrix(rng.standard_normal((s, n + 3)))
+            f = rng.standard_normal((s, n + 3))
             y = rng.standard_normal(n + 1)
-            test = joint.slice_columns(n + 1, n + 3)
-            small = predict_dense(joint.slice_columns(0, n), test, y[:n], 0.2)
-            big = predict_dense(joint.slice_columns(0, n + 1), test, y, 0.2)
+            # the same two test columns after n, then n + 1, training columns
+            small = predict_on(FunctionDraws.from_matrix(np.delete(f, n, axis=1)), n, y[:n], 0.2)
+            big = predict_on(FunctionDraws.from_matrix(f), n + 1, y, 0.2)
             assert np.all(big.var_f <= small.var_f + 1e-8)
 
     def test_pm_ridge_inflates_variance(self):
         dt, ds = joint_draws(seed=7)
+        joint = FunctionDraws.from_matrix(np.hstack([dt.values, ds.values]))
         y = np.zeros(dt.num_points)
-        plain = predict_dense(dt, ds, y, 0.1, estimator="pm", psi=0.0)
-        ridged = predict_dense(dt, ds, y, 0.1, estimator="pm", psi=0.5)
+        plain = predict_on(joint, dt.num_points, y, 0.1, estimator="pm", psi=0.0)
+        ridged = predict_on(joint, dt.num_points, y, 0.1, estimator="pm", psi=0.5)
         assert np.all(ridged.var_f >= plain.var_f - 1e-12)
         assert ridged.var_f.max() > plain.var_f.max()
 
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
     @settings(max_examples=40, deadline=None)
     @given(
-        s=st.integers(2, 30),
-        n=st.integers(1, 40),
+        s=st.integers(2, 12),
+        n=st.integers(1, 12),
+        k=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
-        sigma2=st.floats(1e-6, 2.0),
-        psi=st.one_of(st.none(), st.floats(0.0, 2.0)),
+        sigma2=st.floats(0.05, 1.0),
+        psi=st.floats(0.0, 2.0),
+        nu_over=st.one_of(st.none(), st.floats(0.5, 20.0)),
     )
-    def test_factored_matrix_equals_plain_expression(self, s, n, seed, sigma2, psi):
-        rng = np.random.default_rng(seed)
-        joint = FunctionDraws.from_matrix(rng.standard_normal((s, n + 2)))
-        dt, ds = joint.slice_columns(0, n), joint.slice_columns(n, n + 2)
-        if psi is None:
-            kwargs, scale, ridge = {}, 1.0 / s, 0.0
-        else:
-            # nu equal to the joint column count leaves nu + S - N - 1 = S - 1
-            kwargs = {"estimator": "pm", "psi": psi, "nu": n + 2}
-            scale, ridge = 1.0 / (s - 1), psi / (s - 1)
-        seen = []
-
-        def recording_cholesky(a):
-            seen.append(a.copy())
-            return np.linalg.cholesky(a)
-
-        with mock.patch.object(pr, "cholesky", recording_cholesky):
-            predict_dense(dt, ds, rng.standard_normal(n), sigma2, **kwargs)
-        kff = dt.deltas.T @ dt.deltas * scale + ridge * np.eye(n)
-        expected = (kff + kff.T) / 2.0 + sigma2 * np.eye(n)
-        assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
-
-    def test_mixed_joint_evaluations_rejected(self):
-        dt, _ = joint_draws(seed=8)  # joint has 9 columns
-        _, ds_other = joint_draws(seed=8, n_train=5, n_test=5)  # 10 columns
-        with pytest.raises(ContractError):
-            predict_dense(dt, ds_other, np.zeros(dt.num_points), 0.1)
-        _, ds_fewer = joint_draws(seed=8, s=5)
-        with pytest.raises(ContractError):
-            predict_dense(dt, ds_fewer, np.zeros(dt.num_points), 0.1)
+    @example(s=12, n=3, k=2, seed=1, sigma2=0.1, psi=0.5, nu_over=None)
+    @example(s=3, n=12, k=2, seed=1, sigma2=0.1, psi=0.5, nu_over=4.0)
+    def test_pm_exact_mode_matches_dense_oracle(self, family, s, n, k, seed, sigma2, psi, nu_over):
+        # S > N and S <= N; nu_over > 0 keeps nu + S - N - 1 positive over N + K columns
+        prior = widened(init_prior(family, 1, (4,), "tanh", Rng(seed, 0), noise_dim=2))
+        x = np.linspace(-2, 2, n + k).reshape(-1, 1)
+        y = np.random.default_rng(seed).standard_normal(n)
+        nu = None if nu_over is None else n + k - s + 1 + nu_over
+        model = fixed_model(prior, x[:n], y, sigma2, s, seed, estimator="pm", psi=psi, nu=nu)
+        got = posterior_predict(model, x[n:], mode="exact")
+        joint = sample_functions(prior, x, s, Rng(seed, STREAM_PREDICT))
+        mean, var_f = dense_oracle(joint, n, y, sigma2, "pm", psi, nu)
+        np.testing.assert_allclose(got.mean, mean, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(got.var_f, var_f, rtol=1e-8, atol=1e-8)
+        np.testing.assert_array_equal(got.var_y, got.var_f + sigma2)
 
     def test_target_length_checked(self):
-        dt, ds = joint_draws(seed=9)
+        dt, _ = joint_draws(seed=9)
+        b = dt.deltas.T / math.sqrt(dt.num_draws)
         with pytest.raises(DimensionError):
-            predict_dense(dt, ds, np.zeros(dt.num_points - 1), 0.1)
+            exact_coefficient_posterior(b, np.zeros(dt.num_points - 1), 0.1)
 
 
 class TestWoodburyEquivalence:
@@ -205,12 +236,13 @@ class TestWoodburyEquivalence:
         # S > N: more coefficients than training points; S <= N: Kff has rank < N
         dt, ds = joint_draws(seed=seed, n_train=n, n_test=k, s=s)
         y = np.random.default_rng(seed).standard_normal(n)
-        dense = predict_dense(dt, ds, y, sig2)
+        joint = FunctionDraws.from_matrix(np.hstack([dt.values, ds.values]))
+        mean, var_f = dense_oracle(joint, n, y, sig2)
         b = dt.deltas.T / math.sqrt(dt.num_draws)
         q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
         red = predict_features(ds, q, sig2)
-        np.testing.assert_allclose(red.mean, dense.mean, rtol=1e-8, atol=1e-8)
-        np.testing.assert_allclose(red.var_f, dense.var_f, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(red.mean, mean, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(red.var_f, var_f, rtol=1e-8, atol=1e-8)
 
     def test_elbo_at_exact_posterior_equals_log_marginal(self):
         # conjugate check stitching training loss, exact posterior and the
@@ -330,18 +362,22 @@ def small_model(**over):
 
 class TestPosteriorPredict:
     def test_exact_mode_matches_manual_pipeline(self):
+        # the plain averaged kernel: features at 1/sqrt(S), noise sigma2, bit for bit
         model, x, y = small_model()
         xt = np.linspace(-1.5, 1.5, 6).reshape(-1, 1)
         got = posterior_predict(model, xt, mode="exact")
-        joint = sample_functions(
-            model.prior, np.vstack([x, xt]), model.config.num_draws,
-            Rng(model.seed, STREAM_PREDICT),
-        )
+        s = model.config.num_draws
+        joint = sample_functions(model.prior, np.vstack([x, xt]), s, Rng(model.seed, STREAM_PREDICT))
         dt = joint.slice_columns(0, 14)
         ds = joint.slice_columns(14, 20)
-        want = predict_dense(dt, ds, model.train_y, model.sigma2)
-        np.testing.assert_allclose(got.mean, want.mean, atol=1e-8)
-        np.testing.assert_allclose(got.var_f, want.var_f, atol=1e-8)
+        b = dt.deltas.T / math.sqrt(s)
+        q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], model.sigma2)
+        want = predict_features(ds, q, model.sigma2)
+        for field in ("mean", "var_f", "var_y"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        mean, var_f = dense_oracle(joint, 14, model.train_y, model.sigma2)
+        np.testing.assert_allclose(got.mean, mean, atol=1e-8)
+        np.testing.assert_allclose(got.var_f, var_f, atol=1e-8)
 
     def test_learned_mode_runs_and_is_deterministic(self):
         model, x, y = small_model()
@@ -359,10 +395,14 @@ class TestPosteriorPredict:
         np.testing.assert_array_equal(auto.mean, exact.mean)
 
     def test_pm_estimator_routes_through_dense(self):
+        # a trained pm model predicts the dense conditional of its kernel
         model, x, y = small_model(estimator="pm", psi=0.1)
-        xt = np.array([[0.3]])
+        xt = np.array([[0.3], [1.4]])
         out = posterior_predict(model, xt, mode="exact")
-        assert np.isfinite(out.mean).all() and np.isfinite(out.var_y).all()
+        joint = sample_functions(model.prior, np.vstack([x, xt]), 5, Rng(model.seed, STREAM_PREDICT))
+        mean, var_f = dense_oracle(joint, 14, model.train_y, model.sigma2, "pm", 0.1)
+        np.testing.assert_allclose(out.mean, mean, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(out.var_f, var_f, rtol=1e-8, atol=1e-8)
 
     def test_bad_mode(self):
         model, x, y = small_model()

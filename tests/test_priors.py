@@ -38,7 +38,6 @@ class TestSampleShapes:
         assert draws.values.shape == (6, 7)
         assert draws.mean.shape == (1, 7)
         assert draws.deltas.shape == (6, 7)
-        assert draws.eval_count == 7
         np.testing.assert_allclose(draws.deltas.mean(axis=0), np.zeros(7), atol=1e-12)
         np.testing.assert_allclose(draws.values.mean(axis=0), draws.mean[0], atol=1e-12)
 
@@ -377,7 +376,6 @@ class TestSliceColumns:
         rng = np.random.default_rng(2)
         joint = FunctionDraws.from_matrix(rng.standard_normal((5, 8)))
         left = joint.slice_columns(0, 3)
-        assert left.eval_count == 8
         np.testing.assert_array_equal(left.deltas, joint.deltas[:, :3])
         np.testing.assert_array_equal(left.mean, joint.mean[:, :3])
 
