@@ -32,8 +32,8 @@ def _load_json_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: not valid JSON ({e})") from e
+        except ValueError as e:  # bad JSON or bytes that are not UTF-8
+            raise ParseError(f"{path}: not valid UTF-8 JSON ({e})") from e
     if not isinstance(d, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     return d

@@ -96,10 +96,17 @@ def load_table(path: str, has_header: bool = False, min_width: int = 1, positive
     as the first data row, which needs at least ``min_width`` cells. Every
     cell must be finite, and a column whose header cell is named in
     ``positive`` must hold only values > 0. Errors cite 1-based (row, col)
-    file coordinates, counting any header row.
+    file coordinates, counting any header row; a file that is not UTF-8 or
+    a cell over the csv module's field limit is a ParseError too.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise ParseError(f"{path}: {e}", row=reader.line_num) from None
     header = [c.strip() for c in rows[0]] if has_header and rows else None
     start = 1 if has_header else 0
     data_rows = [(i + 1, r) for i, r in enumerate(rows) if i >= start and r]

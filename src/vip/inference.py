@@ -3,10 +3,13 @@
 Each optimization step draws S functions, forms the empirical mean m* and
 centered residuals Delta, and treats
 
-    f(x) = m*(x) + phi(x)^T a,    phi(x) = Delta(x) / sqrt(S),  a ~ N(0, I)
+    f(x) = m*(x) + phi(x)^T a + e(x),    phi(x) = Delta(x) / sqrt(denom),  a ~ N(0, I)
 
-as a Bayesian linear model in the S-dimensional residual space. A Gaussian
-q(a) = N(mu, L L^T) is fit by minimizing the negated alpha-energy
+as a Bayesian linear model in the S-dimensional residual space, where
+(denom, ridge) is the kernel estimator's normaliser and e(x) ~ N(0, rho),
+rho = ridge / denom, is independent per point; e is integrated out, so the
+data term sees noise sigma^2 + rho. A Gaussian q(a) = N(mu, L L^T) is fit
+by minimizing the negated alpha-energy
 
     loss = KL[q || N(0, I)] - (N / (alpha M)) sum_m log E_q[ p(y_m | a)^alpha ]
 
@@ -26,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .numkit import STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, as_matrix, as_vector
-from .priors import FunctionDraws, init_prior, sample_functions
+from .priors import FunctionDraws, init_prior, kernel_normaliser, sample_functions
 
 LOG_2PI = math.log(2.0 * math.pi)
 # raw diagonal value whose softplus is exactly 1, so L starts at the identity
@@ -170,11 +173,14 @@ def energy_loss(
     alpha: float,
     log_sigma2,
     n_total: int,
+    denom: float | None = None,
+    ridge: float = 0.0,
 ):
     """Negated alpha-energy over one minibatch, as a scalar Var.
 
     ``log_sigma2`` is either a float (noise fixed) or a 1x1 Var leaf (noise
-    learned). Returns (loss, info) with the data/KL parts as plain floats for
+    learned). ``denom`` and ``ridge`` are the kernel normaliser, (S, 0) by
+    default. Returns (loss, info) with the data/KL parts as plain floats for
     diagnostics.
     """
     if not draws.is_symbolic:
@@ -189,9 +195,10 @@ def energy_loss(
     if n_total < mb:
         raise ParameterError(f"n_total={n_total} smaller than the batch ({mb})")
     s = draws.num_draws
+    denom = s if denom is None else denom
 
     kl, L = _kl_graph(tape, params)
-    phi = ad.scale(ad.transpose(draws.deltas), 1.0 / math.sqrt(s))  # (mb, s)
+    phi = ad.scale(ad.transpose(draws.deltas), 1.0 / math.sqrt(denom))  # (mb, s)
     pred = ad.add(ad.transpose(draws.mean), ad.matmul(phi, params["q_mu"]))
     resid = ad.sub(tape.constant(y.reshape(-1, 1)), pred)
     s2 = ad.matmul(ad.square(ad.matmul(phi, L)), tape.constant(np.ones((s, 1))))
@@ -202,6 +209,9 @@ def energy_loss(
             raise DimensionError("log_sigma2 Var must be 1x1")
     else:
         lo = tape.constant(float(log_sigma2))
+    if ridge:
+        # the per-point term e adds its variance to the noise
+        lo = ad.vlog(ad.add(ad.vexp(lo), tape.constant(ridge / denom)))
 
     if alpha > 0.0:
         v = ad.broadcast_add_row(s2, ad.scale(ad.vexp(lo), 1.0 / alpha))
@@ -282,8 +292,6 @@ _GRID_DEFAULT = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
 
 
 def _type_name(default) -> str:
-    if default is None:
-        return "null or a finite number"
     if isinstance(default, tuple):
         return "a list of " + ("integers" if isinstance(default[0], int) else "finite numbers")
     if isinstance(default, str):
@@ -300,18 +308,15 @@ def _type_matches(value, default) -> bool:
         return isinstance(value, str)
     if isinstance(default, int):
         return isinstance(value, int)
-    if value is None:
-        return default is None
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def check_value_types(d: dict, defaults: dict) -> None:
     """Reject a settings dict whose values are not typed like the defaults.
 
-    An int default takes integers, a float default any finite number, a None
-    default null or a finite number, a str default a string and a tuple
-    default a list of items typed like its first entry. The ParameterError
-    names the key.
+    An int default takes integers, a float default any finite number, a str
+    default a string and a tuple default a list of items typed like its
+    first entry. The ParameterError names the key.
     """
     for key, value in d.items():
         if not _type_matches(value, defaults[key]):
@@ -332,7 +337,6 @@ class TrainConfig:
     sigma2_grid: tuple = _GRID_DEFAULT
     estimator: str = "mle"
     psi: float = 0.0
-    nu: object = None
     prior_family: str = "bnn"
     hidden: tuple = (10, 10)
     activation: str = "tanh"
@@ -357,10 +361,8 @@ class TrainConfig:
         _check_sigma2(self.sigma2)
         if len(self.sigma2_grid) == 0 or any(g <= 0 for g in self.sigma2_grid):
             raise ParameterError("sigma2_grid must be non-empty and positive")
-        if self.estimator not in ("mle", "pm"):
-            raise ParameterError(f"unknown estimator {self.estimator!r}")
-        if self.psi < 0:
-            raise ParameterError(f"psi must be >= 0, got {self.psi}")
+        # rejects an unknown estimator or a negative psi
+        kernel_normaliser(int(self.num_draws), self.estimator, self.psi)
         if self.prior_family not in ("bnn", "ns"):
             raise ParameterError(f"unknown prior_family {self.prior_family!r}")
         if self.coeff_mode not in ("exact", "learned", "auto"):
@@ -449,6 +451,7 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     mb = int(config.batch_size) if config.batch_size else n
     mb = min(mb, n)
     prior_names = [name for name, _ in prior.param_items()]
+    denom, ridge = kernel_normaliser(s, config.estimator, config.psi)
     trace = []
 
     for epoch in range(int(config.epochs)):
@@ -465,7 +468,7 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
                 )
                 lo = leaves["log_sigma2"] if learn_sigma else math.log(config.sigma2)
                 loss, info = energy_loss(
-                    tape, y[idx], draws, leaves, config.alpha, lo, n
+                    tape, y[idx], draws, leaves, config.alpha, lo, n, denom, ridge
                 )
             except NumericalError as err:
                 raise NumericalError(

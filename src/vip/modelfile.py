@@ -22,7 +22,7 @@ from .inference import (
 )
 from .priors import prior_from_dict
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def canonical_json(obj) -> str:
@@ -83,6 +83,10 @@ def model_from_dict(d: dict) -> TrainedModel:
         raise ModelFileError(
             f"unsupported format_version {d['format_version']!r}, expected {FORMAT_VERSION}"
         )
+    for key in ("config", "prior", "q", "train", "stats"):
+        if not (isinstance(d.get(key), dict) or key == "stats" and d.get(key) is None):
+            or_null = " or null" if key == "stats" else ""
+            raise ModelFileError(f"model file field {key!r} must be a JSON object{or_null}")
     try:
         check_value_types({k: d[k] for k in _SCALARS}, _SCALARS)
         sigma2 = _check_sigma2(d["sigma2"])
@@ -131,6 +135,6 @@ def load_model(path: str) -> TrainedModel:
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ModelFileError(f"{path}: not valid JSON ({e})") from e
+        except ValueError as e:  # bad JSON or bytes that are not UTF-8
+            raise ModelFileError(f"{path}: not valid UTF-8 JSON ({e})") from e
     return model_from_dict(d)

@@ -1,8 +1,9 @@
 """GP-style prediction from a trained surrogate.
 
-Prediction stays in the S-dimensional coefficient space. A kernel estimator
-with normaliser (denom, ridge) is K = Phi Phi^T + (ridge/denom) I over
-features phi(x) = Delta(x)/sqrt(denom); given a Gaussian q(a),
+Prediction stays in the S-dimensional coefficient space in which training
+fits q(a). The config's kernel estimator, with normaliser (denom, ridge), is
+K = Phi Phi^T + (ridge/denom) I over features phi(x) = Delta(x)/sqrt(denom);
+given a Gaussian q(a), learned or exact,
 
     mean = m*(x) + phi(x)^T mu,    var_f = || chol(Sigma)^T phi(x) ||^2 + ridge/denom.
 
@@ -13,8 +14,9 @@ ridge, so by Woodbury conditioning the dense GP on the training block,
     var_f = diag(K** - K*f (Kff + sigma2 I)^-1 Kf*),
 
 equals these formulas with q the exact coefficient posterior at noise
-sigma2 + ridge/denom. That costs O(S^3) and never forms an N x N matrix.
-For the plain averaged kernel, denom = S and ridge = 0.
+sigma2 + ridge/denom, the alpha = 0 optimum of the training objective for
+fixed draws. That costs O(S^3) and never forms an N x N matrix. For the
+plain averaged kernel, denom = S and ridge = 0.
 """
 
 from __future__ import annotations
@@ -111,12 +113,12 @@ def posterior_predict(
     """Predict at new inputs from a trained model.
 
     ``mode``: 'exact' re-derives the coefficient posterior from a fresh
-    fixed-seed draw set over [train; test], normalised by the config's
-    kernel estimator over all of its columns, which gives the dense GP
-    conditional of that kernel; 'learned' reuses the trained
-    q(a); 'auto' (default, from the config) picks exact up to 2000 training
-    points. The prediction stream depends only on the master seed, so
-    training length cannot shift it.
+    fixed-seed draw set over [train; test], which gives the dense GP
+    conditional of the config's kernel estimator; 'learned' reuses the
+    trained q(a), which belongs to the same estimator; 'auto' (default, from
+    the config) picks exact up to 2000 training points. The prediction
+    stream depends only on the master seed, so training length cannot shift
+    it.
     """
     x_test = as_matrix(x_test, "test inputs")
     n = model.train_x.shape[0]
@@ -132,13 +134,13 @@ def posterior_predict(
         raise ParameterError(f"unknown prediction mode {mode!r}")
     s = int(cfg.num_draws)
     rng = Rng(model.seed, STREAM_PREDICT)
+    denom, ridge = kernel_normaliser(s, cfg.estimator, cfg.psi)
 
     if mode == "learned":
         draws_test = sample_functions(model.prior, x_test, s, rng)
-        return predict_features(draws_test, model.q, model.sigma2)
+        return predict_features(draws_test, model.q, model.sigma2, denom, ridge)
 
     joint = sample_functions(model.prior, np.vstack([model.train_x, x_test]), s, rng)
-    denom, ridge = kernel_normaliser(joint, cfg.estimator, cfg.psi, cfg.nu)
     dt = joint.slice_columns(0, n)
     dtest = joint.slice_columns(n, n + x_test.shape[0])
     b = dt.deltas.T / math.sqrt(denom)

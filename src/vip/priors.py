@@ -9,9 +9,10 @@ estimators: the plain averaged outer product
     m*(x)  = (1/S) sum_s f_s(x)
     K(x,x') = (1/S) sum_s (f_s(x) - m*(x)) (f_s(x') - m*(x'))
 
-and an inverse-Wishart posterior-mean variant that shrinks with a ridge psi
-and degrees of freedom nu (default nu = number of evaluation points, which
-collapses the denominator to S - 1).
+and the inverse-Wishart posterior mean (Delta^T Delta + psi I) / (S - 1),
+which shrinks with a ridge psi. ``kernel_normaliser`` is the one place an
+estimator becomes its (denominator, ridge) pair; training and both
+prediction routes take it from there.
 """
 
 from __future__ import annotations
@@ -363,48 +364,27 @@ def _forward(prior: Prior, h: np.ndarray, ops: _Ops, p: dict, eps=None):
     return h
 
 
-def kernel_normaliser(draws: FunctionDraws, estimator: str, psi: float = 0.0, nu=None):
+def kernel_normaliser(num_draws: int, estimator: str, psi: float = 0.0):
     """(denominator, ridge) of an estimator: K = (Delta^T Delta + ridge I) / denominator.
 
-    'mle' is the plain average (S, no ridge); 'pm' the inverse-Wishart
-    posterior mean, nu + S - N - 1 with ridge psi, N being the draws'
-    number of evaluation points.
+    'mle' is the plain average (S, no ridge). 'pm' is the inverse-Wishart
+    posterior mean with ridge psi and as many degrees of freedom as
+    evaluation points, which makes its denominator S - 1 at any number of
+    points: a point's kernel never depends on which others are evaluated.
     """
-    s = draws.num_draws
     if estimator == "mle":
-        return s, 0.0
+        return num_draws, 0.0
     if estimator == "pm":
         if psi < 0:
             raise ParameterError(f"psi must be >= 0, got {psi}")
-        n_eval = draws.num_points
-        denom = float(n_eval if nu is None else nu) + s - n_eval - 1
-        if denom <= 0:
-            raise ParameterError(
-                f"posterior-mean denominator nu + S - N - 1 = {denom:g} must be positive"
-            )
-        return denom, psi
+        return num_draws - 1, psi
     raise ParameterError(f"unknown estimator {estimator!r}")
 
 
-def empirical_kernel(
-    draws: FunctionDraws, i: int, j: int, estimator: str = "mle", psi: float = 0.0, nu=None
-) -> float:
-    """Covariance estimate between evaluation columns i and j."""
-    d = draws.deltas_array()
-    n = d.shape[1]
-    if not (0 <= i < n and 0 <= j < n):
-        raise ParameterError(f"column indices ({i}, {j}) out of range for {n} points")
-    denom, ridge = kernel_normaliser(draws, estimator, psi, nu)
-    raw = float(d[:, i] @ d[:, j])
-    if i == j:
-        raw += ridge
-    return raw / denom
-
-
 def empirical_kernel_matrix(
-    draws: FunctionDraws, estimator: str = "mle", psi: float = 0.0, nu=None
+    draws: FunctionDraws, estimator: str = "mle", psi: float = 0.0
 ) -> np.ndarray:
-    denom, ridge = kernel_normaliser(draws, estimator, psi, nu)
+    denom, ridge = kernel_normaliser(draws.num_draws, estimator, psi)
     d = draws.deltas_array()
     k = d.T @ d
     k.flat[:: d.shape[1] + 1] += ridge

@@ -35,7 +35,6 @@ from vip.numkit import Rng
 from vip.predict import exact_coefficient_posterior, predict_features
 from vip.priors import (
     FunctionDraws,
-    empirical_kernel,
     empirical_kernel_matrix,
     init_prior,
     sample_functions,
@@ -320,7 +319,7 @@ def test_criterion_07_kernel_estimators():
     for _ in range(5):
         x1, x2 = oracle_rng.standard_normal(2)
         f = np.tanh(np.outer(w, np.array([x1, x2])) + b[:, None])
-        est = empirical_kernel(FunctionDraws.from_matrix(f), 0, 1, estimator="mle")
+        est = empirical_kernel_matrix(FunctionDraws.from_matrix(f), estimator="mle")[0, 1]
         mc = float(np.mean(np.tanh(w2 * x1 + b2) * np.tanh(w2 * x2 + b2)))
         conv_worst = max(conv_worst, abs(est - mc))
     conv_ok = conv_worst <= 0.05

@@ -339,6 +339,69 @@ class TestPredictEval:
         bad.write_text("{}")
         assert cli.main(["predict", "--model", str(bad), "--data", data, "--out", str(tmp_path / "p.csv")]) == 3
 
+    @pytest.mark.parametrize("field", ["prior", "config", "q", "train", "stats"])
+    def test_model_block_that_is_not_an_object_is_data_error(self, tmp_path, capsys, field):
+        data, model = _trained(tmp_path)
+        d = json.loads(model.read_text())
+        d[field] = []
+        model.write_text(json.dumps(d))
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", str(model), "--data", data,
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert f"model file field '{field}' must be a JSON object" in capsys.readouterr().err
+
+
+def _trained(tmp_path):
+    """A 10-row data file and a model trained on it with the tiny config."""
+    data = _synth(tmp_path, n=10)
+    model = tmp_path / "m.json"
+    assert cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path),
+                     "--model-out", str(model)]) == 0
+    return data, model
+
+
+def _argv_reading(entry, bad, tmp_path):
+    """The argv of one command whose file argument ``entry`` is ``bad``."""
+    out = str(tmp_path / "out.csv")
+    if entry == "gp-baseline --grid-config":
+        return ["gp-baseline", "--grid-config", bad]
+    data, model = _trained(tmp_path)
+    return {
+        "train --data": ["train", "--data", bad, "--model-out", str(tmp_path / "m2.json")],
+        "train --config": ["train", "--data", data, "--config", bad,
+                           "--model-out", str(tmp_path / "m2.json")],
+        "predict --data": ["predict", "--model", str(model), "--data", bad, "--out", out],
+        "predict --model": ["predict", "--model", bad, "--data", data, "--out", out],
+        "eval --pred": ["eval", "--pred", bad, "--data", data],
+    }[entry]
+
+
+class TestUnreadableInput:
+    """Bytes that are not UTF-8, or a CSV cell past the csv field limit, are data errors."""
+
+    @pytest.mark.parametrize("entry", [
+        "train --data", "predict --data", "eval --pred",
+        "train --config", "gp-baseline --grid-config", "predict --model",
+    ])
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
+        argv = _argv_reading(entry, str(bad), tmp_path)
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert f"{bad}: not " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["train --data", "predict --data", "eval --pred"])
+    def test_oversize_csv_cell_is_data_error(self, tmp_path, capsys, entry):
+        bad = tmp_path / "big.csv"
+        bad.write_text("1.0,2.0\n" + "1" * 140_000 + ",3.0\n")
+        argv = _argv_reading(entry, str(bad), tmp_path)
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "field limit" in err and "row 2" in err
+
 
 def _write_csv_per_cell(path, header, rows):
     """The writer _write_csv replaced: csv.writer over one repr per cell."""
@@ -402,7 +465,6 @@ BAD_CONFIG_VALUES = [
     ("hidden", 5),  # list of integers
     ("sigma2_grid", [0.1, "a"]),  # list of numbers
     ("activation", 3),  # string
-    ("nu", "a"),  # null or a number
 ]
 
 

@@ -19,9 +19,10 @@ from vip.inference import (
     train,
 )
 from vip.numkit import Rng
-from vip.priors import sample_functions, init_prior
+from vip.priors import init_prior, kernel_normaliser, sample_functions
 
 LOG_2PI = math.log(2 * math.pi)
+PSI = 0.7  # the pm ridge of the energy tests
 
 
 def random_q(rng, s):
@@ -174,13 +175,17 @@ def build_symbolic_instance(seed=0, n=6, s=4, alpha=0.5, learn_sigma=False, x=No
 
 
 class TestEnergyLoss:
-    def scalar_reference(self, y, draws, params, alpha, sigma2, n_total):
+    def scalar_reference(self, y, draws, params, alpha, sigma2, n_total, estimator="mle"):
+        # the pm surrogate: features over sqrt(S - 1), noise sigma2 + psi / (S - 1)
         s = draws.num_draws
         q = q_from_raw(
             params["q_mu"].value, params["q_tril"].value, params["q_diag"].value
         )
         mean = draws.mean.value[0]
-        phi = draws.deltas_array().T / math.sqrt(s)
+        denom = s if estimator == "mle" else s - 1
+        phi = draws.deltas_array().T / math.sqrt(denom)
+        if estimator == "pm":
+            sigma2 += PSI / denom
         mb = len(y)
         if alpha > 0:
             terms = [
@@ -198,16 +203,22 @@ class TestEnergyLoss:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
     def test_graph_matches_scalar_composition(self, alpha):
         tape, params, draws, x, y, lo = build_symbolic_instance(seed=7, alpha=alpha)
-        loss, info = energy_loss(tape, y, draws, params, alpha, lo, 50)
-        want = self.scalar_reference(y, draws, params, alpha, 0.3, 50)
-        assert loss.value[0, 0] == pytest.approx(want, rel=1e-10)
-        assert info["kl"] >= -1e-12
+        for estimator in ("mle", "pm"):
+            loss, info = energy_loss(
+                tape, y, draws, params, alpha, lo, 50, *kernel_normaliser(4, estimator, PSI)
+            )
+            want = self.scalar_reference(y, draws, params, alpha, 0.3, 50, estimator)
+            assert loss.value[0, 0] == pytest.approx(want, rel=1e-10), estimator
+            assert info["kl"] >= -1e-12
 
     def test_learned_sigma_graph_matches(self):
         tape, params, draws, x, y, lo = build_symbolic_instance(seed=8, learn_sigma=True)
-        loss, _ = energy_loss(tape, y, draws, params, 0.5, lo, 30)
-        want = self.scalar_reference(y, draws, params, 0.5, 0.3, 30)
-        assert loss.value[0, 0] == pytest.approx(want, rel=1e-10)
+        for estimator in ("mle", "pm"):
+            loss, _ = energy_loss(
+                tape, y, draws, params, 0.5, lo, 30, *kernel_normaliser(4, estimator, PSI)
+            )
+            want = self.scalar_reference(y, draws, params, 0.5, 0.3, 30, estimator)
+            assert loss.value[0, 0] == pytest.approx(want, rel=1e-10), estimator
 
     def test_loss_affine_in_total_count(self):
         tape, params, draws, x, y, lo = build_symbolic_instance(seed=9)
@@ -262,7 +273,12 @@ class TestEnergyLoss:
             for alpha in (0.5, 1.0):
                 self._check_family(family, alpha)
 
-    def _check_family(self, family, alpha):
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_pm_energy_gradients_match_finite_differences(self, alpha):
+        # the pm ridge enters the noise as log(sigma2 + rho), learned sigma2 included
+        self._check_family("bnn", alpha, "pm")
+
+    def _check_family(self, family, alpha, estimator="mle"):
         # fixed seeds: hash() is salted per process, and unlucky instances
         # put finite-difference roundoff above the gate on ~1e-6 gradients
         seed = 40 + {"bnn": 0, "ns": 2}[family] + (alpha == 1.0)
@@ -286,7 +302,8 @@ class TestEnergyLoss:
                 params={k: leaves[k] for k in prior_names},
             )
             loss, _ = energy_loss(
-                tape, y, draws, leaves, alpha, leaves["log_sigma2"], 25
+                tape, y, draws, leaves, alpha, leaves["log_sigma2"], 25,
+                *kernel_normaliser(s, estimator, PSI),
             )
             return tape, leaves, loss
 

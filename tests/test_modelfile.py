@@ -112,9 +112,10 @@ class TestValidation:
     def test_version_checked(self, tmp_path):
         m = _small_model()
         d = model_to_dict(m)
-        d["format_version"] = 2
-        with pytest.raises(ModelFileError):
-            model_from_dict(d)
+        for version in (FORMAT_VERSION - 1, FORMAT_VERSION + 1):
+            d["format_version"] = version
+            with pytest.raises(ModelFileError):
+                model_from_dict(d)
 
     def test_missing_field(self):
         with pytest.raises(ModelFileError) as e:

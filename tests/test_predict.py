@@ -87,7 +87,7 @@ def joint_draws(seed=0, n_train=6, n_test=3, s=8):
     return joint.slice_columns(0, n_train), joint.slice_columns(n_train, n_train + n_test)
 
 
-def dense_oracle(joint, n, y, sigma2, estimator="mle", psi=0.0, nu=None):
+def dense_oracle(joint, n, y, sigma2, estimator="mle", psi=0.0):
     """The dense GP conditional on the first n columns of a joint draw set.
 
     Plain numpy: K = (Delta^T Delta + ridge I) / denom over all joint
@@ -97,7 +97,7 @@ def dense_oracle(joint, n, y, sigma2, estimator="mle", psi=0.0, nu=None):
     if estimator == "mle":
         denom, ridge = s, 0.0
     else:
-        denom, ridge = (cols if nu is None else nu) + s - cols - 1, psi
+        denom, ridge = s - 1, psi
     d = joint.deltas
     k = (d.T @ d + ridge * np.eye(cols)) / denom
     kff, ksf, kss = k[:n, :n], k[n:, :n], k[n:, n:]
@@ -198,20 +198,18 @@ class TestPredictDense:
         seed=st.integers(0, 2**32 - 1),
         sigma2=st.floats(0.05, 1.0),
         psi=st.floats(0.0, 2.0),
-        nu_over=st.one_of(st.none(), st.floats(0.5, 20.0)),
     )
-    @example(s=12, n=3, k=2, seed=1, sigma2=0.1, psi=0.5, nu_over=None)
-    @example(s=3, n=12, k=2, seed=1, sigma2=0.1, psi=0.5, nu_over=4.0)
-    def test_pm_exact_mode_matches_dense_oracle(self, family, s, n, k, seed, sigma2, psi, nu_over):
-        # S > N and S <= N; nu_over > 0 keeps nu + S - N - 1 positive over N + K columns
+    @example(s=12, n=3, k=2, seed=1, sigma2=0.1, psi=0.5)
+    @example(s=3, n=12, k=2, seed=1, sigma2=0.1, psi=0.5)
+    def test_pm_exact_mode_matches_dense_oracle(self, family, s, n, k, seed, sigma2, psi):
+        # S > N and S <= N
         prior = widened(init_prior(family, 1, (4,), "tanh", Rng(seed, 0), noise_dim=2))
         x = np.linspace(-2, 2, n + k).reshape(-1, 1)
         y = np.random.default_rng(seed).standard_normal(n)
-        nu = None if nu_over is None else n + k - s + 1 + nu_over
-        model = fixed_model(prior, x[:n], y, sigma2, s, seed, estimator="pm", psi=psi, nu=nu)
+        model = fixed_model(prior, x[:n], y, sigma2, s, seed, estimator="pm", psi=psi)
         got = posterior_predict(model, x[n:], mode="exact")
         joint = sample_functions(prior, x, s, Rng(seed, STREAM_PREDICT))
-        mean, var_f = dense_oracle(joint, n, y, sigma2, "pm", psi, nu)
+        mean, var_f = dense_oracle(joint, n, y, sigma2, "pm", psi)
         np.testing.assert_allclose(got.mean, mean, rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(got.var_f, var_f, rtol=1e-8, atol=1e-8)
         np.testing.assert_array_equal(got.var_y, got.var_f + sigma2)
@@ -403,6 +401,52 @@ class TestPosteriorPredict:
         mean, var_f = dense_oracle(joint, 14, model.train_y, model.sigma2, "pm", 0.1)
         np.testing.assert_allclose(out.mean, mean, rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(out.var_f, var_f, rtol=1e-8, atol=1e-8)
+
+    def test_pm_learned_mode_uses_the_pm_features(self):
+        model, x, y = small_model(estimator="pm", psi=0.3)
+        xt = np.array([[0.3], [1.4]])
+        got = posterior_predict(model, xt, mode="learned")
+        s = model.config.num_draws
+        draws = sample_functions(model.prior, xt, s, Rng(model.seed, STREAM_PREDICT))
+        want = predict_features(draws, model.q, model.sigma2, s - 1, 0.3)
+        for field in ("mean", "var_f", "var_y"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_pm_and_mle_train_different_q(self):
+        pm, _, _ = small_model(estimator="pm", psi=0.3)
+        mle, _, _ = small_model()
+        assert not np.array_equal(pm.q.mu, mle.q.mu)
+        assert not np.array_equal(pm.q.chol, mle.q.chol)
+
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
+    @pytest.mark.parametrize("estimator", ["mle", "pm"])
+    @pytest.mark.parametrize("mode", ["exact", "learned"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        s=st.integers(2, 8),
+        n=st.integers(1, 8),
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        psi=st.floats(0.0, 2.0),
+    )
+    def test_a_row_does_not_depend_on_its_neighbours(
+        self, family, estimator, mode, s, n, k, seed, psi
+    ):
+        prior = init_prior(family, 1, (4,), "tanh", Rng(seed, 0), noise_dim=2)
+        x = np.linspace(-2, 2, n + k).reshape(-1, 1)
+        rng = np.random.default_rng(seed)
+        model = fixed_model(
+            prior, x[:n], rng.standard_normal(n), 0.1, s, seed, estimator=estimator, psi=psi
+        )
+        model.q = CoefficientPosterior(
+            rng.standard_normal(s), np.tril(rng.standard_normal((s, s)), -1) + np.eye(s)
+        )
+        together = posterior_predict(model, x[n:], mode=mode)
+        for i in range(k):
+            alone = posterior_predict(model, x[n + i : n + i + 1], mode=mode)
+            for field in ("mean", "var_y"):
+                want = getattr(together, field)[i]
+                assert getattr(alone, field)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_bad_mode(self):
         model, x, y = small_model()

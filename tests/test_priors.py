@@ -10,9 +10,9 @@ from vip.numkit import Rng
 from vip.priors import (
     FunctionDraws,
     Prior,
-    empirical_kernel,
     empirical_kernel_matrix,
     init_prior,
+    kernel_normaliser,
     sample_functions,
 )
 
@@ -308,50 +308,39 @@ class TestEmpiricalKernel:
     def test_hand_worked_two_draws(self):
         draws = FunctionDraws.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         np.testing.assert_allclose(draws.mean, [[1.0, 1.0]])
-        assert empirical_kernel(draws, 0, 0) == pytest.approx(1.0)
-        assert empirical_kernel(draws, 0, 1) == pytest.approx(-1.0)
         k = empirical_kernel_matrix(draws)
         np.testing.assert_allclose(k, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_posterior_mean_variant(self):
-        # nu defaults to N=2, so denominator = nu + S - N - 1 = S - 1 = 1
+        # denominator S - 1 = 1
         draws = FunctionDraws.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        assert empirical_kernel(draws, 0, 0, "pm", psi=0.1) == pytest.approx(2.1)
-        assert empirical_kernel(draws, 0, 1, "pm", psi=0.1) == pytest.approx(-2.0)
         k = empirical_kernel_matrix(draws, "pm", psi=0.1)
         np.testing.assert_allclose(k, [[2.1, -2.0], [-2.0, 2.1]], atol=1e-15)
 
     def test_pm_denominator_guard(self):
-        draws = FunctionDraws.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        with pytest.raises(ParameterError):
-            empirical_kernel(draws, 0, 0, "pm", nu=0)
-        with pytest.raises(ParameterError):
-            empirical_kernel(draws, 0, 0, "pm", psi=-1.0)
-
-    def test_matrix_matches_entries(self):
+        # S - 1 at any number of points, so a column's kernel ignores the others
         rng = np.random.default_rng(0)
-        draws = FunctionDraws.from_matrix(rng.standard_normal((6, 4)))
-        for est, psi in (("mle", 0.0), ("pm", 0.3)):
-            k = empirical_kernel_matrix(draws, est, psi=psi)
-            for i in range(4):
-                for j in range(4):
-                    assert k[i, j] == pytest.approx(
-                        empirical_kernel(draws, i, j, est, psi=psi), rel=1e-12
-                    )
-            np.testing.assert_allclose(k, k.T, atol=1e-15)
+        f = rng.standard_normal((6, 5))
+        assert kernel_normaliser(6, "pm", 0.3) == (5, 0.3)
+        assert kernel_normaliser(6, "mle", 0.3) == (6, 0.0)
+        whole = empirical_kernel_matrix(FunctionDraws.from_matrix(f), "pm", psi=0.3)
+        for j in range(5):
+            alone = empirical_kernel_matrix(FunctionDraws.from_matrix(f[:, [j]]), "pm", psi=0.3)
+            assert alone[0, 0] == pytest.approx(whole[j, j], rel=1e-14)
+        with pytest.raises(ParameterError):
+            kernel_normaliser(6, "pm", psi=-1.0)
+        with pytest.raises(ParameterError):
+            kernel_normaliser(6, "bayes")
 
     def test_kernel_psd(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             draws = FunctionDraws.from_matrix(rng.standard_normal((8, 5)))
-            k = empirical_kernel_matrix(draws)
-            evals = np.linalg.eigvalsh((k + k.T) / 2)
-            assert evals.min() >= -1e-10
-
-    def test_index_bounds(self):
-        draws = FunctionDraws.from_matrix(np.zeros((2, 3)) + [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
-        with pytest.raises(ParameterError):
-            empirical_kernel(draws, 0, 3)
+            for est, psi in (("mle", 0.0), ("pm", 0.3)):
+                k = empirical_kernel_matrix(draws, est, psi=psi)
+                np.testing.assert_allclose(k, k.T, atol=1e-15)
+                evals = np.linalg.eigvalsh((k + k.T) / 2)
+                assert evals.min() >= -1e-10
 
     def test_one_unit_tanh_kernel_matches_direct_monte_carlo(self):
         # g(x) = tanh(w.x + b), w, b ~ N(0,1): the centered second-moment
@@ -368,7 +357,7 @@ class TestEmpiricalKernel:
         b2 = oracle_rng.standard_normal((200_000, 1))
         g = np.tanh(w2 @ x.T + b2)
         oracle = float(np.mean(g[:, 0] * g[:, 1]))
-        assert empirical_kernel(draws, 0, 1) == pytest.approx(oracle, abs=0.05)
+        assert empirical_kernel_matrix(draws)[0, 1] == pytest.approx(oracle, abs=0.05)
 
 
 class TestSliceColumns:
