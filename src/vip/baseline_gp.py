@@ -3,9 +3,14 @@
 Reference baseline: zero prior mean (targets come standardized), predictive
 moments by Cholesky conditioning, hyperparameters by exhaustive grid search
 over (lengthscale, signal variance, noise variance) on the log marginal
-likelihood. A constant 1e-10 jitter is added to every training Gram matrix;
-if the factorization still fails it is retried once at 1e-6 before the
-pivot error propagates.
+likelihood. Every training Gram is made exactly symmetric, (K + K^T) / 2.
+The grid search builds that matrix once per lengthscale at unit signal
+variance and scores each cell on ``sv * unit``. With one input column, or
+with ``sv`` a power of two and no subnormal entry, this is bitwise the Gram
+of ``RbfKernel(ls, sv)``; otherwise it can differ in the last bit. A
+constant 1e-10 jitter is added to the diagonal of every training system; if
+the factorization still fails it is retried once at 1e-6 before the pivot
+error propagates.
 """
 
 from __future__ import annotations
@@ -54,19 +59,33 @@ class RbfKernel:
         return k
 
 
-def _train_chol(kernel: RbfKernel, x: np.ndarray, sigma2: float) -> np.ndarray:
+def _train_gram(kernel: RbfKernel, x: np.ndarray) -> np.ndarray:
+    """K(x, x) made exactly symmetric: (K + K^T) / 2."""
     kff = kernel.gram(x, x)
-    n = x.shape[0]
     a = kff + kff.T
     a /= 2.0
-    del kff  # not held through the factorisation
-    diag = a.diagonal() + sigma2
-    a.flat[:: n + 1] = diag + _JITTER
+    return a
+
+
+def _train_chol(kff: np.ndarray, sigma2: float) -> np.ndarray:
+    """Lower factor of kff + (sigma2 + jitter) I.
+
+    The shifted diagonal is written into ``kff`` for the factorisation and
+    restored afterwards, so no second N x N copy is made and the caller's
+    matrix comes back byte-unchanged.
+    """
+    n = kff.shape[0]
+    diag = kff.diagonal().copy()
+    shifted = diag + sigma2
     try:
-        return cholesky(a)
-    except NotPositiveDefiniteError:
-        a.flat[:: n + 1] = diag + _JITTER_RETRY
-        return cholesky(a)
+        kff.flat[:: n + 1] = shifted + _JITTER
+        try:
+            return cholesky(kff)
+        except NotPositiveDefiniteError:
+            kff.flat[:: n + 1] = shifted + _JITTER_RETRY
+            return cholesky(kff)
+    finally:
+        kff.flat[:: n + 1] = diag
 
 
 def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDistribution:
@@ -77,7 +96,7 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
         raise ParameterError(f"{x.shape[0]} input rows vs {y.shape[0]} targets")
     x_star = as_matrix(x_star, "test inputs")
     sigma2 = _check_sigma2(sigma2)
-    la = _train_chol(kernel, x, sigma2)
+    la = _train_chol(_train_gram(kernel, x), sigma2)
     ksf = kernel.gram(x_star, x)
     mean = ksf @ chol_solve(la, y)
     v = solve_triangular(la, ksf.T)
@@ -85,16 +104,20 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
     return _finish(mean, var_f, sigma2)
 
 
-def gp_log_marginal(kernel: RbfKernel, x, y, sigma2: float) -> float:
-    """log N(y; 0, K_ff + sigma2 I), via the jittered Cholesky factor."""
-    x = as_matrix(x, "training inputs")
+def gp_log_marginal(kff, y, sigma2: float) -> float:
+    """log N(y; 0, kff + sigma2 I), via the jittered Cholesky factor.
+
+    ``kff`` is the symmetric training Gram; it is factored in place of a
+    copy and returned to the caller unchanged.
+    """
+    kff = np.asarray(kff, dtype=np.float64)
     y = as_vector(y, "targets")
-    if x.shape[0] != y.shape[0]:
-        raise ParameterError(f"{x.shape[0]} input rows vs {y.shape[0]} targets")
-    sigma2 = _check_sigma2(sigma2)
-    la = _train_chol(kernel, x, sigma2)
-    alpha = solve_triangular(la, y)
     n = y.shape[0]
+    if kff.shape != (n, n):
+        raise ParameterError(f"Gram of shape {kff.shape} vs {n} targets")
+    sigma2 = _check_sigma2(sigma2)
+    la = _train_chol(kff, sigma2)
+    alpha = solve_triangular(la, y)
     return float(
         -0.5 * (alpha @ alpha) - np.sum(np.log(np.diag(la))) - 0.5 * n * LOG_2PI
     )
@@ -110,8 +133,9 @@ class GpFit:
 def gp_fit_grid(x, y, lengthscales, signal_variances, sigma2s) -> GpFit:
     """Exhaustive marginal-likelihood grid search.
 
-    Grids are swept in ascending order, so exact ties resolve to the
-    smallest lengthscale, then the smallest sigma2, then the smallest
+    One unit-signal Gram is built per lengthscale; each cell scores
+    ``sv * unit``. Grids are swept in ascending order, so exact ties resolve
+    to the smallest lengthscale, then the smallest sigma2, then the smallest
     signal variance.
     """
     for name, grid in (
@@ -121,12 +145,14 @@ def gp_fit_grid(x, y, lengthscales, signal_variances, sigma2s) -> GpFit:
     ):
         if len(grid) == 0:
             raise ParameterError(f"{name} grid is empty")
+    svs = sorted(float(v) for v in signal_variances)
     best = None
     for ls in sorted(float(v) for v in lengthscales):
+        kernels = [RbfKernel(ls, sv) for sv in svs]
+        unit = _train_gram(RbfKernel(ls, 1.0), x)
         for sig2 in sorted(float(v) for v in sigma2s):
-            for sv in sorted(float(v) for v in signal_variances):
-                kernel = RbfKernel(ls, sv)
-                lm = gp_log_marginal(kernel, x, y, sig2)
+            for kernel in kernels:
+                lm = gp_log_marginal(kernel.signal_variance * unit, y, sig2)
                 if best is None or lm > best.log_marginal:
                     best = GpFit(kernel, sig2, lm)
     return best

@@ -157,18 +157,21 @@ _MIN_STD = 1e-12
 
 
 def compute_stats(data: Dataset) -> Stats:
-    """Column means/stds of a training set; a constant column is rejected,
-    naming its 1-based column (the target is the last)."""
-    fm = data.x.mean(axis=0)
-    fs = data.x.std(axis=0)
-    for j, s in enumerate(fs):
+    """Column means/stds of a training set; a constant column, or one whose
+    mean or std overflows, is rejected naming its 1-based column (the target
+    is the last)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.append(data.x.mean(axis=0), data.y.mean())
+        stds = np.append(data.x.std(axis=0), data.y.std())
+    for j, (m, s) in enumerate(zip(means, stds)):
+        what = "target" if j == data.d else "feature"
+        if not (math.isfinite(m) and math.isfinite(s)):
+            raise ParseError(
+                f"{what} column {j + 1} overflows: mean {m}, std {s}", col=j + 1
+            )
         if s <= _MIN_STD:
-            raise ParseError(f"feature column {j + 1} is constant", col=j + 1)
-    tm = float(data.y.mean())
-    ts = float(data.y.std())
-    if ts <= _MIN_STD:
-        raise ParseError(f"target column {data.d + 1} is constant", col=data.d + 1)
-    return Stats(fm, fs, tm, ts)
+            raise ParseError(f"{what} column {j + 1} is constant", col=j + 1)
+    return Stats(means[:-1], stds[:-1], float(means[-1]), float(stds[-1]))
 
 
 def apply_stats(data: Dataset, stats: Stats) -> Dataset:

@@ -127,8 +127,11 @@ def model_from_dict(d: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: str) -> None:
+    """Render first, then write: a model that cannot be rendered leaves any
+    file already at ``path`` as it was."""
+    text = canonical_json(model_to_dict(model))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(model_to_dict(model)))
+        fh.write(text)
 
 
 def load_model(path: str) -> TrainedModel:

@@ -111,6 +111,23 @@ class TestTrain:
         assert rc == 3
         assert f"column {column} is constant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cells, column",
+        [(["1e308", "-1e308", "1e308", "-1e308"], 1), (["1e308"] * 4, 1),
+         (["1e308", "-1e308", "1e308", "-1e308"], 2)],
+    )
+    def test_overflowing_column_is_data_error(self, tmp_path, capsys, cells, column):
+        # finite cells whose mean or std overflows a double
+        other = ["0.1", "0.2", "0.5", "0.3"]
+        rows = zip(cells, other) if column == 1 else zip(other, cells)
+        data = tmp_path / "big.csv"
+        data.write_text("".join(f"{a},{b}\n" for a, b in rows))
+        model_out = tmp_path / "m.json"
+        rc = cli.main(["train", "--data", str(data), "--model-out", str(model_out)])
+        assert rc == 3
+        assert f"column {column} overflows" in capsys.readouterr().err
+        assert not model_out.exists()
+
     def test_grid_mode(self, tmp_path, capsys):
         data = _synth(tmp_path, n=40)
         cfg = _cfg_file(tmp_path, extra={"sigma2_mode": "grid", "sigma2_grid": [0.1, 0.5]})
@@ -529,6 +546,17 @@ class TestBench:
         assert rc == 3
         assert "split 0 training rows: feature column 2 is constant" in capsys.readouterr().err
 
+    def test_overflowing_training_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text(
+            "".join(f"{float(i)!r},{(-1) ** i}e308,{float(i % 3)!r}\n" for i in range(20))
+        )
+        capsys.readouterr()
+        rc = cli.main(["bench", "--protocol", "uci", "--data", str(data),
+                       "--config", _cfg_file(tmp_path), "--splits", "1"])
+        assert rc == 3
+        assert "split 0 training rows: feature column 2 overflows" in capsys.readouterr().err
+
     def test_interp_protocol(self, tmp_path, capsys):
         data = _synth(tmp_path, n=60)
         cfg = _cfg_file(tmp_path)
@@ -586,6 +614,13 @@ class TestGpBaseline:
         capsys.readouterr()
         assert cli.main(["gp-baseline", "--data", str(data)]) == 3
         assert "split 0 training rows: target column 2 is constant" in capsys.readouterr().err
+
+    def test_overflowing_training_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("".join(f"{float(i)!r},{(-1) ** i}e308\n" for i in range(20)))
+        capsys.readouterr()
+        assert cli.main(["gp-baseline", "--data", str(data)]) == 3
+        assert "split 0 training rows: target column 2 overflows" in capsys.readouterr().err
 
     def test_defaults_without_config(self, tmp_path, capsys):
         data = _synth(tmp_path, n=40)

@@ -70,6 +70,18 @@ class TestRoundTrip:
         np.testing.assert_array_equal(m2.train_y, m.train_y)
         assert m2.stats.target_std == m.stats.target_std
 
+    @pytest.mark.parametrize("existing", [None, b"a model saved earlier\n"], ids=["new", "existing"])
+    def test_failed_save_leaves_the_file_as_it_was(self, tmp_path, existing):
+        m = _small_model()
+        m.train_y = m.train_y.copy()
+        m.train_y[0] = np.inf
+        p = tmp_path / "m.json"
+        if existing is not None:
+            p.write_bytes(existing)
+        with pytest.raises(ValueError):
+            save_model(m, str(p))
+        assert (p.read_bytes() if p.exists() else None) == existing
+
     def test_float_values_bitwise_exact(self, tmp_path):
         # json repr of a double parses back to the identical double
         m = _small_model(seed=9)
