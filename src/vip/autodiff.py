@@ -8,6 +8,17 @@ are built from these primitives rather than added as new ops. Gradients
 accumulate in a fixed order (descending node index), ``sum`` and ``dot``
 reduce with math.fsum so their forward values do not depend on element
 order, and relu takes derivative 0 at exactly 0.
+
+``backward`` never writes into an array: a node's first gradient
+contribution is kept as it is when it is already C-ordered (a transposed
+view is copied to C order, so BLAS sees the same layout downstream), and
+later contributions accumulate out of place as ``prev + contrib``. Arrays
+a VJP returns may therefore be shared between nodes, and leaf gradients may
+share memory with each other; none of them is mutated.
+
+A tape op that raises :class:`NumericalError` sets the error's ``leaf_ids``
+to the requires-grad leaves its operands depend on, so a caller can name
+the parameters involved.
 """
 
 from __future__ import annotations
@@ -38,15 +49,30 @@ class Var:
         return f"Var(nid={self.nid}, shape={self.value.shape})"
 
 
+def _check_finite(value: np.ndarray, where: str, what: str, *operands: Var):
+    """Raise ``NumericalError("<where>: <what>")`` if ``value`` holds a NaN or inf."""
+    if not np.isfinite(value).all():
+        _fail(f"{where}: {what}", *operands)
+
+
+def _fail(message: str, *operands: Var):
+    err = NumericalError(message)
+    if operands:
+        err.leaf_ids = operands[0].tape._upstream_leaves(a.nid for a in operands)
+    raise err
+
+
 def _coerce_value(value, where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2:
-        raise DimensionError(f"{where}: values must be 2-D (scalars as 1x1), got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"{where}: non-finite value")
-    return arr
+    if type(value) is not np.ndarray or value.dtype != np.float64 or value.ndim != 2:
+        value = np.asarray(value, dtype=np.float64)
+        if value.ndim == 0:
+            value = value.reshape(1, 1)
+        if value.ndim != 2:
+            raise DimensionError(
+                f"{where}: values must be 2-D (scalars as 1x1), got ndim={value.ndim}"
+            )
+    _check_finite(value, where, "non-finite value")
+    return value
 
 
 class Tape:
@@ -55,7 +81,7 @@ class Tape:
     def __init__(self):
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Callable | None] = []
-        self._shapes: list[tuple[int, int]] = []
+        self._leaf_shapes: dict[int, tuple[int, int]] = {}
         self.leaf_ids: list[int] = []
         self.last_visited = 0
 
@@ -66,6 +92,7 @@ class Tape:
         v = self._record(_coerce_value(value, "leaf"), (), None)
         if requires_grad:
             self.leaf_ids.append(v.nid)
+            self._leaf_shapes[v.nid] = v.value.shape
         return v
 
     def constant(self, value) -> Var:
@@ -74,33 +101,41 @@ class Tape:
     def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
         self._parents.append(parents)
         self._vjps.append(vjp)
-        self._shapes.append(value.shape)
         return Var(value, self, len(self._parents) - 1)
+
+    def _upstream_leaves(self, nids) -> tuple[int, ...]:
+        """Requires-grad leaf ids the nodes ``nids`` depend on, ascending."""
+        seen: set[int] = set()
+        stack = list(nids)
+        while stack:
+            nid = stack.pop()
+            if nid not in seen:
+                seen.add(nid)
+                stack.extend(self._parents[nid])
+        return tuple(sorted(seen.intersection(self.leaf_ids)))
 
 
 def _unary(op: str, a: Var, value: np.ndarray, vjp) -> Var:
-    if not isinstance(a, Var):
+    if type(a) is not Var:
         raise ContractError(f"{op}: operand must be a Var")
-    if not np.all(np.isfinite(value)):
-        raise NumericalError(f"{op}: produced a non-finite value")
+    _check_finite(value, op, "produced a non-finite value", a)
     return a.tape._record(value, (a.nid,), vjp)
 
 
 def _pair(op: str, a, b) -> tuple[Var, Var]:
-    if isinstance(a, Var) and isinstance(b, Var):
-        if a.tape is not b.tape:
-            raise ContractError(f"{op}: operands come from different tapes")
-        return a, b
-    if isinstance(a, Var):
+    if type(a) is Var:
+        if type(b) is Var:
+            if a.tape is not b.tape:
+                raise ContractError(f"{op}: operands come from different tapes")
+            return a, b
         return a, a.tape.constant(b)
-    if isinstance(b, Var):
+    if type(b) is Var:
         return b.tape.constant(a), b
     raise ContractError(f"{op}: at least one operand must be a Var")
 
 
 def _binary(op: str, a: Var, b: Var, value: np.ndarray, vjp) -> Var:
-    if not np.all(np.isfinite(value)):
-        raise NumericalError(f"{op}: produced a non-finite value")
+    _check_finite(value, op, "produced a non-finite value", a, b)
     return a.tape._record(value, (a.nid, b.nid), vjp)
 
 
@@ -204,7 +239,7 @@ def vexp(a: Var) -> Var:
 
 def vlog(a: Var) -> Var:
     if np.any(a.value <= 0.0):
-        raise NumericalError("log: non-positive operand")
+        _fail("log: non-positive operand", a)
     av = a.value
     return _unary("log", a, np.log(av), lambda g: (g / av,))
 
@@ -264,15 +299,13 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
         if vjp is None:
             continue
         for pid, contrib in zip(tape._parents[nid], vjp(g)):
-            if grads[pid] is None:
-                grads[pid] = contrib.copy()
-            else:
-                grads[pid] += contrib
+            prev = grads[pid]
+            grads[pid] = np.ascontiguousarray(contrib) if prev is None else prev + contrib
     tape.last_visited = visited
     out = {}
     for nid in tape.leaf_ids:
         g = grads[nid]
-        out[nid] = g if g is not None else np.zeros(tape._shapes[nid])
+        out[nid] = g if g is not None else np.zeros(tape._leaf_shapes[nid])
     return out
 
 

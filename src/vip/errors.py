@@ -22,7 +22,13 @@ class ContractError(VipError):
 
 
 class NumericalError(VipError):
-    """A computation produced non-finite or otherwise unusable numbers."""
+    """A computation produced non-finite or otherwise unusable numbers.
+
+    ``leaf_ids`` holds the requires-grad tape leaves a failing tape op
+    depended on; it is empty for errors raised outside the tape.
+    """
+
+    leaf_ids: tuple[int, ...] = ()
 
 
 class NotPositiveDefiniteError(NumericalError):

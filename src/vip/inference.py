@@ -471,8 +471,10 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
                     tape, y[idx], draws, leaves, config.alpha, lo, n, denom, ridge
                 )
             except NumericalError as err:
+                names = [k for k, v in leaves.items() if v.nid in err.leaf_ids]
+                involved = f" (parameters: {', '.join(names)})" if names else ""
                 raise NumericalError(
-                    f"epoch {epoch}, batch at {start}: {err}"
+                    f"epoch {epoch}, batch at {start}: {err}{involved}"
                 ) from err
             lval = float(loss.value[0, 0])
             if not math.isfinite(lval):

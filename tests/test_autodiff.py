@@ -2,15 +2,21 @@ import math
 import os
 import subprocess
 import sys
+import types
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vip
 from vip import autodiff as ad
 from vip.errors import ContractError, DimensionError, NumericalError
+from vip.inference import SOFTPLUS_INV_ONE, energy_loss
+from vip.numkit import Rng
+from vip.priors import init_prior, kernel_normaliser, sample_functions
 
 
 def test_square_scalar_gradient():
@@ -236,3 +242,220 @@ def test_grad_check_on_linear_map_is_exact():
         return ad.vsum(ad.mul(v, tape.constant(np.full(v.shape, 2.0))))
 
     assert ad.grad_check(build, np.ones((2, 2)), h=1e-6) < 1e-8
+
+
+class TestCoercionAndMessages:
+    """Leaf coercion and the tape's error types and texts, pinned."""
+
+    def test_float64_matrix_is_kept_as_is(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert ad.Tape().leaf(a).value is a
+        view = np.arange(12.0).reshape(3, 4)[:, ::2]
+        assert ad.Tape().leaf(view).value is view
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[1, 2], [3, 4]],
+            np.array([[1, 2], [3, 4]]),
+            np.array([[1, 2], [3, 4]], dtype=np.float32),
+            np.array([[1, 2], [3, 4]], dtype=">f8"),
+            np.matrix([[1.0, 2.0], [3.0, 4.0]]),
+        ],
+        ids=["list", "int", "float32", "big-endian", "matrix"],
+    )
+    def test_other_matrices_become_float64_arrays(self, value):
+        v = ad.Tape().leaf(value).value
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.dtype.isnative
+        np.testing.assert_array_equal(v, [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(2.5), np.float32(2.5), np.array(2.5)])
+    def test_scalars_become_1x1(self, value):
+        v = ad.Tape().leaf(value).value
+        assert v.shape == (1, 1) and v.dtype == np.float64 and v[0, 0] == 2.5
+
+    @pytest.mark.parametrize(
+        "value, ndim",
+        [([1.0, 2.0], 1), (np.ones(3), 1), (np.ones((2, 2, 2)), 3), (np.ones((1, 1, 1)), 3)],
+    )
+    def test_other_ranks_rejected(self, value, ndim):
+        with pytest.raises(DimensionError) as exc:
+            ad.Tape().leaf(value)
+        assert str(exc.value) == f"leaf: values must be 2-D (scalars as 1x1), got ndim={ndim}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["matrix", "list", "scalar", "float32"])
+    def test_non_finite_leaf_rejected(self, bad, kind):
+        value = {
+            "matrix": np.array([[0.0, 1.0], [bad, 2.0]]),
+            "list": [[0.0, bad]],
+            "scalar": bad,
+            "float32": np.array([[bad]], dtype=np.float32),
+        }[kind]
+        with pytest.raises(NumericalError) as exc:
+            ad.Tape().leaf(value)
+        assert str(exc.value) == "leaf: non-finite value"
+        assert exc.value.leaf_ids == ()
+
+    def test_constant_checks_like_a_leaf(self):
+        with pytest.raises(NumericalError, match="^leaf: non-finite value$"):
+            ad.Tape().constant(np.array([[np.nan]]))
+        with pytest.raises(NumericalError, match="^leaf: non-finite value$"):
+            ad.add(ad.Tape().leaf(1.0), np.array([[np.inf]]))
+
+    def test_overflowing_ops_name_themselves(self):
+        tape = ad.Tape()
+        big = tape.leaf(np.array([[1e200, 1.0]]), requires_grad=True)
+        with pytest.raises(NumericalError) as exc:
+            ad.mul(big, big)
+        assert str(exc.value) == "mul: produced a non-finite value"
+        with pytest.raises(NumericalError) as exc:
+            ad.vexp(ad.scale(big, 1e-197))
+        assert str(exc.value) == "exp: produced a non-finite value"
+        with pytest.raises(NumericalError) as exc:
+            ad.matmul(big, ad.transpose(big))
+        assert str(exc.value) == "matmul: produced a non-finite value"
+        with pytest.raises(NumericalError) as exc:
+            ad.broadcast_add_row(ad.scale(big, 1e108), np.array([[1e308, 0.0]]))
+        assert str(exc.value) == "broadcast_add_row: produced a non-finite value"
+
+    def test_non_var_operands_rejected(self):
+        with pytest.raises(ContractError) as exc:
+            ad.add(np.ones((1, 1)), 2.0)
+        assert str(exc.value) == "add: at least one operand must be a Var"
+        with pytest.raises(ContractError) as exc:
+            ad.transpose(types.SimpleNamespace(value=np.ones((2, 2))))
+        assert str(exc.value) == "transpose: operand must be a Var"
+        with pytest.raises(ContractError) as exc:
+            ad.backward(np.ones((1, 1)))
+        assert str(exc.value) == "backward: loss must be a Var"
+
+
+class TestFailureNamesLeaves:
+    """A raising tape op carries the requires-grad leaves upstream of it."""
+
+    def test_only_upstream_trainable_leaves(self):
+        tape = ad.Tape()
+        a = tape.leaf(np.array([[400.0]]), requires_grad=True)
+        b = tape.leaf(np.array([[2.0]]), requires_grad=True)
+        tape.leaf(np.array([[1.0]]), requires_grad=True)  # not upstream
+        c = tape.constant(np.array([[1.0]]))  # upstream, but not trainable
+        h = ad.mul(ad.add(a, c), b)
+        with pytest.raises(NumericalError) as exc:
+            ad.vexp(h)
+        assert exc.value.leaf_ids == (a.nid, b.nid)
+
+    def test_binary_op_collects_both_operands(self):
+        tape = ad.Tape()
+        a = tape.leaf(np.array([[1e200]]), requires_grad=True)
+        b = tape.leaf(np.array([[1e200]]), requires_grad=True)
+        with pytest.raises(NumericalError) as exc:
+            ad.mul(ad.scale(b, 1.0), a)
+        assert exc.value.leaf_ids == (a.nid, b.nid)
+
+    def test_log_domain_error_names_leaves(self):
+        tape = ad.Tape()
+        a = tape.leaf(np.array([[-1.0]]), requires_grad=True)
+        with pytest.raises(NumericalError) as exc:
+            ad.vlog(a)
+        assert str(exc.value) == "log: non-positive operand"
+        assert exc.value.leaf_ids == (a.nid,)
+
+
+def _copying_backward(loss, leaves):
+    """The copy-then-add-in-place backward pass, kept as a test oracle.
+
+    Each node's first contribution is copied and later ones are added into
+    that copy, in the same descending node order as ``ad.backward``.
+    """
+    tape = loss.tape
+    grads = [None] * len(tape)
+    grads[loss.nid] = np.ones((1, 1))
+    for nid in range(loss.nid, -1, -1):
+        g = grads[nid]
+        vjp = tape._vjps[nid]
+        if g is None or vjp is None:
+            continue
+        for pid, contrib in zip(tape._parents[nid], vjp(g)):
+            if grads[pid] is None:
+                grads[pid] = contrib.copy()
+            else:
+                grads[pid] += contrib
+    return {
+        k: grads[v.nid] if grads[v.nid] is not None else np.zeros(v.shape)
+        for k, v in leaves.items()
+    }
+
+
+def _freeze_vjps(tape):
+    """Make every array a VJP is given or returns read-only."""
+
+    def frozen(vjp):
+        def run(g):
+            g.setflags(write=False)
+            out = vjp(g)
+            for contrib in out:
+                contrib.setflags(write=False)
+            return out
+
+        return run
+
+    tape._vjps = [None if v is None else frozen(v) for v in tape._vjps]
+
+
+def _training_loss(family, alpha, estimator, s, n, mb, hidden, seed):
+    """One training step's tape, built as ``inference.train`` builds it."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    y = rng.standard_normal(n)
+    prior = init_prior(family, 2, hidden, "tanh", Rng(seed, 1), noise_dim=3)
+    params = dict(prior.param_items())
+    params["q_mu"] = 0.3 * rng.standard_normal((s, 1))
+    params["q_tril"] = 0.3 * rng.standard_normal((s, s))
+    params["q_diag"] = SOFTPLUS_INV_ONE + 0.3 * rng.standard_normal((s, 1))
+    params["log_sigma2"] = np.array([[math.log(0.2)]])
+    tape = ad.Tape()
+    leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
+    idx = rng.permutation(n)[:mb]
+    draws = sample_functions(
+        prior, x[idx], s, Rng(seed, 2), tape=tape,
+        params={k: leaves[k] for k, _ in prior.param_items()},
+    )
+    loss, _ = energy_loss(
+        tape, y[idx], draws, leaves, alpha, leaves["log_sigma2"], n,
+        *kernel_normaliser(s, estimator, 0.3),
+    )
+    return loss, leaves
+
+
+class TestBackwardMatchesCopyingOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["bnn", "ns"]),
+        alpha=st.sampled_from([0.0, 0.5]),
+        estimator=st.sampled_from(["mle", "pm"]),
+        s=st.integers(2, 8),
+        n=st.integers(2, 60),
+        batch=st.floats(0.0, 1.0),
+        hidden=st.sampled_from([(3,), (5, 4)]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # the toy protocol's step: S=20, N=300, full batch, tanh (10, 10)
+    @example(family="bnn", alpha=0.0, estimator="mle", s=20, n=300, batch=1.0,
+             hidden=(10, 10), seed=1)
+    @example(family="ns", alpha=0.5, estimator="pm", s=20, n=300, batch=1.0,
+             hidden=(10, 10), seed=2)
+    def test_bitwise_equal_and_contributions_untouched(
+        self, family, alpha, estimator, s, n, batch, hidden, seed
+    ):
+        mb = max(1, round(batch * n))
+        loss, leaves = _training_loss(family, alpha, estimator, s, n, mb, hidden, seed)
+        _freeze_vjps(loss.tape)
+        want = _copying_backward(loss, leaves)
+        got = ad.backward(loss)
+        for name, leaf in leaves.items():
+            g = got[leaf.nid]
+            assert g.flags.c_contiguous, name
+            assert g.dtype == np.float64 and g.shape == leaf.shape, name
+            np.testing.assert_array_equal(g, want[name], err_msg=name)
+            assert g.tobytes() == want[name].tobytes(), name  # -0.0 included

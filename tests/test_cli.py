@@ -649,3 +649,13 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "_cmd_synth", boom)
         assert cli.main(["synth", "--out", str(tmp_path / "x.csv")]) == 4
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_train_exits_4_naming_the_parameter(self, tmp_path, capsys):
+        data = _synth(tmp_path, n=300, seed=0)
+        cfg = _cfg_file(tmp_path, {"learning_rate": 1e3, "sigma2_mode": "learned"})
+        argv = ["train", "--data", data, "--config", cfg, "--model-out", str(tmp_path / "m")]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: epoch 1, batch at 0: ")
+        assert err.rstrip().endswith("(parameters: w_log_scale_0)")

@@ -18,6 +18,7 @@ from vip.inference import (
     q_from_raw,
     train,
 )
+from vip.data import standardize, synth_toy
 from vip.numkit import Rng
 from vip.priors import init_prior, kernel_normaliser, sample_functions
 
@@ -470,3 +471,32 @@ class TestTrain:
             callback=lambda e, l: seen.append((e, l)),
         )
         assert [e for e, _ in seen] == list(range(5))
+
+    @pytest.mark.parametrize(
+        "family, alpha, failure",
+        [
+            ("bnn", 0.0, "exp: produced a non-finite value (parameters: w_log_scale_0)"),
+            ("ns", 0.0, "log: non-positive operand (parameters: q_diag)"),
+            ("ns", 0.5, "exp: produced a non-finite value (parameters: log_sigma2)"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_run_names_the_parameter(self, family, alpha, failure):
+        # the toy protocol's data and config at a learning rate that diverges
+        # in the first Adam step; the message names the leaf behind the op
+        ds = standardize(synth_toy(300, 0, "std"))
+        cfg = TrainConfig(prior_family=family, alpha=alpha, learning_rate=1e3, epochs=3)
+        with pytest.raises(NumericalError) as exc:
+            train(ds.x, ds.y, cfg)
+        assert str(exc.value) == f"epoch 1, batch at 0: {failure}"
+
+    def test_failure_outside_the_tape_names_no_parameter(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("draws: broken")
+
+        monkeypatch.setattr(inf, "sample_functions", fail)
+        x, y = tiny_data()
+        with pytest.raises(NumericalError) as exc:
+            train(x, y, TrainConfig(**self.CFG))
+        assert str(exc.value) == "epoch 0, batch at 0: draws: broken"
+

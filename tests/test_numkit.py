@@ -8,6 +8,7 @@ from vip import numkit
 from vip.errors import (
     DimensionError,
     NotPositiveDefiniteError,
+    NumericalError,
     ParameterError,
     SingularMatrixError,
 )
@@ -114,6 +115,98 @@ class TestCholeskyProperties:
         assert exc.value.value == pytest.approx(-c, abs=tol)
         _, (loop_pivot, loop_value) = _column_cholesky(a)
         assert loop_pivot == p and loop_value == pytest.approx(exc.value.value, abs=tol)
+
+
+def _reference_input_checks(a):
+    """Cholesky's input checks as first written, kept as a test oracle: an
+    n x n ``isfinite`` pass, ``max(abs(a))`` and ``max(a - a.T)``."""
+    a = numkit.as_matrix(a, "cholesky input")
+    n, m = a.shape
+    if n != m:
+        raise DimensionError(f"cholesky needs a square matrix, got {n}x{m}")
+    scale = max(1.0, float(np.max(np.abs(a))) if n else 1.0)
+    if n and float(np.max(a - a.T)) > 1e-8 * scale:
+        raise ParameterError("cholesky input is not symmetric")
+
+
+def _check_outcome(fn, a):
+    """(error type, message) of a failed input check, or None if ``a`` passed."""
+    try:
+        fn(a)
+    except NotPositiveDefiniteError:
+        return None
+    except (DimensionError, NumericalError, ParameterError) as e:
+        return type(e), str(e)
+    return None
+
+
+class TestCholeskyInputChecks:
+    NON_FINITE = (NumericalError, "cholesky input contains non-finite entries")
+    ASYMMETRIC = (ParameterError, "cholesky input is not symmetric")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(3, 1), (1, 3), (2, 2), (199, 0), (0, 199)])
+    def test_non_finite_entry_rejected(self, bad, where):
+        a = 4.0 * np.eye(200)
+        a[where] = bad
+        assert _check_outcome(cholesky, a) == self.NON_FINITE
+
+    @pytest.mark.parametrize("where", [(3, 1), (1, 3), (150, 20), (20, 150), (199, 198)])
+    def test_asymmetry_rejected_in_either_triangle(self, where):
+        a = 4.0 * np.eye(200)
+        a[where] = 1e-3
+        assert _check_outcome(cholesky, a) == self.ASYMMETRIC
+
+    def test_order_of_checks(self):
+        # non-finite before non-square before asymmetric
+        assert _check_outcome(cholesky, np.full((2, 3), np.nan)) == self.NON_FINITE
+        assert _check_outcome(cholesky, np.array([[1.0, 5.0, 0.0], [0.0, 1.0, 0.0]])) == (
+            DimensionError, "cholesky needs a square matrix, got 2x3"
+        )
+        assert _check_outcome(cholesky, np.ones(3)) == (
+            DimensionError, "cholesky input must be 2-D, got ndim=1"
+        )
+        assert _check_outcome(cholesky, np.full((2, 2, 2), np.nan)) == (
+            DimensionError, "cholesky input must be 2-D, got ndim=3"
+        )
+
+    def test_tolerance_scales_with_the_largest_magnitude(self):
+        # |a| peaks at 1e4 through a negative entry, so 5e-5 asymmetry passes
+        a = np.array([[-1e4, 0.0], [5e-5, 2.0]])
+        assert _check_outcome(cholesky, a) is None
+        a[1, 0] = 2e-4
+        assert _check_outcome(cholesky, a) == self.ASYMMETRIC
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        wide=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        mag=st.floats(1e-3, 1e6),
+        special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        skew=st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-6, 3.0]),
+    )
+    def test_same_outcome_as_the_reference_checks(self, n, wide, seed, mag, special, skew):
+        # n crosses the 128-row symmetry blocks; the asymmetry lands just
+        # below, at or just above the tolerance in a random triangle
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, n + wide)) * mag
+        a = m if wide else (m + m.T) / 2 + (2 * mag * n + 1) * np.eye(n)
+        if n and skew:
+            i, j = rng.integers(0, n, size=2)
+            a[i, j] += skew * 1e-8 * max(1.0, float(np.max(np.abs(a))))
+        if n and special is not None:
+            a[tuple(rng.integers(0, n, size=2))] = special
+        want = _check_outcome(_reference_input_checks, a)
+        assert _check_outcome(cholesky, a) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_asymmetry_is_exact(self, n, seed):
+        # n spans zero to four 128-row blocks, partial last blocks included
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        want = float(np.max(np.abs(a - a.T))) if n else 0.0
+        assert numkit._asymmetry(a) == want
 
 
 class TestSolveTriangular:
