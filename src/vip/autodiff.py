@@ -308,32 +308,3 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
         out[nid] = g if g is not None else np.zeros(tape._leaf_shapes[nid])
     return out
 
-
-def grad_check(build, point, h: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``build(tape, var) -> scalar Var`` defines the function; ``point`` is the
-    leaf value to differentiate at. Relative error is
-    |analytic - numeric| / (|analytic| + 1e-8), maximized over entries.
-    """
-    p0 = _coerce_value(point, "grad_check")
-    tape = Tape()
-    v = tape.leaf(p0, requires_grad=True)
-    analytic = backward(build(tape, v))[v.nid]
-
-    def f(p: np.ndarray) -> float:
-        t = Tape()
-        out = build(t, t.leaf(p, requires_grad=True))
-        if out.value.shape != (1, 1):
-            raise ContractError("grad_check: build must return a scalar Var")
-        return float(out.value[0, 0])
-
-    numeric = np.zeros_like(p0)
-    for idx in np.ndindex(*p0.shape):
-        hi = p0.copy()
-        lo = p0.copy()
-        hi[idx] += h
-        lo[idx] -= h
-        numeric[idx] = (f(hi) - f(lo)) / (2.0 * h)
-    rel = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)
-    return float(rel.max()) if rel.size else 0.0

@@ -3,11 +3,9 @@
 Reference baseline: zero prior mean (targets come standardized), predictive
 moments by Cholesky conditioning, hyperparameters by exhaustive grid search
 over (lengthscale, signal variance, noise variance) on the log marginal
-likelihood. Every training Gram is made exactly symmetric, (K + K^T) / 2.
-The grid search builds that matrix once per lengthscale at unit signal
-variance and scores each cell on ``sv * unit``. With one input column, or
-with ``sv`` a power of two and no subnormal entry, this is bitwise the Gram
-of ``RbfKernel(ls, sv)``; otherwise it can differ in the last bit. A
+likelihood. Every training Gram is built at unit signal variance, made
+exactly symmetric, (K + K^T) / 2, and then scaled by the signal variance;
+the grid search and ``gp_predict`` share that construction. A
 constant 1e-10 jitter is added to the diagonal of every training system; if
 the factorization still fails it is retried once at 1e-6 before the pivot
 error propagates.
@@ -19,10 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NotPositiveDefiniteError, ParameterError
 from .inference import LOG_2PI, _check_sigma2
-from .numkit import as_matrix, as_vector, chol_solve, cholesky, solve_triangular
+from .numkit import as_matrix, as_vector, chol_solve, cholesky
 from .predict import PredictiveDistribution, _finish
 
 _JITTER = 1e-10
@@ -96,10 +95,14 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
         raise ParameterError(f"{x.shape[0]} input rows vs {y.shape[0]} targets")
     x_star = as_matrix(x_star, "test inputs")
     sigma2 = _check_sigma2(sigma2)
-    la = _train_chol(_train_gram(kernel, x), sigma2)
+    # the grid search's sv * unit, scaled in place; freed before the test rows
+    kff = _train_gram(RbfKernel(kernel.lengthscale, 1.0), x)
+    kff *= kernel.signal_variance
+    la = _train_chol(kff, sigma2)
+    del kff
     ksf = kernel.gram(x_star, x)
     mean = ksf @ chol_solve(la, y)
-    v = solve_triangular(la, ksf.T)
+    v = scipy.linalg.solve_triangular(la, ksf.T, lower=True, check_finite=False)
     var_f = kernel.signal_variance - np.einsum("nk,nk->k", v, v)
     return _finish(mean, var_f, sigma2)
 
@@ -117,7 +120,7 @@ def gp_log_marginal(kff, y, sigma2: float) -> float:
         raise ParameterError(f"Gram of shape {kff.shape} vs {n} targets")
     sigma2 = _check_sigma2(sigma2)
     la = _train_chol(kff, sigma2)
-    alpha = solve_triangular(la, y)
+    alpha = scipy.linalg.solve_triangular(la, y, lower=True, check_finite=False)
     return float(
         -0.5 * (alpha @ alpha) - np.sum(np.log(np.diag(la))) - 0.5 * n * LOG_2PI
     )

@@ -137,17 +137,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _protocol_data(protocol, args):
+    """The ``--data`` table a protocol runs on; the toy protocol makes its own."""
+    if protocol == "toy":
+        return None
+    if args.data is None:
+        raise ParameterError(f"--data is required for the {protocol} protocol")
+    return datamod.load_csv(args.data, has_header=args.has_header)
+
+
 def _cmd_bench(args) -> int:
     cfg = _load_config(args.config)
-    data = None
-    if args.protocol != "toy":
-        if args.data is None:
-            raise ParameterError(f"--data is required for the {args.protocol} protocol")
-        data = datamod.load_csv(args.data, has_header=args.has_header)
     report = benchmod.run_protocol(
         args.protocol,
         cfg,
-        data=data,
+        data=_protocol_data(args.protocol, args),
         splits=args.splits,
         seed=args.seed,
         train_frac=args.train_frac,
@@ -177,12 +181,9 @@ def _cmd_gp_baseline(args) -> int:
             raise ParameterError(f"unknown grid-config keys: {', '.join(unknown)}")
         check_value_types(opts, _GRID_DEFAULTS)
     protocol = opts.pop("protocol", "uci")
-    data = None
-    if protocol != "toy":
-        if args.data is None:
-            raise ParameterError(f"--data is required for the {protocol} protocol")
-        data = datamod.load_csv(args.data, has_header=args.has_header)
-    report = benchmod.gp_baseline_protocol(protocol, data=data, **opts)
+    report = benchmod.gp_baseline_protocol(
+        protocol, data=_protocol_data(protocol, args), **opts
+    )
     _emit(report)
     return 0
 

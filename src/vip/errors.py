@@ -42,14 +42,6 @@ class NotPositiveDefiniteError(NumericalError):
         )
 
 
-class SingularMatrixError(NumericalError):
-    """A triangular or linear solve hit an (effectively) zero diagonal."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"matrix is singular: zero diagonal at index {index}")
-
-
 class ParseError(VipError):
     """Malformed text input. ``row``/``col`` are 1-based when known."""
 

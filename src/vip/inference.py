@@ -58,13 +58,6 @@ class CoefficientPosterior:
     def dim(self) -> int:
         return self.mu.shape[0]
 
-    def cov(self) -> np.ndarray:
-        return self.chol @ self.chol.T
-
-    @classmethod
-    def standard(cls, s: int) -> "CoefficientPosterior":
-        return cls(np.zeros(s), np.eye(s))
-
 
 def realize_chol(tril_raw: np.ndarray, diag_raw: np.ndarray) -> np.ndarray:
     """Unconstrained (tril, diag) -> lower factor with softplus-positive diagonal."""
@@ -88,52 +81,6 @@ def _check_sigma2(sigma2: float) -> float:
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ParameterError(f"sigma2 must be positive and finite, got {sigma2}")
     return sigma2
-
-
-def _phi_s2(phi: np.ndarray, q: CoefficientPosterior):
-    phi = as_vector(phi, "phi")
-    if phi.shape[0] != q.dim:
-        raise DimensionError(f"phi has {phi.shape[0]} entries, q has dimension {q.dim}")
-    r_proj = float(phi @ q.mu)
-    tv = q.chol.T @ phi
-    return r_proj, float(tv @ tv)
-
-
-def alpha_local_term(
-    y: float, m: float, phi: np.ndarray, q: CoefficientPosterior, alpha: float, sigma2: float
-) -> float:
-    """log E_q[N(y; m + phi^T a, sigma2)^alpha], alpha in (0, 1]."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
-    sigma2 = _check_sigma2(sigma2)
-    proj, s2 = _phi_s2(phi, q)
-    r = float(y) - float(m) - proj
-    v = s2 + sigma2 / alpha
-    return (
-        -0.5 * alpha * (LOG_2PI + math.log(sigma2))
-        + 0.5 * (LOG_2PI + math.log(sigma2) - math.log(alpha))
-        - 0.5 * (LOG_2PI + math.log(v))
-        - r * r / (2.0 * v)
-    )
-
-
-def elbo_local_term(
-    y: float, m: float, phi: np.ndarray, q: CoefficientPosterior, sigma2: float
-) -> float:
-    """E_q[log N(y; m + phi^T a, sigma2)] (the alpha -> 0 limit of term/alpha)."""
-    sigma2 = _check_sigma2(sigma2)
-    proj, s2 = _phi_s2(phi, q)
-    r = float(y) - float(m) - proj
-    return -0.5 * (LOG_2PI + math.log(sigma2)) - (r * r + s2) / (2.0 * sigma2)
-
-
-def kl_standard_normal(q: CoefficientPosterior) -> float:
-    """KL[N(mu, LL^T) || N(0, I)]."""
-    s = q.dim
-    frob = float(np.sum(q.chol * q.chol))
-    logdet = float(np.sum(np.log(np.diag(q.chol))))
-    return 0.5 * (float(q.mu @ q.mu) + frob - s) - logdet
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DimensionError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    ParameterError,
-    SingularMatrixError,
-)
+from .errors import DimensionError, NotPositiveDefiniteError, NumericalError, ParameterError
 
 # Package-wide stream registry. Every consumer of randomness draws from its
 # own stream of the master seed so adding draws in one place cannot shift
@@ -244,32 +238,12 @@ def cholesky(a) -> np.ndarray:
     return L
 
 
-def solve_triangular(a, b, lower: bool = True, trans: bool = False) -> np.ndarray:
-    """Solve a triangular system; 1-D and 2-D right-hand sides both work."""
-    a = as_matrix(a, "triangular matrix")
-    n, m = a.shape
-    if n != m:
-        raise DimensionError(f"triangular solve needs a square matrix, got {n}x{m}")
-    b_arr = np.asarray(b, dtype=np.float64)
-    if b_arr.ndim not in (1, 2):
-        raise DimensionError(f"right-hand side must be 1-D or 2-D, got ndim={b_arr.ndim}")
-    check_finite(b_arr, "right-hand side")
-    if b_arr.shape[0] != n:
-        raise DimensionError(
-            f"right-hand side has {b_arr.shape[0]} rows, matrix is {n}x{n}"
-        )
-    diag = np.diag(a)
-    zero = np.flatnonzero(diag == 0.0)
-    if zero.size:
-        raise SingularMatrixError(int(zero[0]))
-    if n == 0:
-        return b_arr.copy()
-    return scipy.linalg.solve_triangular(
-        a, b_arr, lower=lower, trans="T" if trans else "N", check_finite=False
-    )
-
-
 def chol_solve(L, b) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower factor."""
-    z = solve_triangular(L, b, lower=True)
-    return solve_triangular(L, z, lower=True, trans=True)
+    """Solve (L L^T) x = b given the lower factor ``cholesky`` returned.
+
+    That factor is finite with a positive diagonal, so the two LAPACK
+    triangular solves run without input checks. A non-finite ``b`` (say,
+    an overflowed product) gives a non-finite result for the caller to report.
+    """
+    z = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+    return scipy.linalg.solve_triangular(L, z, lower=True, trans="T", check_finite=False)

@@ -116,9 +116,12 @@ def posterior_predict(
     fixed-seed draw set over [train; test], which gives the dense GP
     conditional of the config's kernel estimator; 'learned' reuses the
     trained q(a), which belongs to the same estimator; 'auto' (default, from
-    the config) picks exact up to 2000 training points. The prediction
-    stream depends only on the master seed, so training length cannot shift
-    it.
+    the config) picks exact up to 2000 training points. The threshold is a
+    choice between two posteriors, not between two costs: exact never forms
+    an N x N matrix, costs more than learned at every N measured (500 to
+    8000) with no crossover, and moving the threshold would change
+    predictions above it. The prediction stream depends only on the master
+    seed, so training length cannot shift it.
     """
     x_test = as_matrix(x_test, "test inputs")
     n = model.train_x.shape[0]

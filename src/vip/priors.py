@@ -214,9 +214,6 @@ class FunctionDraws:
     def num_points(self) -> int:
         return self.values.shape[1]
 
-    def deltas_array(self) -> np.ndarray:
-        return self.deltas.value if self.is_symbolic else self.deltas
-
     @classmethod
     def from_matrix(cls, f) -> "FunctionDraws":
         f = as_matrix(f, "draw matrix")
@@ -380,13 +377,3 @@ def kernel_normaliser(num_draws: int, estimator: str, psi: float = 0.0):
         return num_draws - 1, psi
     raise ParameterError(f"unknown estimator {estimator!r}")
 
-
-def empirical_kernel_matrix(
-    draws: FunctionDraws, estimator: str = "mle", psi: float = 0.0
-) -> np.ndarray:
-    denom, ridge = kernel_normaliser(draws.num_draws, estimator, psi)
-    d = draws.deltas_array()
-    k = d.T @ d
-    k.flat[:: d.shape[1] + 1] += ridge
-    k /= denom
-    return k

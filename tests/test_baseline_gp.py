@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +42,7 @@ def _per_cell_log_marginal(kernel, x, y, sigma2):
     except NotPositiveDefiniteError:
         a.flat[:: n + 1] = diag + baseline_gp._JITTER_RETRY
         la = numkit.cholesky(a)
-    alpha = numkit.solve_triangular(la, y)
+    alpha = scipy.linalg.solve_triangular(la, y, lower=True, check_finite=False)
     return float(
         -0.5 * (alpha @ alpha) - np.sum(np.log(np.diag(la))) - 0.5 * n * LOG_2PI
     )
@@ -182,6 +183,25 @@ class TestGpPredict:
         np.testing.assert_allclose(
             pred.var_f, np.diag(k.gram(xt, xt) - ksf @ inv @ ksf.T), atol=1e-9
         )
+
+
+    def test_factors_the_gram_the_grid_scored(self):
+        # three input columns and a signal variance that is not a power of
+        # two: prediction factors, bit for bit, the jittered sv * unit that
+        # the grid cell scored
+        rng = np.random.default_rng(12)
+        x, y = rng.standard_normal((400, 3)), rng.standard_normal(400)
+        seen = []
+
+        def recording_cholesky(a):
+            seen.append(a.copy())
+            return numkit.cholesky(a)
+
+        with mock.patch.object(baseline_gp, "cholesky", recording_cholesky):
+            gp_predict(RbfKernel(0.9, 0.7), x, y, 0.1, x[:5])
+            gp_log_marginal(0.7 * _train_gram(RbfKernel(0.9, 1.0), x), y, 0.1)
+        assert len(seen) == 2
+        assert seen[0].tobytes() == seen[1].tobytes()
 
 
 class TestLogMarginal:

@@ -650,6 +650,30 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_synth", boom)
         assert cli.main(["synth", "--out", str(tmp_path / "x.csv")]) == 4
 
+    @pytest.mark.parametrize(
+        "argv, protocol", [(["bench", "--protocol", "interp"], "interp"), (["gp-baseline"], "uci")]
+    )
+    def test_protocol_without_data_is_usage_error(self, capsys, argv, protocol):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --data is required for the {protocol} protocol\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("y", [1.7e308, -1.7e308])
+    def test_overflowing_train_targets_exit_4(self, tmp_path, capsys, y):
+        # finite targets this large overflow B^T y in the exact coefficient
+        # posterior; the failure is numerical, not a crash or a silent NaN
+        data, model = _trained(tmp_path)
+        d = json.loads(model.read_text())
+        d["train"]["y"] = [y] * len(d["train"]["y"])
+        model.write_text(json.dumps(d))
+        capsys.readouterr()
+        argv = ["predict", "--model", str(model), "--data", data, "--coeff", "exact",
+                "--out", str(tmp_path / "p.csv")]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_train_exits_4_naming_the_parameter(self, tmp_path, capsys):
         data = _synth(tmp_path, n=300, seed=0)

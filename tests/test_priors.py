@@ -10,11 +10,12 @@ from vip.numkit import Rng
 from vip.priors import (
     FunctionDraws,
     Prior,
-    empirical_kernel_matrix,
     init_prior,
     kernel_normaliser,
     sample_functions,
 )
+
+from oracles import empirical_kernel_matrix
 
 
 def toy_bnn(seed=0, sizes=(1, 5, 1)):
