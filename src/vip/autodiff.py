@@ -16,6 +16,12 @@ later contributions accumulate out of place as ``prev + contrib``. Arrays
 a VJP returns may therefore be shared between nodes, and leaf gradients may
 share memory with each other; none of them is mutated.
 
+``backward`` consumes the tape and frees it as it walks it: once a node's
+VJP has run, the node's gradient and the VJP, with the forward values it
+captured, are dropped, so the pass never holds a gradient for every node and
+a spent tape keeps only its index lists. A second ``backward`` on the same
+tape raises :class:`ContractError`.
+
 A tape op that raises :class:`NumericalError` sets the error's ``leaf_ids``
 to the requires-grad leaves its operands depend on, so a caller can name
 the parameters involved.
@@ -84,6 +90,7 @@ class Tape:
         self._leaf_shapes: dict[int, tuple[int, int]] = {}
         self.leaf_ids: list[int] = []
         self.last_visited = 0
+        self.consumed = False
 
     def __len__(self):
         return len(self._parents)
@@ -281,12 +288,20 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
     Returns {node id: gradient array}; leaves the loss does not depend on get
     zeros. Nodes are visited once each, in descending index order, and
     ``tape.last_visited`` records how many were touched.
+
+    The pass consumes the tape: each non-leaf node's gradient and VJP are
+    freed as soon as the VJP has run, and calling ``backward`` again on the
+    same tape raises :class:`ContractError`.
     """
     if not isinstance(loss, Var):
         raise ContractError("backward: loss must be a Var")
     if loss.value.shape != (1, 1):
         raise ContractError(f"backward: loss must be scalar (1x1), got {loss.value.shape}")
     tape = loss.tape
+    if tape.consumed:
+        raise ContractError("backward: the tape was already consumed by a backward pass")
+    tape.consumed = True
+    vjps = tape._vjps
     grads: list[np.ndarray | None] = [None] * len(tape)
     grads[loss.nid] = np.ones((1, 1))
     visited = 0
@@ -295,9 +310,11 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
         if g is None:
             continue
         visited += 1
-        vjp = tape._vjps[nid]
+        vjp = vjps[nid]
         if vjp is None:
             continue
+        # past this node: its gradient and the forward values its VJP holds go
+        grads[nid] = vjps[nid] = None
         for pid, contrib in zip(tape._parents[nid], vjp(g)):
             prev = grads[pid]
             grads[pid] = np.ascontiguousarray(contrib) if prev is None else prev + contrib

@@ -109,6 +109,11 @@ def model_from_dict(d: dict) -> TrainedModel:
         raise ModelFileError(
             f"train.y has shape {train_y.shape}, train.x has {train_x.shape[0]} rows"
         )
+    # the exact posterior is linear in train.y; targets whose sum of squares
+    # overflows overflow it too (vip train writes standardised targets)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(train_y @ train_y):
+            raise ModelFileError("train.y is too large: its sum of squares overflows")
     if q.dim != int(config.num_draws):
         raise ModelFileError(f"q has dimension {q.dim}, config.num_draws is {config.num_draws}")
     if stats is not None:

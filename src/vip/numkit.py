@@ -143,27 +143,28 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n); consumes n-1 uniforms."""
-        perm = np.arange(n)
         if n < 2:
-            return perm
-        u = self.uniform(n - 1)
-        for k, i in enumerate(range(n - 1, 0, -1)):
-            j = int(u[k] * (i + 1))
+            return np.arange(n)
+        # j = trunc(u * (i + 1)) for i = n-1 .. 1, one IEEE product each
+        js = (self.uniform(n - 1) * np.arange(n, 1, -1)).astype(np.int64).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def choose_sorted(self, m: int, k: int) -> np.ndarray:
         """k distinct values from {0..m-1}, sorted. Partial Fisher-Yates."""
         if not 0 <= k <= m:
             raise ParameterError(f"cannot choose {k} from {m}")
-        pool = np.arange(m)
         if k == 0:
-            return pool[:0]
-        u = self.uniform(k)
-        for t in range(k):
-            j = t + int(u[t] * (m - t))
+            return np.arange(0)
+        # j = t + trunc(u * (m - t)) for t = 0 .. k-1
+        js = (self.uniform(k) * np.arange(m, m - k, -1)).astype(np.int64).tolist()
+        pool = list(range(m))
+        for t, j in enumerate(js):
+            j += t
             pool[t], pool[j] = pool[j], pool[t]
-        return np.sort(pool[:k])
+        return np.sort(np.array(pool[:k], dtype=np.int64))
 
 
 def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:

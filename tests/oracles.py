@@ -2,8 +2,9 @@
 
 No code path of ``vip`` calls these. They are the scalar, per-point forms of
 quantities the package computes batched on the tape (the alpha and ELBO
-data terms, the KL), a finite-difference gradient checker, and the dense
-empirical kernel matrix that the rank-S feature route avoids forming.
+data terms, the KL), a finite-difference gradient checker, the dense
+empirical kernel matrix that the rank-S feature route avoids forming, and
+the shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from vip import autodiff as ad
 from vip.errors import ContractError, DimensionError, ParameterError
 from vip.inference import LOG_2PI, CoefficientPosterior, _check_sigma2
-from vip.numkit import as_vector
+from vip.numkit import Rng, as_vector
 from vip.priors import FunctionDraws, kernel_normaliser
 
 
@@ -113,3 +114,29 @@ def empirical_kernel_matrix(
     k.flat[:: d.shape[1] + 1] += ridge
     k /= denom
     return k
+
+
+def permutation(rng: Rng, n: int) -> np.ndarray:
+    """Fisher-Yates shuffle of arange(n); consumes n-1 uniforms."""
+    perm = np.arange(n)
+    if n < 2:
+        return perm
+    u = rng.uniform(n - 1)
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = int(u[k] * (i + 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def choose_sorted(rng: Rng, m: int, k: int) -> np.ndarray:
+    """k distinct values from {0..m-1}, sorted. Partial Fisher-Yates."""
+    if not 0 <= k <= m:
+        raise ParameterError(f"cannot choose {k} from {m}")
+    pool = np.arange(m)
+    if k == 0:
+        return pool[:0]
+    u = rng.uniform(k)
+    for t in range(k):
+        j = t + int(u[t] * (m - t))
+        pool[t], pool[j] = pool[j], pool[t]
+    return np.sort(pool[:k])

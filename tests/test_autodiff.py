@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import types
+import weakref
 import zlib
 from pathlib import Path
 
@@ -331,6 +332,48 @@ class TestCoercionAndMessages:
         with pytest.raises(ContractError) as exc:
             ad.backward(np.ones((1, 1)))
         assert str(exc.value) == "backward: loss must be a Var"
+
+    def test_second_backward_on_a_tape_rejected(self):
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((2, 2)), requires_grad=True)
+        h = ad.vtanh(x)
+        ad.backward(ad.vsum(h))
+        with pytest.raises(ContractError) as exc:
+            ad.backward(ad.vsum(h))
+        assert str(exc.value) == "backward: the tape was already consumed by a backward pass"
+
+
+class TestBackwardFreesTheTape:
+    def test_activation_captured_by_a_vjp_is_collected_mid_pass(self):
+        # the tanh output lives only in tanh's VJP once the Var is dropped;
+        # by the time the VJP below it (scale) runs, it must be gone
+        tape = ad.Tape()
+        x = tape.leaf(np.full((3, 2), 0.5), requires_grad=True)
+        h = ad.vtanh(ad.scale(x, 2.0))
+        activation = weakref.ref(h.value)
+        loss = ad.vsum(h)
+        del h
+        assert activation() is not None
+        seen = []
+        scale_vjp = tape._vjps[1]
+
+        def probe(g):
+            seen.append(activation() is None)
+            return scale_vjp(g)
+
+        tape._vjps[1] = probe
+        g = ad.backward(loss)[x.nid]
+        assert seen == [True]
+        np.testing.assert_allclose(g, 2.0 * (1.0 - np.tanh(1.0) ** 2))
+
+    def test_spent_tape_keeps_only_its_index_lists(self):
+        loss, leaves = _training_loss("bnn", 0.5, "mle", 4, 30, 30, (5,), 0)
+        tape = loss.tape
+        n = len(tape)
+        grads = ad.backward(loss)
+        assert len(tape) == n and tape.last_visited == n
+        assert all(v is None for v in tape._vjps)
+        assert sorted(grads) == sorted(v.nid for v in leaves.values())
 
 
 class TestFailureNamesLeaves:

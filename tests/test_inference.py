@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +495,21 @@ class TestTrain:
         with pytest.raises(NumericalError) as exc:
             train(ds.x, ds.y, cfg)
         assert str(exc.value) == f"epoch 1, batch at 0: {failure}"
+
+    def test_step_peak_memory_is_one_forward_tape(self):
+        # a full-batch BNN step at N=2000, S=20 peaks at about 9 MB, with its
+        # forward tape alive; a backward pass that kept every node's gradient
+        # and VJP to its end, with the previous step's tape alive, peaked
+        # near 25 MB
+        ds = standardize(synth_toy(2000, 0, "std"))
+        cfg = TrainConfig(prior_family="bnn", num_draws=20, epochs=2, seed=1)
+        tracemalloc.start()
+        try:
+            train(ds.x, ds.y, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
     def test_failure_outside_the_tape_names_no_parameter(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -8,6 +8,8 @@ from vip import numkit
 from vip.errors import DimensionError, NotPositiveDefiniteError, NumericalError, ParameterError
 from vip.numkit import Rng, chol_solve, cholesky, derive_seed
 
+import oracles
+
 
 class TestCholesky:
     def test_identity(self):
@@ -362,6 +364,33 @@ class TestPermutation:
         assert np.all(np.diff(c) > 0)
         with pytest.raises(ParameterError):
             Rng(2).choose_sorted(3, 4)
+
+
+class TestShufflesMatchScalarLoops:
+    """The list-based shuffles against the numpy-scalar loops they replaced:
+    same values, same dtype, same variates consumed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 3000), seed=st.integers(0, 2**63 - 1), stream=st.integers(0, 9))
+    def test_permutation(self, n, seed, stream):
+        got_rng, want_rng = Rng(seed, stream), Rng(seed, stream)
+        got, want = got_rng.permutation(n), oracles.permutation(want_rng, n)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_rng.uniform(3), want_rng.uniform(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(0, 3000), frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**63 - 1), stream=st.integers(0, 9),
+    )
+    def test_choose_sorted(self, m, frac, seed, stream):
+        k = round(frac * m)
+        got_rng, want_rng = Rng(seed, stream), Rng(seed, stream)
+        got, want = got_rng.choose_sorted(m, k), oracles.choose_sorted(want_rng, m, k)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_rng.uniform(3), want_rng.uniform(3))
 
 
 class TestMatrixChecks:
