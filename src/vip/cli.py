@@ -53,16 +53,18 @@ def _write_csv(path, header, rows):
 
     Each value is written as its shortest round-trip ``repr``, which never
     holds a comma, quote or line break, so no cell needs quoting. Rows are
-    rendered and written in blocks, so the text of a large table is never
-    held whole.
+    rendered and written in blocks of ``_CSV_BLOCK_ROWS``, each by one
+    ``%r`` format over the block's values, so the text of a large table is
+    never held whole.
     """
     rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%r"] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header:
             fh.write(",".join(header) + "\r\n")
         for i in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[i : i + _CSV_BLOCK_ROWS].tolist()
-            fh.write("".join(",".join(map(repr, r)) + "\r\n" for r in block))
+            block = rows[i : i + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _emit(obj) -> None:

@@ -89,11 +89,40 @@ def _parse_cells(path: str, ln: int, cells) -> list:
     return row
 
 
+def _to_matrix(path: str, width: int, data_rows) -> np.ndarray:
+    """The (line number, cells) rows as a float matrix, ``width`` cells a row.
+
+    numpy converts each string with float(): in one pass over the whole
+    table when every row is ``width`` cells wide (a matching total is not
+    enough, as rows of width - 1 and width + 1 cells add up to it) and every
+    cell converts. Otherwise the same conversion runs row by row, so the
+    error names the first ragged row or bad cell in file order.
+    """
+    out = np.empty((len(data_rows), width))
+    if all(len(cells) == width for _, cells in data_rows):
+        try:
+            out.reshape(-1)[:] = [cell for _, cells in data_rows for cell in cells]
+            return out
+        except ValueError:
+            pass
+    for i, (ln, cells) in enumerate(data_rows):
+        if len(cells) != width:
+            raise ParseError(
+                f"{path}: expected {width} cells, found {len(cells)}", row=ln, col=1
+            )
+        try:
+            out[i] = cells
+        except ValueError:
+            out[i] = _parse_cells(path, ln, cells)
+    return out
+
+
 def load_table(path: str, has_header: bool = False, min_width: int = 1, positive=()):
     """Parse a numeric CSV into (header cells or None, float matrix).
 
     Blank lines are skipped; the header and every data row must be as wide
-    as the first data row, which needs at least ``min_width`` cells. Every
+    as the first data row, which needs at least ``min_width`` cells. A
+    well-formed table converts in one numpy pass, not row by row. Every
     cell must be finite, and a column whose header cell is named in
     ``positive`` must hold only values > 0. Errors cite 1-based (row, col)
     file coordinates, counting any header row; a file that is not UTF-8 or
@@ -123,16 +152,7 @@ def load_table(path: str, has_header: bool = False, min_width: int = 1, positive
         raise ParseError(
             f"{path}: header has {len(header)} cells, data rows have {width}", row=1, col=1
         )
-    out = np.empty((len(data_rows), width))
-    for i, (ln, cells) in enumerate(data_rows):
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}: expected {width} cells, found {len(cells)}", row=ln, col=1
-            )
-        try:
-            out[i] = cells  # numpy converts each string with float()
-        except ValueError:
-            out[i] = _parse_cells(path, ln, cells)
+    out = _to_matrix(path, width, data_rows)
     bad = ~np.isfinite(out)
     what = "non-finite cell"
     if positive and not bad.any():

@@ -357,13 +357,15 @@ def _is_power_of_two(v):
 class TestGridMatchesPerCellOracle:
     """The shared unit Gram against the per-cell composition it replaced.
 
-    Scaling an exactly symmetric Gram by sv commutes with the symmetrising
-    average when no entry rounds: always with one input column (the Gram is
-    already symmetric), and with sv a power of two while no entry is
-    subnormal. Elsewhere the two differ in the last bits.
+    When the unit Gram u is exactly symmetric, the grid's sv * ((u + u.T) / 2)
+    and the oracle's (sv*u + (sv*u).T) / 2 are both sv*u to the bit, since
+    adding an entry to itself and halving round nothing. When u is not
+    symmetric they still agree with sv a power of two while no entry is
+    subnormal, as scaling then rounds nothing; only an asymmetric Gram at
+    another sv may differ in the last bits.
     """
 
-    # BLAS returns x @ x.T with asymmetric last bits only from a few hundred
+    # a BLAS may return x @ x.T with asymmetric last bits from a few hundred
     # rows on, so n reaches 320
     @settings(max_examples=60, deadline=None)
     @given(
@@ -395,7 +397,8 @@ class TestGridMatchesPerCellOracle:
         subnormal = any(
             np.any((u != 0.0) & (u < np.finfo(float).tiny)) for u in units
         )
-        if d == 1 or (all(map(_is_power_of_two, signal_variances)) and not subnormal):
+        symmetric = all(np.array_equal(u, u.T) for u in units)
+        if symmetric or (all(map(_is_power_of_two, signal_variances)) and not subnormal):
             assert fit == want
             assert fit.log_marginal.hex() == want.log_marginal.hex()
         else:

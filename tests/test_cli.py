@@ -350,6 +350,20 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert str(data) in err and f"{width - 1} feature columns" in err and "input_dim 2" in err
 
+    def test_predict_data_without_a_target_column_is_data_error(self, tmp_path, capsys):
+        # --data keeps the training layout: a 1-d model's file needs 2 columns
+        data = _synth(tmp_path, n=10)
+        model_out = str(tmp_path / "m.json")
+        assert cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path),
+                         "--model-out", model_out]) == 0
+        features = tmp_path / "x.csv"
+        features.write_text("0.1\n0.2\n")
+        capsys.readouterr()
+        rc = cli.main(["predict", "--model", model_out, "--data", str(features),
+                       "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        assert "need at least 2 columns, found 1 at row 1" in capsys.readouterr().err
+
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
         bad = tmp_path / "m.json"

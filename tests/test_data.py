@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vip import cli
 from vip.data import (
     Dataset,
     Stats,
@@ -75,6 +76,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as e:
             load_csv(str(p))
         assert e.value.row == 2
+
+    def test_ragged_rows_with_the_right_total_cell_count_exit_3(self, tmp_path, capsys):
+        # 3 + 2 + 4 + 3 cells: the total of four rows of width 3
+        p = tmp_path / "t.csv"
+        p.write_text("1,2,3\n4,5\n6,7,8,9\n1,2,3\n")
+        rc = cli.main(["train", "--data", str(p), "--model-out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert "expected 3 cells, found 2 at row 2, column 1" in capsys.readouterr().err
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
