@@ -4,10 +4,11 @@ Every value is a 2-D float64 array; scalars ride along as 1x1. The op set is
 deliberately small and closed: elementwise arithmetic and activations,
 ``matmul``, ``transpose``, ``reshape``, ``broadcast_add_row``, ``sum`` and
 ``dot``. Composite quantities (divisions, diagonal embeddings, row stacking)
-are built from these primitives rather than added as new ops. Gradients
-accumulate in a fixed order (descending node index), ``sum`` and ``dot``
-reduce with math.fsum so their forward values do not depend on element
-order, and relu takes derivative 0 at exactly 0.
+are built from these primitives rather than added as new ops. A binary op
+takes two Vars from one tape; a constant operand comes from ``tape.constant``.
+Gradients accumulate in a fixed order (descending node index), ``sum`` and
+``dot`` reduce with math.fsum so their forward values do not depend on
+element order, and relu takes derivative 0 at exactly 0.
 
 ``backward`` never writes into an array: a node's first gradient
 contribution is kept as it is when it is already C-ordered (a transposed
@@ -129,16 +130,11 @@ def _unary(op: str, a: Var, value: np.ndarray, vjp) -> Var:
     return a.tape._record(value, (a.nid,), vjp)
 
 
-def _pair(op: str, a, b) -> tuple[Var, Var]:
-    if type(a) is Var:
-        if type(b) is Var:
-            if a.tape is not b.tape:
-                raise ContractError(f"{op}: operands come from different tapes")
-            return a, b
-        return a, a.tape.constant(b)
-    if type(b) is Var:
-        return b.tape.constant(a), b
-    raise ContractError(f"{op}: at least one operand must be a Var")
+def _pair(op: str, a: Var, b: Var):
+    if type(a) is not Var or type(b) is not Var:
+        raise ContractError(f"{op}: both operands must be Vars")
+    if a.tape is not b.tape:
+        raise ContractError(f"{op}: operands come from different tapes")
 
 
 def _binary(op: str, a: Var, b: Var, value: np.ndarray, vjp) -> Var:
@@ -151,27 +147,27 @@ def _same_shape(op: str, a: Var, b: Var):
         raise DimensionError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
 
 
-def add(a, b) -> Var:
-    a, b = _pair("add", a, b)
+def add(a: Var, b: Var) -> Var:
+    _pair("add", a, b)
     _same_shape("add", a, b)
     return _binary("add", a, b, a.value + b.value, lambda g: (g, g))
 
 
-def sub(a, b) -> Var:
-    a, b = _pair("sub", a, b)
+def sub(a: Var, b: Var) -> Var:
+    _pair("sub", a, b)
     _same_shape("sub", a, b)
     return _binary("sub", a, b, a.value - b.value, lambda g: (g, -g))
 
 
-def mul(a, b) -> Var:
-    a, b = _pair("mul", a, b)
+def mul(a: Var, b: Var) -> Var:
+    _pair("mul", a, b)
     _same_shape("mul", a, b)
     av, bv = a.value, b.value
     return _binary("mul", a, b, av * bv, lambda g: (g * bv, g * av))
 
 
-def matmul(a, b) -> Var:
-    a, b = _pair("matmul", a, b)
+def matmul(a: Var, b: Var) -> Var:
+    _pair("matmul", a, b)
     if a.value.shape[1] != b.value.shape[0]:
         raise DimensionError(
             f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not match"
@@ -198,9 +194,9 @@ def scale(a: Var, c: float) -> Var:
     return _unary("scale", a, a.value * c, lambda g: (g * c,))
 
 
-def broadcast_add_row(a, row) -> Var:
+def broadcast_add_row(a: Var, row: Var) -> Var:
     """a (m,n) plus a (1,n) row replicated down the rows."""
-    a, row = _pair("broadcast_add_row", a, row)
+    _pair("broadcast_add_row", a, row)
     m, n = a.value.shape
     if row.value.shape != (1, n):
         raise DimensionError(
@@ -226,8 +222,8 @@ def vsum(a: Var) -> Var:
     return _unary("sum", a, val, lambda g: (np.full(shape, g[0, 0]),))
 
 
-def dot(a, b) -> Var:
-    a, b = _pair("dot", a, b)
+def dot(a: Var, b: Var) -> Var:
+    _pair("dot", a, b)
     _same_shape("dot", a, b)
     av, bv = a.value, b.value
     val = np.array([[_fsum(av * bv)]])

@@ -108,12 +108,18 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    raw = datamod.load_csv(args.data, has_header=args.has_header)
-    if raw.d != model.prior.input_dim:
+    try:
+        raw = datamod.load_csv(args.data, has_header=args.has_header)
+        if raw.d != model.prior.input_dim:
+            raise ParseError(
+                f"{args.data}: {raw.d} feature columns, but the model takes "
+                f"input_dim {model.prior.input_dim}"
+            )
+    except ParseError as e:
         raise ParseError(
-            f"{args.data}: {raw.d} feature columns, but the model takes "
-            f"input_dim {model.prior.input_dim}"
-        )
+            f"{e} (vip predict reads the training layout: feature columns, "
+            "then a target column whose values it ignores)"
+        ) from None
     x = raw.x if model.stats is None else datamod.apply_stats(raw, model.stats).x
     pred = posterior_predict(model, x, mode=args.coeff)
     mean, var = datamod.destandardize_moments(pred.mean, pred.var_y, model.stats)

@@ -92,11 +92,12 @@ def _parse_cells(path: str, ln: int, cells) -> list:
 def _to_matrix(path: str, width: int, data_rows) -> np.ndarray:
     """The (line number, cells) rows as a float matrix, ``width`` cells a row.
 
-    numpy converts each string with float(): in one pass over the whole
+    numpy converts each string with float() in one pass over the whole
     table when every row is ``width`` cells wide (a matching total is not
     enough, as rows of width - 1 and width + 1 cells add up to it) and every
-    cell converts. Otherwise the same conversion runs row by row, so the
-    error names the first ragged row or bad cell in file order.
+    cell converts. Otherwise ``_parse_cells``, which accepts every string
+    float() does with the same value, walks the rows in file order, so the
+    error names the first ragged row or bad cell.
     """
     out = np.empty((len(data_rows), width))
     if all(len(cells) == width for _, cells in data_rows):
@@ -110,10 +111,7 @@ def _to_matrix(path: str, width: int, data_rows) -> np.ndarray:
             raise ParseError(
                 f"{path}: expected {width} cells, found {len(cells)}", row=ln, col=1
             )
-        try:
-            out[i] = cells
-        except ValueError:
-            out[i] = _parse_cells(path, ln, cells)
+        out[i] = _parse_cells(path, ln, cells)
     return out
 
 

@@ -34,6 +34,7 @@ from .priors import FunctionDraws, init_prior, kernel_normaliser, sample_functio
 LOG_2PI = math.log(2.0 * math.pi)
 # raw diagonal value whose softplus is exactly 1, so L starts at the identity
 SOFTPLUS_INV_ONE = math.log(math.e - 1.0)
+ADAM_BETAS_EPS = (0.9, 0.999, 1e-8)  # Adam's two decay rates and eps, as published
 
 
 @dataclass
@@ -59,21 +60,20 @@ class CoefficientPosterior:
         return self.mu.shape[0]
 
 
-def realize_chol(tril_raw: np.ndarray, diag_raw: np.ndarray) -> np.ndarray:
-    """Unconstrained (tril, diag) -> lower factor with softplus-positive diagonal."""
-    tril_raw = as_matrix(tril_raw, "tril_raw")
-    s = tril_raw.shape[0]
-    if tril_raw.shape != (s, s):
-        raise DimensionError(f"tril_raw must be square, got {tril_raw.shape}")
-    d = np.asarray(diag_raw, float).reshape(-1)
-    if d.shape != (s,):
-        raise DimensionError(f"diag_raw must have {s} entries, got {d.shape}")
-    return np.tril(tril_raw, -1) + np.diag(np.logaddexp(0.0, d))
+def _after_last_update(name: str, what: str, value) -> None:
+    """No forward pass sees the last update: ``what`` of ``name`` must be in (0, inf)."""
+    bad = [v for v in np.ravel(value).tolist() if not 0.0 < v < math.inf]
+    if bad:
+        raise NumericalError(
+            f"the last update took {name} out of range: {what} = {bad[0]!r} (parameters: {name})"
+        )
 
 
 def q_from_raw(mu_raw, tril_raw, diag_raw) -> CoefficientPosterior:
-    mu = np.asarray(mu_raw, float).reshape(-1)
-    return CoefficientPosterior(mu, realize_chol(tril_raw, diag_raw))
+    """q from its (S,1) mean, (S,S) tril and (S,1) diag: L's diagonal is softplus(diag)."""
+    diag = np.logaddexp(0.0, diag_raw[:, 0])
+    _after_last_update("q_diag", "softplus(q_diag)", diag)
+    return CoefficientPosterior(mu_raw[:, 0], np.tril(tril_raw, -1) + np.diag(diag))
 
 
 def _check_sigma2(sigma2: float) -> float:
@@ -118,17 +118,17 @@ def energy_loss(
     draws: FunctionDraws,
     params: dict,
     alpha: float,
-    log_sigma2,
+    log_sigma2: ad.Var,
     n_total: int,
-    denom: float | None = None,
-    ridge: float = 0.0,
+    denom: float,
+    ridge: float,
 ):
     """Negated alpha-energy over one minibatch, as a scalar Var.
 
-    ``log_sigma2`` is either a float (noise fixed) or a 1x1 Var leaf (noise
-    learned). ``denom`` and ``ridge`` are the kernel normaliser, (S, 0) by
-    default. Returns (loss, info) with the data/KL parts as plain floats for
-    diagnostics.
+    ``log_sigma2`` is a 1x1 Var: a leaf when the noise is learned, a
+    constant when it is fixed. ``denom`` and ``ridge`` are the kernel
+    normaliser from ``kernel_normaliser``. Returns (loss, info) with the
+    data/KL parts as plain floats for diagnostics.
     """
     if not draws.is_symbolic:
         raise ContractError("energy_loss needs draws recorded on the tape")
@@ -142,7 +142,6 @@ def energy_loss(
     if n_total < mb:
         raise ParameterError(f"n_total={n_total} smaller than the batch ({mb})")
     s = draws.num_draws
-    denom = s if denom is None else denom
 
     kl, L = _kl_graph(tape, params)
     phi = ad.scale(ad.transpose(draws.deltas), 1.0 / math.sqrt(denom))  # (mb, s)
@@ -150,14 +149,8 @@ def energy_loss(
     resid = ad.sub(tape.constant(y.reshape(-1, 1)), pred)
     s2 = ad.matmul(ad.square(ad.matmul(phi, L)), tape.constant(np.ones((s, 1))))
 
-    if isinstance(log_sigma2, ad.Var):
-        lo = log_sigma2
-        if lo.value.shape != (1, 1):
-            raise DimensionError("log_sigma2 Var must be 1x1")
-    else:
-        lo = tape.constant(float(log_sigma2))
-    if ridge:
-        # the per-point term e adds its variance to the noise
+    lo = log_sigma2
+    if ridge:  # the per-point term e adds its variance to the noise
         lo = ad.vlog(ad.add(ad.vexp(lo), tape.constant(ridge / denom)))
 
     if alpha > 0.0:
@@ -203,30 +196,23 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> dict:
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
     """One bias-corrected Adam update. Mutates ``state``, returns new params."""
     if sorted(params) != sorted(grads) or sorted(params) != sorted(state.m):
         raise ContractError("params, grads and optimizer state must share keys")
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
+    b1, b2, eps = ADAM_BETAS_EPS
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
     out = {}
     for k, p in params.items():
         g = grads[k]
         if g.shape != p.shape:
             raise DimensionError(f"gradient for {k} has shape {g.shape}, expected {p.shape}")
-        state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-        state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * (g * g)
+        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
+        state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
         out[k] = p - lr * (state.m[k] / c1) / (np.sqrt(state.v[k] / c2) + eps)
     return out
 
@@ -373,31 +359,25 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
             "train() runs with 'fixed' or 'learned'"
         )
 
-    rng_init = Rng(config.seed, STREAM_INIT)
     prior = init_prior(
-        config.prior_family,
-        x.shape[1],
-        config.hidden,
-        config.activation,
-        rng_init,
-        noise_dim=config.noise_dim,
+        config.prior_family, x.shape[1], config.hidden, config.activation,
+        Rng(config.seed, STREAM_INIT), noise_dim=config.noise_dim,
         noise_halfwidth=config.noise_halfwidth,
     )
     s = int(config.num_draws)
-    params = dict(prior.param_items())
+    params = dict(prior.params)
     params["q_mu"] = np.zeros((s, 1))
     params["q_tril"] = np.zeros((s, s))
     params["q_diag"] = np.full((s, 1), SOFTPLUS_INV_ONE)
     learn_sigma = config.sigma2_mode == "learned"
+    log_sigma2 = math.log(config.sigma2)
     if learn_sigma:
-        params["log_sigma2"] = np.array([[math.log(config.sigma2)]])
+        params["log_sigma2"] = np.array([[log_sigma2]])
 
     state = AdamState.zeros(params)
     rng_draws = Rng(config.seed, STREAM_DRAWS)
     rng_shuffle = Rng(config.seed, STREAM_SHUFFLE)
-    mb = int(config.batch_size) if config.batch_size else n
-    mb = min(mb, n)
-    prior_names = [name for name, _ in prior.param_items()]
+    mb = min(int(config.batch_size) or n, n)
     denom, ridge = kernel_normaliser(s, config.estimator, config.psi)
     trace = []
 
@@ -411,10 +391,10 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
             try:
                 draws = sample_functions(
                     prior, x[idx], s, rng_draws, tape=tape,
-                    params={k: leaves[k] for k in prior_names},
+                    params={k: leaves[k] for k in prior.params},
                 )
-                lo = leaves["log_sigma2"] if learn_sigma else math.log(config.sigma2)
-                loss, info = energy_loss(
+                lo = leaves["log_sigma2"] if learn_sigma else tape.constant(log_sigma2)
+                loss, _ = energy_loss(
                     tape, y[idx], draws, leaves, config.alpha, lo, n, denom, ridge
                 )
             except NumericalError as err:
@@ -423,23 +403,23 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
                 raise NumericalError(
                     f"epoch {epoch}, batch at {start}: {err}{involved}"
                 ) from err
-            lval = float(loss.value[0, 0])
-            if not math.isfinite(lval):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}, batch at {start}: "
-                    f"data={info['data']:.6g} kl={info['kl']:.6g}"
-                )
+            epoch_losses.append(float(loss.value[0, 0]))
             grads = ad.backward(loss)
             params = adam_step(
                 params, {k: grads[leaves[k].nid] for k in params}, state,
                 config.learning_rate,
             )
-            epoch_losses.append(lval)
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
         if callback is not None:
             callback(epoch, trace[-1])
 
-    sigma2 = math.exp(params["log_sigma2"][0, 0]) if learn_sigma else config.sigma2
+    sigma2 = config.sigma2
+    if learn_sigma:
+        try:
+            sigma2 = math.exp(params["log_sigma2"][0, 0])
+        except OverflowError:
+            sigma2 = math.inf
+        _after_last_update("log_sigma2", "exp(log_sigma2)", sigma2)
     return TrainedModel(
         prior=prior.with_params(params),
         q=q_from_raw(params["q_mu"], params["q_tril"], params["q_diag"]),

@@ -83,13 +83,13 @@ def predict_features(
     draws_test: FunctionDraws,
     q: CoefficientPosterior,
     sigma2: float,
-    denom: float | None = None,
-    ridge: float = 0.0,
+    denom: float,
+    ridge: float,
 ) -> PredictiveDistribution:
     """Reduced-rank prediction through the coefficient posterior.
 
     ``denom`` and ``ridge`` are the kernel normaliser the features belong
-    to; the default, (S, 0), is the plain averaged kernel.
+    to, from ``kernel_normaliser``.
     """
     if draws_test.is_symbolic:
         raise ContractError("prediction works on numeric draw sets")
@@ -97,7 +97,6 @@ def predict_features(
     if q.dim != s:
         raise DimensionError(f"q has dimension {q.dim}, draws have S={s}")
     sigma2 = _check_sigma2(sigma2)
-    denom = s if denom is None else denom
     phi = draws_test.deltas.T / math.sqrt(denom)  # (K, S)
     mean = draws_test.mean[0] + phi @ q.mu
     a = phi @ q.chol

@@ -114,9 +114,6 @@ class Prior:
     def input_dim(self) -> int:
         return self.layer_sizes[0] - self.noise_dim
 
-    def param_items(self):
-        return list(self.params.items())
-
     def with_params(self, params: dict) -> "Prior":
         """This prior with its arrays taken from ``params``; other names are ignored."""
         return replace(self, params={name: params[name] for name in self.params})
@@ -272,12 +269,11 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
     """Evaluate S fresh draws from the prior at the rows of x.
 
     With a tape, the forward pass is recorded and the draws are
-    differentiable in the prior parameters (pass ``params`` as a name->Var
-    dict to reuse existing leaves; otherwise requires-grad leaves are
-    created). Without a tape the same arithmetic runs in plain numpy; both
-    paths consume the RNG identically, so their values agree bitwise.
-    Neural-sampler draws run as one pass over all S*N rows; BNN draws run
-    one pass per draw.
+    differentiable in ``params``, a name->Var dict of the prior's parameter
+    leaves on that tape. Without a tape the same arithmetic runs in plain
+    numpy on ``prior.params``; both paths consume the RNG identically, so
+    their values agree bitwise. Neural-sampler draws run as one pass over
+    all S*N rows; BNN draws run one pass per draw.
     """
     x = as_matrix(x, "inputs")
     if num_draws < 2:
@@ -292,10 +288,8 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
         ops, params = _NUMPY_OPS, prior.params
     else:
         ops = _tape_ops(tape)
-        if params is None:
-            params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.params.items()}
-        elif sorted(params) != sorted(prior.params):
-            raise ContractError("params dict does not match the prior's parameter names")
+        if params is None or sorted(params) != sorted(prior.params):
+            raise ContractError("a taped draw needs params: a leaf for each prior parameter")
 
     if prior.family == "ns":
         f = ops.reshape(_forward(prior, _ns_inputs(prior, x, s, rng), ops, params), (s, n))

@@ -155,7 +155,7 @@ def test_criterion_03_dense_feature_equivalence():
 
         b = dt.deltas.T / math.sqrt(s)
         q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
-        feat = predict_features(ds, q, sig2)
+        feat = predict_features(ds, q, sig2, s, 0.0)
 
         for a, bb in ((dense_mean, feat.mean), (dense_var, feat.var_f)):
             rel = np.max(np.abs(a - bb) / (np.abs(bb) + 1e-9))
@@ -210,12 +210,12 @@ def _energy_grad_worst(family: str, alpha: float) -> float:
     x = rng_np.standard_normal((n, 1))
     y = rng_np.standard_normal(n)
     prior = init_prior(family, 1, (3,), "tanh", Rng(50, 0), noise_dim=2)
-    base = dict(prior.param_items())
+    base = dict(prior.params)
     base["q_mu"] = 0.2 * rng_np.standard_normal((s, 1))
     base["q_tril"] = 0.2 * rng_np.standard_normal((s, s))
     base["q_diag"] = 0.2 * rng_np.standard_normal((s, 1))
     base["log_sigma2"] = np.array([[math.log(0.4)]])
-    prior_names = [k for k, _ in prior.param_items()]
+    prior_names = list(prior.params)
 
     def loss_of(arrs):
         tape = ad.Tape()
@@ -224,7 +224,7 @@ def _energy_grad_worst(family: str, alpha: float) -> float:
             prior, x, s, Rng(51, 0), tape=tape,
             params={k: leaves[k] for k in prior_names},
         )
-        loss, _ = energy_loss(tape, y, draws, leaves, alpha, leaves["log_sigma2"], 25)
+        loss, _ = energy_loss(tape, y, draws, leaves, alpha, leaves["log_sigma2"], 25, s, 0.0)
         return leaves, loss
 
     leaves, loss = loss_of(base)

@@ -303,8 +303,10 @@ class TestCoercionAndMessages:
     def test_constant_checks_like_a_leaf(self):
         with pytest.raises(NumericalError, match="^leaf: non-finite value$"):
             ad.Tape().constant(np.array([[np.nan]]))
-        with pytest.raises(NumericalError, match="^leaf: non-finite value$"):
-            ad.add(ad.Tape().leaf(1.0), np.array([[np.inf]]))
+        # an array operand is not wrapped as a constant, finite or not
+        for value in (np.array([[np.inf]]), np.array([[1.0]])):
+            with pytest.raises(ContractError, match="^add: both operands must be Vars$"):
+                ad.add(ad.Tape().leaf(1.0), value)
 
     def test_overflowing_ops_name_themselves(self):
         tape = ad.Tape()
@@ -319,13 +321,18 @@ class TestCoercionAndMessages:
             ad.matmul(big, ad.transpose(big))
         assert str(exc.value) == "matmul: produced a non-finite value"
         with pytest.raises(NumericalError) as exc:
-            ad.broadcast_add_row(ad.scale(big, 1e108), np.array([[1e308, 0.0]]))
+            ad.broadcast_add_row(ad.scale(big, 1e108), tape.constant(np.array([[1e308, 0.0]])))
         assert str(exc.value) == "broadcast_add_row: produced a non-finite value"
 
     def test_non_var_operands_rejected(self):
+        tape = ad.Tape()
+        for a, b in [(np.ones((1, 1)), 2.0), (tape.leaf(1.0), 2.0), (2.0, tape.leaf(1.0))]:
+            with pytest.raises(ContractError) as exc:
+                ad.add(a, b)
+            assert str(exc.value) == "add: both operands must be Vars"
         with pytest.raises(ContractError) as exc:
-            ad.add(np.ones((1, 1)), 2.0)
-        assert str(exc.value) == "add: at least one operand must be a Var"
+            ad.mul(tape.leaf(1.0), ad.Tape().leaf(1.0))
+        assert str(exc.value) == "mul: operands come from different tapes"
         with pytest.raises(ContractError) as exc:
             ad.transpose(types.SimpleNamespace(value=np.ones((2, 2))))
         assert str(exc.value) == "transpose: operand must be a Var"
@@ -454,7 +461,7 @@ def _training_loss(family, alpha, estimator, s, n, mb, hidden, seed):
     x = rng.standard_normal((n, 2))
     y = rng.standard_normal(n)
     prior = init_prior(family, 2, hidden, "tanh", Rng(seed, 1), noise_dim=3)
-    params = dict(prior.param_items())
+    params = dict(prior.params)
     params["q_mu"] = 0.3 * rng.standard_normal((s, 1))
     params["q_tril"] = 0.3 * rng.standard_normal((s, s))
     params["q_diag"] = SOFTPLUS_INV_ONE + 0.3 * rng.standard_normal((s, 1))
@@ -464,7 +471,7 @@ def _training_loss(family, alpha, estimator, s, n, mb, hidden, seed):
     idx = rng.permutation(n)[:mb]
     draws = sample_functions(
         prior, x[idx], s, Rng(seed, 2), tape=tape,
-        params={k: leaves[k] for k, _ in prior.param_items()},
+        params={k: leaves[k] for k in prior.params},
     )
     loss, _ = energy_loss(
         tape, y[idx], draws, leaves, alpha, leaves["log_sigma2"], n,

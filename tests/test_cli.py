@@ -18,6 +18,13 @@ TINY_CFG = {
 }
 
 
+# what vip predict adds to an error in its --data file
+PREDICT_LAYOUT = (
+    "(vip predict reads the training layout: feature columns, "
+    "then a target column whose values it ignores)"
+)
+
+
 def _cfg_file(tmp_path, extra=None, name="cfg.json"):
     d = dict(TINY_CFG)
     if extra:
@@ -348,7 +355,10 @@ class TestPredictEval:
                        "--out", str(tmp_path / "p.csv")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert str(data) in err and f"{width - 1} feature columns" in err and "input_dim 2" in err
+        assert err == (
+            f"error: {data}: {width - 1} feature columns, but the model takes input_dim 2 "
+            f"{PREDICT_LAYOUT}\n"
+        )
 
     def test_predict_data_without_a_target_column_is_data_error(self, tmp_path, capsys):
         # --data keeps the training layout: a 1-d model's file needs 2 columns
@@ -362,7 +372,10 @@ class TestPredictEval:
         rc = cli.main(["predict", "--model", model_out, "--data", str(features),
                        "--out", str(tmp_path / "p.csv")])
         assert rc == 3
-        assert "need at least 2 columns, found 1 at row 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {features}: need at least 2 columns, found 1 at row 1, column 1 "
+            f"{PREDICT_LAYOUT}\n"
+        )
 
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
@@ -695,3 +708,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: epoch 1, batch at 0: ")
         assert err.rstrip().endswith("(parameters: w_log_scale_0)")
+
+    @pytest.mark.parametrize(
+        "extra, name, what",
+        [
+            # exp(log_sigma2) overflowed in the end-of-training conversion: an
+            # uncaught OverflowError, exit 1
+            ({}, "log_sigma2", "exp(log_sigma2) = inf"),
+            # softplus(q_diag) underflowed to 0 and q was rejected as a bad
+            # setting, exit 2
+            ({"sigma2_mode": "fixed", "alpha": 0.0}, "q_diag", "softplus(q_diag) = 0.0"),
+        ],
+        ids=["noise", "q"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_last_update_exits_4_naming_the_parameter(
+        self, tmp_path, capsys, extra, name, what
+    ):
+        # one epoch at lr 1e3: the first and only Adam step diverges, and no
+        # forward pass runs after it
+        data, cfg, model = tmp_path / "d.csv", tmp_path / "cfg.json", tmp_path / "m.json"
+        assert cli.main(["synth", "--n", "300", "--noise", "std", "--out", str(data)]) == 0
+        cfg.write_text(json.dumps({"epochs": 1, "learning_rate": 1e3, **extra}))
+        capsys.readouterr()
+        argv = ["train", "--data", str(data), "--config", str(cfg), "--model-out", str(model)]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"error: the last update took {name} out of range: {what} (parameters: {name})\n"
+        )
+        assert not model.exists()

@@ -183,14 +183,27 @@ def _cell(draw):
 @st.composite
 def _csv_text(draw):
     width = draw(st.integers(1, 4))
+    n_lines = draw(st.integers(1, 7))
+    kinds = [draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"])) for _ in range(n_lines)]
+    cell = _cell()
+    if width > 1 and draw(st.booleans()):
+        # a short and a long row after the first line: together they hold as
+        # many cells as two full rows, so only a per-row width check sees them;
+        # half of these files hold well-formed numbers only, which a one-pass
+        # conversion would accept
+        if draw(st.booleans()):
+            cell = _NUMBER
+        for kind in draw(st.permutations(["short", "long"])):
+            kinds.insert(draw(st.integers(1, len(kinds))), kind)
     lines = []
-    for _ in range(draw(st.integers(1, 7))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+    for kind in kinds:
         if kind == "blank":
             lines.append("")
             continue
-        n = width if kind == "row" else draw(st.sampled_from([width - 1, width + 1]))
-        lines.append(",".join(draw(_cell()) for _ in range(max(n, 1))))
+        n = {"row": width, "short": width - 1, "long": width + 1}.get(kind)
+        if n is None:
+            n = draw(st.sampled_from([width - 1, width + 1]))
+        lines.append(",".join(draw(cell) for _ in range(max(n, 1))))
     if draw(st.booleans()):
         lines.insert(0, ",".join(f"c{j}" for j in range(draw(st.integers(width - 1, width)))))
     eol = draw(st.sampled_from(["\n", "\r\n"]))

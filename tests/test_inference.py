@@ -168,16 +168,16 @@ def build_symbolic_instance(seed=0, n=6, s=4, alpha=0.5, learn_sigma=False, x=No
     y = rng_np.standard_normal(n) if y is None else y
     prior = init_prior("bnn", 1, (3,), "tanh", Rng(seed, 0))
     tape = ad.Tape()
-    params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.param_items()}
+    params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.params.items()}
     params["q_mu"] = tape.leaf(0.1 * rng_np.standard_normal((s, 1)), requires_grad=True)
     params["q_tril"] = tape.leaf(0.1 * rng_np.standard_normal((s, s)), requires_grad=True)
     params["q_diag"] = tape.leaf(0.2 * rng_np.standard_normal((s, 1)), requires_grad=True)
     if learn_sigma:
         params["log_sigma2"] = tape.leaf(np.array([[math.log(0.3)]]), requires_grad=True)
     draws = sample_functions(prior, x, s, Rng(seed, 1), tape=tape, params={
-        k: params[k] for k, _ in prior.param_items()
+        k: params[k] for k in prior.params
     })
-    lo = params["log_sigma2"] if learn_sigma else math.log(0.3)
+    lo = params["log_sigma2"] if learn_sigma else tape.constant(math.log(0.3))
     return tape, params, draws, x, y, lo
 
 
@@ -231,7 +231,7 @@ class TestEnergyLoss:
         tape, params, draws, x, y, lo = build_symbolic_instance(seed=9)
         vals = []
         for n_total in (100, 200, 300):
-            loss, _ = energy_loss(tape, y, draws, params, 0.5, lo, n_total)
+            loss, _ = energy_loss(tape, y, draws, params, 0.5, lo, n_total, 4, 0.0)
             vals.append(loss.value[0, 0])
         np.testing.assert_allclose(vals[0] + vals[2], 2 * vals[1], rtol=1e-12)
 
@@ -245,7 +245,7 @@ class TestEnergyLoss:
             tape, params, draws, _, _, lo = build_symbolic_instance(
                 seed=11, n=8, x=xb, y=yb
             )
-            loss, _ = energy_loss(tape, yb, draws, params, 0.5, lo, 40)
+            loss, _ = energy_loss(tape, yb, draws, params, 0.5, lo, 40, 4, 0.0)
             return loss.value[0, 0]
 
         assert run(x, y) == run(x[perm], y[perm])
@@ -259,7 +259,7 @@ class TestEnergyLoss:
         vals = []
         for _ in range(2):
             tape = ad.Tape()
-            params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.param_items()}
+            params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.params.items()}
             params["q_mu"] = tape.leaf(np.zeros((4, 1)), requires_grad=True)
             params["q_tril"] = tape.leaf(np.zeros((4, 4)), requires_grad=True)
             params["q_diag"] = tape.leaf(
@@ -267,9 +267,10 @@ class TestEnergyLoss:
             )
             draws = sample_functions(
                 prior, x, 4, rng, tape=tape,
-                params={k: params[k] for k, _ in prior.param_items()},
+                params={k: params[k] for k in prior.params},
             )
-            loss, _ = energy_loss(tape, y, draws, params, 0.5, math.log(0.3), 5)
+            lo = tape.constant(math.log(0.3))
+            loss, _ = energy_loss(tape, y, draws, params, 0.5, lo, 5, 4, 0.0)
             vals.append(loss.value[0, 0])
         assert vals[0] != vals[1]
 
@@ -294,12 +295,12 @@ class TestEnergyLoss:
         x = rng_np.standard_normal((n, 1))
         y = rng_np.standard_normal(n)
         prior = init_prior(family, 1, (3,), "tanh", Rng(1, 0), noise_dim=2)
-        base = dict(prior.param_items())
+        base = dict(prior.params)
         base["q_mu"] = 0.2 * rng_np.standard_normal((s, 1))
         base["q_tril"] = 0.2 * rng_np.standard_normal((s, s))
         base["q_diag"] = 0.2 * rng_np.standard_normal((s, 1))
         base["log_sigma2"] = np.array([[math.log(0.4)]])
-        prior_names = [k for k, _ in prior.param_items()]
+        prior_names = list(prior.params)
 
         def loss_of(arrs):
             tape = ad.Tape()
@@ -334,7 +335,7 @@ class TestEnergyLoss:
     def test_batch_size_mismatch(self):
         tape, params, draws, x, y, lo = build_symbolic_instance(seed=13)
         with pytest.raises(DimensionError):
-            energy_loss(tape, y[:-1], draws, params, 0.5, lo, 30)
+            energy_loss(tape, y[:-1], draws, params, 0.5, lo, 30, 4, 0.0)
 
     def test_numeric_draws_rejected(self):
         rng_np = np.random.default_rng(14)
@@ -343,7 +344,7 @@ class TestEnergyLoss:
         draws = sample_functions(prior, x, 3, Rng(1, 1))
         tape = ad.Tape()
         with pytest.raises(ContractError):
-            energy_loss(tape, np.zeros(4), draws, {}, 0.5, 0.0, 4)
+            energy_loss(tape, np.zeros(4), draws, {}, 0.5, tape.constant(0.0), 4, 3, 0.0)
 
 
 class TestAdam:
@@ -358,7 +359,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         for t in range(1, 8):
             grads = {k: rng.standard_normal(v.shape) for k, v in p.items()}
-            p = adam_step(p, grads, state, lr, b1, b2, eps)
+            p = adam_step(p, grads, state, lr)
             for k in ref_p:
                 ref_m[k] = b1 * ref_m[k] + (1 - b1) * grads[k]
                 ref_v[k] = b2 * ref_v[k] + (1 - b2) * grads[k] ** 2
@@ -495,6 +496,27 @@ class TestTrain:
         with pytest.raises(NumericalError) as exc:
             train(ds.x, ds.y, cfg)
         assert str(exc.value) == f"epoch 1, batch at 0: {failure}"
+
+    @pytest.mark.parametrize(
+        "sigma2, sigma2_mode, message",
+        [
+            (0.1, "learned", "log_sigma2 out of range: exp(log_sigma2) = inf"),
+            # a noise far above the data's pushes log_sigma2 down by ~lr
+            (100.0, "learned", "log_sigma2 out of range: exp(log_sigma2) = 0.0"),
+            (0.1, "fixed", "q_diag out of range: softplus(q_diag) = 0.0"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_last_update_names_the_parameter(self, sigma2, sigma2_mode, message):
+        # one epoch: the only Adam step diverges, and no forward pass follows it
+        ds = standardize(synth_toy(300, 0, "std"))
+        cfg = TrainConfig(
+            alpha=0.0, sigma2=sigma2, sigma2_mode=sigma2_mode, learning_rate=1e3, epochs=1
+        )
+        with pytest.raises(NumericalError) as exc:
+            train(ds.x, ds.y, cfg)
+        name = message.split()[0]
+        assert str(exc.value) == f"the last update took {message} (parameters: {name})"
 
     def test_step_peak_memory_is_one_forward_tape(self):
         # a full-batch BNN step at N=2000, S=20 peaks at about 9 MB, with its

@@ -89,7 +89,7 @@ class TestRoundTrip:
         save_model(m, str(p))
         m2 = load_model(str(p))
         for (ka, va), (kb, vb) in zip(
-            sorted(m.prior.param_items()), sorted(m2.prior.param_items())
+            sorted(m.prior.params.items()), sorted(m2.prior.params.items())
         ):
             assert ka == kb
             np.testing.assert_array_equal(np.asarray(va), np.asarray(vb))

@@ -17,8 +17,10 @@ import pytest
 
 import vip.bench
 import vip.cli
+import vip.inference
 import vip.numkit
 import vip.priors
+from vip.data import standardize, synth_toy
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,6 +64,24 @@ def test_toy_split_records_its_spans_and_tape_size(perfbench):
         lambda: vip.bench.run_protocol("toy", cfg, splits=1, seed=0, toy_n=300, toy_noise="std"),
     )
     assert tracer.problems("toy-protocol") == []
+
+
+def test_minibatch_train_records_its_spans(perfbench):
+    # the minibatch-wide shape, small: ns prior, alpha 0.5, learned noise, batches of 16
+    tracing, workloads = perfbench
+    ds = standardize(synth_toy(64, 0, "std"))
+    cfg = replace(workloads.MinibatchWide.cfg, num_draws=5, epochs=1, batch_size=16, hidden=(4,))
+    tracer = _traced(tracing, workloads, lambda: vip.inference.train(ds.x, ds.y, cfg))
+    assert tracer.counts["inference.adam"] == 4
+    assert tracer.problems("minibatch-wide") == []
+
+
+def test_gp_baseline_split_records_its_spans(perfbench):
+    tracing, workloads = perfbench
+    tracer = _traced(
+        tracing, workloads, lambda: vip.bench.gp_baseline_protocol("toy", splits=1, toy_n=60)
+    )
+    assert tracer.problems("gp-baseline") == []
 
 
 def test_predict_requests_record_their_spans(perfbench, tmp_path, capsys):

@@ -78,7 +78,7 @@ class TestExactCoefficientPosterior:
 def widened(prior):
     # widen BNN init scales so small-S kernels stay well conditioned
     return prior.with_params(
-        {k: v + math.log(10.0) if "log_scale" in k else v for k, v in prior.param_items()}
+        {k: v + math.log(10.0) if "log_scale" in k else v for k, v in prior.params.items()}
     )
 
 
@@ -240,7 +240,7 @@ class TestWoodburyEquivalence:
         mean, var_f = dense_oracle(joint, n, y, sig2)
         b = dt.deltas.T / math.sqrt(dt.num_draws)
         q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
-        red = predict_features(ds, q, sig2)
+        red = predict_features(ds, q, sig2, dt.num_draws, 0.0)
         np.testing.assert_allclose(red.mean, mean, rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(red.var_f, var_f, rtol=1e-8, atol=1e-8)
 
@@ -258,7 +258,7 @@ class TestWoodburyEquivalence:
         q = exact_coefficient_posterior(b, resid, sig2)
 
         tape = ad.Tape()
-        leaves = {k: tape.leaf(a, requires_grad=True) for k, a in prior.param_items()}
+        leaves = {k: tape.leaf(a, requires_grad=True) for k, a in prior.params.items()}
         draws = sample_functions(prior, x, s, Rng(5, 0), tape=tape, params=leaves)
         diag = np.diag(q.chol)
         leaves["q_mu"] = tape.leaf(q.mu.reshape(-1, 1), requires_grad=True)
@@ -266,7 +266,7 @@ class TestWoodburyEquivalence:
         leaves["q_diag"] = tape.leaf(
             np.log(np.expm1(diag)).reshape(-1, 1), requires_grad=True
         )
-        loss, _ = energy_loss(tape, y, draws, leaves, 0.0, math.log(sig2), n)
+        loss, _ = energy_loss(tape, y, draws, leaves, 0.0, tape.constant(math.log(sig2)), n, s, 0.0)
 
         kyy = b @ b.T + sig2 * np.eye(n)
         sign, logdet = np.linalg.slogdet(kyy)
@@ -277,12 +277,12 @@ class TestWoodburyEquivalence:
         rng = np.random.default_rng(0)
         for _ in range(5):
             t2 = ad.Tape()
-            l2 = {k: t2.leaf(a, requires_grad=True) for k, a in prior.param_items()}
+            l2 = {k: t2.leaf(a, requires_grad=True) for k, a in prior.params.items()}
             d2 = sample_functions(prior, x, s, Rng(5, 0), tape=t2, params=l2)
             l2["q_mu"] = t2.leaf(rng.standard_normal((s, 1)), requires_grad=True)
             l2["q_tril"] = t2.leaf(0.3 * rng.standard_normal((s, s)), requires_grad=True)
             l2["q_diag"] = t2.leaf(rng.standard_normal((s, 1)), requires_grad=True)
-            other, _ = energy_loss(t2, y, d2, l2, 0.0, math.log(sig2), n)
+            other, _ = energy_loss(t2, y, d2, l2, 0.0, t2.constant(math.log(sig2)), n, s, 0.0)
             assert other.value[0, 0] >= loss.value[0, 0] - 1e-10
 
 
@@ -290,7 +290,7 @@ class TestPredictFeatures:
     def test_standard_q_reproduces_prior_moments(self):
         _, ds = joint_draws(seed=10)
         s = ds.num_draws
-        got = predict_features(ds, standard_posterior(s), 0.1)
+        got = predict_features(ds, standard_posterior(s), 0.1, s, 0.0)
         np.testing.assert_allclose(got.mean, ds.mean[0], atol=1e-12)
         want_var = np.einsum("sk,sk->k", ds.deltas, ds.deltas) / s
         np.testing.assert_allclose(got.var_f, want_var, atol=1e-12)
@@ -298,7 +298,7 @@ class TestPredictFeatures:
     def test_dimension_mismatch(self):
         _, ds = joint_draws(seed=11, s=6)
         with pytest.raises(DimensionError):
-            predict_features(ds, standard_posterior(5), 0.1)
+            predict_features(ds, standard_posterior(5), 0.1, 6, 0.0)
 
 
 class TestVarianceFloor:
@@ -372,7 +372,7 @@ class TestPosteriorPredict:
         ds = joint.slice_columns(14, 20)
         b = dt.deltas.T / math.sqrt(s)
         q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], model.sigma2)
-        want = predict_features(ds, q, model.sigma2)
+        want = predict_features(ds, q, model.sigma2, s, 0.0)
         for field in ("mean", "var_f", "var_y"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         mean, var_f = dense_oracle(joint, 14, model.train_y, model.sigma2)

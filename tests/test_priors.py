@@ -31,6 +31,13 @@ def linear_bnn(w_mean, w_log_scale, b_mean, b_log_scale):
     return Prior("bnn", (1, 1), "tanh", {k: np.full((1, 1), v) for k, v in values.items()})
 
 
+def taped_draws(prior, x, s, rng):
+    """S draws recorded on a fresh tape, differentiable in the prior's parameter leaves."""
+    tape = ad.Tape()
+    params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.params.items()}
+    return sample_functions(prior, x, s, rng, tape=tape, params=params)
+
+
 class TestSampleShapes:
     def test_shapes_and_centering(self):
         prior = toy_bnn()
@@ -73,7 +80,7 @@ class TestSampleShapes:
         prior = init_prior(family, d, hidden, activation, Rng(seed, 0), noise_dim=2)
         x = Rng(seed, 1).standard_normal(n * d).reshape(n, d)
         numeric = sample_functions(prior, x, s, Rng(seed, 2))
-        symbolic = sample_functions(prior, x, s, Rng(seed, 2), tape=ad.Tape())
+        symbolic = taped_draws(prior, x, s, Rng(seed, 2))
         for got, want in (
             (symbolic.values.value, numeric.values),
             (symbolic.mean.value, numeric.mean),
@@ -110,7 +117,7 @@ class TestBnnDistribution:
         shifted_prior = prior.with_params(
             {
                 name: (arr + 1.0 if name == "b_mean_1" else arr)
-                for name, arr in prior.param_items()
+                for name, arr in prior.params.items()
             }
         )
         shifted = sample_functions(shifted_prior, x, 6, Rng(2, 0)).values
@@ -159,7 +166,7 @@ def _ns_per_draw(prior, x, s, rng, tape=None, params=None):
     n, nd, a = x.shape[0], prior.noise_dim, prior.noise_halfwidth
     n_layers = len(prior.layer_sizes) - 1
     if tape is None:
-        p = dict(prior.param_items())
+        p = dict(prior.params)
         act = np.tanh if prior.activation == "tanh" else (lambda h: np.where(h > 0.0, h, 0.0))
     else:
         p = params
@@ -239,7 +246,7 @@ class TestBatchedDraws:
         want = _ns_per_draw(prior, x, s, Rng(seed, 2))
         rng_num, rng_tape = Rng(seed, 2), Rng(seed, 2)
         numeric = sample_functions(prior, x, s, rng_num)
-        taped = sample_functions(prior, x, s, rng_tape, tape=ad.Tape())
+        taped = taped_draws(prior, x, s, rng_tape)
         assert numeric.values.shape == (s, n)
         assert _close(numeric.values, want)
         assert taped.values.value.tobytes() == numeric.values.tobytes()
@@ -256,7 +263,7 @@ class TestBatchedDraws:
 
         def grads(batched):
             tape = ad.Tape()
-            params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.param_items()}
+            params = {k: tape.leaf(a, requires_grad=True) for k, a in prior.params.items()}
             if batched:
                 f = sample_functions(prior, x, s, Rng(seed, 2), tape=tape, params=params).values
             else:
@@ -274,9 +281,7 @@ class TestBatchedDraws:
         prior, x = _ns_case("tanh", (10, 10), 1, 32, 1.0, 0)
         sizes = set()
         for s in (2, 20, 50, 200):
-            tape = ad.Tape()
-            sample_functions(prior, x, s, Rng(0, 2), tape=tape)
-            sizes.add(len(tape))
+            sizes.add(len(taped_draws(prior, x, s, Rng(0, 2)).values.tape))
         # 6 parameter leaves, input, 3 x (matmul, add_row), 2 tanh, reshape,
         # then the mean and the centred residuals (3 constants, 2 matmuls, sub)
         assert sizes == {6 + 1 + 6 + 2 + 1 + 5}
@@ -375,8 +380,7 @@ class TestSliceColumns:
             joint.slice_columns(2, 5)
 
     def test_symbolic_slice_rejected(self):
-        tape = ad.Tape()
-        draws = sample_functions(toy_bnn(), np.zeros((3, 1)), 4, Rng(0, 0), tape=tape)
+        draws = taped_draws(toy_bnn(), np.zeros((3, 1)), 4, Rng(0, 0))
         with pytest.raises(ContractError):
             draws.slice_columns(0, 1)
 
@@ -385,7 +389,7 @@ class TestGradientFlow:
     def test_draws_differentiate_through_prior_scales(self):
         x = np.linspace(-1, 1, 4).reshape(-1, 1)
         prior = toy_bnn(seed=8, sizes=(1, 3, 1))
-        names = [name for name, _ in prior.param_items()]
+        names = list(prior.params)
 
         def loss_for(params_arrays):
             tape = ad.Tape()
@@ -393,7 +397,7 @@ class TestGradientFlow:
             draws = sample_functions(prior, x, 3, Rng(13, 0), tape=tape, params=leaves)
             return tape, leaves, ad.vsum(ad.square(draws.values))
 
-        base = dict(prior.param_items())
+        base = dict(prior.params)
         tape, leaves, loss = loss_for(base)
         grads = ad.backward(loss)
         h = 1e-6
@@ -421,6 +425,14 @@ class TestGradientFlow:
                 tape=tape,
                 params={"bogus": tape.leaf(0.0, requires_grad=True)},
             )
+
+    def test_taped_draw_without_params_rejected(self):
+        # a taped draw differentiates in leaves the caller made; it makes none
+        tape = ad.Tape()
+        with pytest.raises(ContractError) as exc:
+            sample_functions(toy_bnn(), np.zeros((2, 1)), 3, Rng(0), tape=tape)
+        assert str(exc.value) == "a taped draw needs params: a leaf for each prior parameter"
+        assert len(tape) == 0
 
 
 class TestSerialization:
@@ -455,11 +467,11 @@ class TestSerialization:
 class TestPriorLayout:
     def test_param_names_in_layer_order(self):
         bnn = toy_bnn(sizes=(2, 4, 1))
-        assert [name for name, _ in bnn.param_items()] == [
+        assert list(bnn.params) == [
             f"{p}_{l}" for l in (0, 1) for p in ("w_mean", "w_log_scale", "b_mean", "b_log_scale")
         ]
         ns = init_prior("ns", 2, (4,), "tanh", Rng(0), noise_dim=3)
-        assert [name for name, _ in ns.param_items()] == ["w_0", "b_0", "w_1", "b_1"]
+        assert list(ns.params) == ["w_0", "b_0", "w_1", "b_1"]
         assert ns.layer_sizes == (5, 4, 1) and ns.input_dim == 2
 
     def test_params_checked_against_the_layout(self):
