@@ -23,6 +23,17 @@ captured, are dropped, so the pass never holds a gradient for every node and
 a spent tape keeps only its index lists. A second ``backward`` on the same
 tape raises :class:`ContractError`.
 
+Every tape value is finite. Leaves and constants are checked as they are
+recorded, and so is the output of each op that can turn finite operands
+into a NaN or inf: ``add``, ``sub``, ``mul``, ``matmul``, ``scale``,
+``broadcast_add_row``, ``square`` and ``exp`` can overflow, and ``sum`` and
+``dot`` check their 1x1 result (a sum whose finite terms overflow raises
+the same error). The other ops need no check, because their operands are
+already finite: ``transpose`` and ``reshape`` move values, ``tanh`` lies in
+[-1, 1], ``relu`` keeps a value or gives 0, ``softplus`` of a finite value
+is finite, and ``log`` rejects an operand <= 0 and is finite above it. So
+the op that first makes a non-finite value is the one that raises.
+
 A tape op that raises :class:`NumericalError` sets the error's ``leaf_ids``
 to the requires-grad leaves its operands depend on, so a caller can name
 the parameters involved.
@@ -36,6 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericalError
+from .numkit import all_finite
 
 
 class Var:
@@ -58,7 +70,7 @@ class Var:
 
 def _check_finite(value: np.ndarray, where: str, what: str, *operands: Var):
     """Raise ``NumericalError("<where>: <what>")`` if ``value`` holds a NaN or inf."""
-    if not np.isfinite(value).all():
+    if not all_finite(value):
         _fail(f"{where}: {what}", *operands)
 
 
@@ -123,10 +135,12 @@ class Tape:
         return tuple(sorted(seen.intersection(self.leaf_ids)))
 
 
-def _unary(op: str, a: Var, value: np.ndarray, vjp) -> Var:
+def _unary(op: str, a: Var, value: np.ndarray, vjp, check: bool = True) -> Var:
+    """Record ``value``; ``check=False`` for ops that keep finite values finite."""
     if type(a) is not Var:
         raise ContractError(f"{op}: operand must be a Var")
-    _check_finite(value, op, "produced a non-finite value", a)
+    if check:
+        _check_finite(value, op, "produced a non-finite value", a)
     return a.tape._record(value, (a.nid,), vjp)
 
 
@@ -177,7 +191,7 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def transpose(a: Var) -> Var:
-    return _unary("transpose", a, a.value.T.copy(), lambda g: (g.T,))
+    return _unary("transpose", a, a.value.T.copy(), lambda g: (g.T,), check=False)
 
 
 def reshape(a: Var, shape) -> Var:
@@ -186,7 +200,9 @@ def reshape(a: Var, shape) -> Var:
     shape = tuple(int(k) for k in shape)
     if len(shape) != 2 or shape[0] * shape[1] != a.value.size:
         raise DimensionError(f"reshape: cannot lay out {old} as {shape}")
-    return _unary("reshape", a, a.value.reshape(shape), lambda g: (g.reshape(old),))
+    return _unary(
+        "reshape", a, a.value.reshape(shape), lambda g: (g.reshape(old),), check=False
+    )
 
 
 def scale(a: Var, c: float) -> Var:
@@ -211,14 +227,18 @@ def broadcast_add_row(a: Var, row: Var) -> Var:
     )
 
 
-def _fsum(arr: np.ndarray) -> float:
-    return math.fsum(arr.ravel())
+def _fsum(op: str, arr: np.ndarray, *operands: Var) -> np.ndarray:
+    """math.fsum of ``arr`` as 1x1; an overflowing sum fails like any other op."""
+    try:
+        return np.array([[math.fsum(arr.ravel())]])
+    except OverflowError:
+        _fail(f"{op}: produced a non-finite value", *operands)
 
 
 def vsum(a: Var) -> Var:
     """Sum of all entries (exactly rounded, so element order cannot matter)."""
     shape = a.value.shape
-    val = np.array([[_fsum(a.value)]])
+    val = _fsum("sum", a.value, a)
     return _unary("sum", a, val, lambda g: (np.full(shape, g[0, 0]),))
 
 
@@ -226,7 +246,7 @@ def dot(a: Var, b: Var) -> Var:
     _pair("dot", a, b)
     _same_shape("dot", a, b)
     av, bv = a.value, b.value
-    val = np.array([[_fsum(av * bv)]])
+    val = _fsum("dot", av * bv, a, b)
     return _binary("dot", a, b, val, lambda g: (g[0, 0] * bv, g[0, 0] * av))
 
 
@@ -244,18 +264,20 @@ def vlog(a: Var) -> Var:
     if np.any(a.value <= 0.0):
         _fail("log: non-positive operand", a)
     av = a.value
-    return _unary("log", a, np.log(av), lambda g: (g / av,))
+    return _unary("log", a, np.log(av), lambda g: (g / av,), check=False)
 
 
 def vtanh(a: Var) -> Var:
     out = np.tanh(a.value)
-    return _unary("tanh", a, out, lambda g: ((1.0 - out * out) * g,))
+    return _unary("tanh", a, out, lambda g: ((1.0 - out * out) * g,), check=False)
 
 
 def relu(a: Var) -> Var:
     av = a.value
     mask = av > 0.0
-    return _unary("relu", a, np.where(mask, av, 0.0), lambda g: (np.where(mask, g, 0.0),))
+    return _unary(
+        "relu", a, np.where(mask, av, 0.0), lambda g: (np.where(mask, g, 0.0),), check=False
+    )
 
 
 def _sigmoid(v: float) -> float:
@@ -275,7 +297,7 @@ def softplus(a: Var) -> Var:
         sig = np.array([_sigmoid(v) for v in av.ravel().tolist()]).reshape(av.shape)
         return (sig * g,)
 
-    return _unary("softplus", a, out, vjp)
+    return _unary("softplus", a, out, vjp, check=False)
 
 
 def backward(loss: Var) -> dict[int, np.ndarray]:

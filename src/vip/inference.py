@@ -60,9 +60,9 @@ class CoefficientPosterior:
         return self.mu.shape[0]
 
 
-def _after_last_update(name: str, what: str, value) -> None:
-    """No forward pass sees the last update: ``what`` of ``name`` must be in (0, inf)."""
-    bad = [v for v in np.ravel(value).tolist() if not 0.0 < v < math.inf]
+def _after_last_update(name: str, what: str, value, low: float = 0.0) -> None:
+    """No forward pass sees the last update: ``what`` of ``name`` must be in (low, inf)."""
+    bad = [v for v in np.ravel(value).tolist() if not low < v < math.inf]
     if bad:
         raise NumericalError(
             f"the last update took {name} out of range: {what} = {bad[0]!r} (parameters: {name})"
@@ -420,9 +420,17 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
         except OverflowError:
             sigma2 = math.inf
         _after_last_update("log_sigma2", "exp(log_sigma2)", sigma2)
+    q = q_from_raw(params["q_mu"], params["q_tril"], params["q_diag"])
+    # a BNN forward pass takes exp of each log-scale and fails on an inf;
+    # a scale that underflows to 0 passes there, so it passes here too
+    for name in prior.params:
+        if name.startswith(("w_log_scale_", "b_log_scale_")):
+            with np.errstate(over="ignore"):
+                scale = np.exp(params[name])
+            _after_last_update(name, f"exp({name})", scale, low=-math.inf)
     return TrainedModel(
         prior=prior.with_params(params),
-        q=q_from_raw(params["q_mu"], params["q_tril"], params["q_diag"]),
+        q=q,
         sigma2=_check_sigma2(sigma2),
         config=config,
         seed=int(config.seed),

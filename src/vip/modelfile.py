@@ -20,6 +20,7 @@ from .inference import (
     _check_sigma2,
     check_value_types,
 )
+from .numkit import all_finite
 from .priors import prior_from_dict
 
 FORMAT_VERSION = 2
@@ -56,7 +57,7 @@ _SCALARS = {"seed": 0, "sigma2": 0.1}  # typed like these
 def _check_stats(stats: Stats, input_dim: int) -> None:
     for name in ("feature_means", "feature_stds"):
         v = getattr(stats, name)
-        if v.shape != (input_dim,) or not np.all(np.isfinite(v)):
+        if v.shape != (input_dim,) or not all_finite(v):
             raise ModelFileError(f"stats.{name} must hold {input_dim} finite entries")
     if np.any(stats.feature_stds <= 0.0):
         raise ModelFileError("stats.feature_stds must be positive")
@@ -68,7 +69,7 @@ def _check_stats(stats: Stats, input_dim: int) -> None:
 
 def _finite_array(name: str, value) -> np.ndarray:
     a = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not all_finite(a):
         raise ModelFileError(f"{name} has non-finite entries")
     return a
 

@@ -29,7 +29,9 @@ import numpy as np
 from .data import destandardize_moments
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .inference import LOG_2PI, CoefficientPosterior, TrainedModel, _check_sigma2
-from .numkit import STREAM_PREDICT, Rng, as_matrix, as_vector, chol_solve, cholesky
+from .numkit import (
+    STREAM_PREDICT, Rng, all_finite, as_matrix, as_vector, chol_solve, cholesky,
+)
 from .priors import FunctionDraws, kernel_normaliser, sample_functions
 
 _VAR_FLOOR = -1e-10  # anything below this is an error, above is clamped to 0
@@ -54,7 +56,7 @@ def _finish(mean, var_f, sigma2) -> PredictiveDistribution:
     if var_f.shape != mean.shape:
         raise DimensionError("mean and var_f must have matching shapes")
     low = float(var_f.min()) if var_f.size else 0.0
-    if not np.all(np.isfinite(var_f)) or low < _VAR_FLOOR:
+    if not all_finite(var_f) or low < _VAR_FLOOR:
         raise NumericalError(f"predictive variance broke its floor: min {low:.3e}")
     var_f = np.maximum(var_f, 0.0)
     sigma2 = _check_sigma2(sigma2)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, ParameterError
-from .numkit import Rng, as_matrix
+from .numkit import Rng, all_finite, as_matrix
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -139,7 +139,7 @@ def prior_from_dict(d: dict) -> Prior:
     params = {}
     for key, prefix, _ in _LAYOUT[family]:
         arrays = [np.asarray(a, float) for a in d[key]]
-        if not all(np.isfinite(a).all() for a in arrays):
+        if not all(all_finite(a) for a in arrays):
             raise ParameterError(f"prior.{key} has non-finite entries")
         params.update((f"{prefix}_{l}", a) for l, a in enumerate(arrays))
     noise = (d["noise_dim"], d["noise_halfwidth"]) if family == "ns" else ()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 import weakref
 import zlib
 from pathlib import Path
@@ -323,6 +324,32 @@ class TestCoercionAndMessages:
         with pytest.raises(NumericalError) as exc:
             ad.broadcast_add_row(ad.scale(big, 1e108), tape.constant(np.array([[1e308, 0.0]])))
         assert str(exc.value) == "broadcast_add_row: produced a non-finite value"
+        # the other ops that can overflow check too
+        huge = tape.leaf(np.array([[1e308, 1.0]]))
+        for op, run in [
+            ("add", lambda: ad.add(huge, huge)),
+            ("sub", lambda: ad.sub(huge, ad.scale(huge, -1.0))),
+            ("scale", lambda: ad.scale(big, 1e200)),
+            ("square", lambda: ad.square(big)),
+        ]:
+            with pytest.raises(NumericalError) as exc:
+                run()
+            assert str(exc.value) == f"{op}: produced a non-finite value"
+
+    def test_sum_of_finite_terms_that_overflows_names_itself(self):
+        # every term is finite, and so is every product of dot's operands
+        tape = ad.Tape()
+        a = tape.leaf(np.array([[1e308, 1e308]]), requires_grad=True)
+        b = tape.leaf(np.array([[1.2e154, 1.2e154]]), requires_grad=True)
+        c = tape.leaf(np.array([[1.2e154, 1.2e154]]), requires_grad=True)
+        with pytest.raises(NumericalError) as exc:
+            ad.vsum(a)
+        assert str(exc.value) == "sum: produced a non-finite value"
+        assert exc.value.leaf_ids == (a.nid,)
+        with pytest.raises(NumericalError) as exc:
+            ad.dot(b, c)
+        assert str(exc.value) == "dot: produced a non-finite value"
+        assert exc.value.leaf_ids == (b.nid, c.nid)
 
     def test_non_var_operands_rejected(self):
         tape = ad.Tape()
@@ -381,6 +408,38 @@ class TestBackwardFreesTheTape:
         assert len(tape) == n and tape.last_visited == n
         assert all(v is None for v in tape._vjps)
         assert sorted(grads) == sorted(v.nid for v in leaves.values())
+
+
+_FINITE_EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e200,
+                    2.2250738585072014e-308, 5e-324, -5e-324, 0.0, -0.0, 1.0)
+
+
+class TestUncheckedOpsStayFinite:
+    """The ops that record without a finiteness check, at finite extremes."""
+
+    OPS = {
+        "transpose": ad.transpose,
+        "reshape": lambda v: ad.reshape(v, (v.shape[1], v.shape[0])),
+        "tanh": ad.vtanh,
+        "relu": ad.relu,
+        "softplus": ad.softplus,
+        "log": ad.vlog,
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(OPS)),
+        entries=st.lists(st.sampled_from(_FINITE_EXTREMES), min_size=1, max_size=12),
+    )
+    def test_finite_operands_give_finite_values(self, name, entries):
+        value = np.array([entries])
+        if name == "log":  # a positive operand: magnitudes, zeros as 1
+            value = np.where(value == 0.0, 1.0, np.abs(value))
+        tape = ad.Tape()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.OPS[name](tape.leaf(value, requires_grad=True))
+        assert np.isfinite(out.value).all()
 
 
 class TestFailureNamesLeaves:

@@ -718,8 +718,15 @@ class TestExitCodes:
             # softplus(q_diag) underflowed to 0 and q was rejected as a bad
             # setting, exit 2
             ({"sigma2_mode": "fixed", "alpha": 0.0}, "q_diag", "softplus(q_diag) = 0.0"),
+            # a BNN log-scale grew by ~lr: the model was saved, exit 0, and
+            # vip predict on it failed naming no parameter
+            (
+                {"sigma2_mode": "fixed", "alpha": 0.5},
+                "w_log_scale_0",
+                "exp(w_log_scale_0) = inf",
+            ),
         ],
-        ids=["noise", "q"],
+        ids=["noise", "q", "prior-scale"],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_last_update_exits_4_naming_the_parameter(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -407,3 +409,56 @@ class TestMatrixChecks:
         assert v.dtype == np.float64
         with pytest.raises(DimensionError):
             numkit.as_vector(np.ones((2, 2)))
+
+
+# Finite values at the edges of float64: the largest, huge, the smallest
+# normal and subnormal, signed zeros; and the three non-finite values.
+_EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e200,
+             2.2250738585072014e-308, 5e-324, -5e-324, 0.0, -0.0, 1.0)
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+_LIMIT = numkit._ZEROS.size
+
+
+def _laid_out(flat: np.ndarray, layout: str) -> np.ndarray:
+    """``flat``'s entries as a contiguous, 2-D, transposed or strided array."""
+    if layout == "flat":
+        return flat
+    if layout == "2-d":
+        return flat.reshape(1, -1)
+    if layout == "transposed":
+        return np.column_stack([flat, flat]).T  # each entry twice, not C-contiguous
+    wide = np.zeros(2 * flat.size)  # every other entry of a larger array
+    wide[::2] = flat
+    return wide[::2]
+
+
+class TestAllFinite:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.integers(0, 40), st.sampled_from([_LIMIT - 1, _LIMIT, _LIMIT + 1])),
+        fill=st.lists(st.sampled_from(_EXTREMES), min_size=1, max_size=8),
+        bad=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(_NON_FINITE)),
+                     max_size=3),
+        layout=st.sampled_from(["flat", "2-d", "transposed", "strided"]),
+    )
+    def test_matches_isfinite(self, n, fill, bad, layout):
+        flat = np.resize(np.array(fill), n)
+        for where, value in bad:
+            if n:
+                flat[int(where * n)] = value
+        a = _laid_out(flat, layout)
+        want = bool(np.isfinite(a).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numkit.all_finite(a)
+        assert got is want
+
+    def test_non_contiguous_views_are_read_in_full(self):
+        a = np.ones((6, 4))
+        a[5, 3] = np.nan
+        assert not numkit.all_finite(a.T)
+        assert not numkit.all_finite(a[1::2, 1:])
+        assert numkit.all_finite(a[::2])
+
+    def test_zeros_buffer_is_read_only(self):
+        assert not numkit._ZEROS.flags.writeable and not numkit._ZEROS.any()
