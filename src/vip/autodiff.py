@@ -8,7 +8,9 @@ are built from these primitives rather than added as new ops. A binary op
 takes two Vars from one tape; a constant operand comes from ``tape.constant``.
 Gradients accumulate in a fixed order (descending node index), ``sum`` and
 ``dot`` reduce with math.fsum so their forward values do not depend on
-element order, and relu takes derivative 0 at exactly 0.
+element order, and relu takes derivative 0 at exactly 0. The exact sum
+skips exact zeros (half of ``dot(L, L)`` for a lower-triangular L): adding
+a zero changes no exactly rounded sum, so the value is the same.
 
 ``backward`` never writes into an array: a node's first gradient
 contribution is kept as it is when it is already C-ordered (a transposed
@@ -228,10 +230,16 @@ def broadcast_add_row(a: Var, row: Var) -> Var:
 
 
 def _fsum(op: str, arr: np.ndarray, *operands: Var) -> np.ndarray:
-    """math.fsum of ``arr`` as 1x1; an overflowing sum fails like any other op."""
+    """math.fsum of ``arr`` as 1x1; an overflowing sum fails like any other op.
+
+    The nonzero entries go to fsum as one list of Python floats, which it
+    walks about twice as fast as numpy scalars. Dropping the exact zeros
+    leaves the exactly rounded sum as it was.
+    """
+    flat = arr.ravel()
     try:
-        return np.array([[math.fsum(arr.ravel())]])
-    except OverflowError:
+        return np.array([[math.fsum(flat[flat != 0.0].tolist())]])
+    except (OverflowError, ValueError):  # ValueError: dot's products hold inf and -inf
         _fail(f"{op}: produced a non-finite value", *operands)
 
 

@@ -165,9 +165,26 @@ def load_table(path: str, has_header: bool = False, min_width: int = 1, positive
     return header, out
 
 
-def load_csv(path: str, has_header: bool = False) -> Dataset:
-    """Parse a regression CSV: feature columns, then the target last."""
-    _, table = load_table(path, has_header, min_width=2)
+def load_csv(path: str, has_header: bool = False, input_dim: int = None) -> Dataset:
+    """Parse a regression CSV: feature columns, then the target last.
+
+    With ``input_dim`` (a model's, for prediction) the target is optional: a
+    table exactly ``input_dim`` wide is features only and gets NaN targets,
+    one ``input_dim + 1`` wide is read as above, and any other width is a
+    ParseError that names both.
+    """
+    if input_dim is None:
+        _, table = load_table(path, has_header, min_width=2)
+        return Dataset(table[:, :-1], table[:, -1])
+    _, table = load_table(path, has_header)
+    width = table.shape[1]
+    if width == input_dim:
+        return Dataset(table, np.full(table.shape[0], np.nan))
+    if width != input_dim + 1:
+        raise ParseError(
+            f"{path}: {width} columns, expected {input_dim} (features only) or "
+            f"{input_dim + 1} (features, then a target)"
+        )
     return Dataset(table[:, :-1], table[:, -1])
 
 

@@ -23,13 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .numkit import STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, as_matrix, as_vector
-from .priors import FunctionDraws, init_prior, kernel_normaliser, sample_functions
+from .priors import (
+    FunctionDraws,
+    init_prior,
+    kernel_normaliser,
+    moment_constants,
+    sample_functions,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 # raw diagonal value whose softplus is exactly 1, so L starts at the identity
@@ -87,17 +94,26 @@ def _check_sigma2(sigma2: float) -> float:
 # symbolic energy
 
 
+@lru_cache(maxsize=16)
+def _embed_constants(s: int):
+    """The (1,S) ones row, identity and strict lower mask that build L from its leaves.
+
+    Built once per S and read-only, since every step at that S shares them.
+    """
+    out = (np.ones((1, s)), np.eye(s), np.tril(np.ones((s, s)), -1))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _variational_graph(tape: ad.Tape, params: dict):
     """Realize L and sum(log diag L) from the raw leaves on the tape."""
     diag_raw = params["q_diag"]
     tril_raw = params["q_tril"]
-    s = tril_raw.value.shape[0]
+    ones_row, eye, strict = _embed_constants(tril_raw.value.shape[0])
     sp = ad.softplus(diag_raw)  # (s,1)
     log_diag_sum = ad.vsum(ad.vlog(sp))
-    strict = np.tril(np.ones((s, s)), -1)
-    diag_embed = ad.mul(
-        ad.matmul(sp, tape.constant(np.ones((1, s)))), tape.constant(np.eye(s))
-    )
+    diag_embed = ad.mul(ad.matmul(sp, tape.constant(ones_row)), tape.constant(eye))
     L = ad.add(ad.mul(tril_raw, tape.constant(strict)), diag_embed)
     return L, log_diag_sum
 
@@ -147,7 +163,8 @@ def energy_loss(
     phi = ad.scale(ad.transpose(draws.deltas), 1.0 / math.sqrt(denom))  # (mb, s)
     pred = ad.add(ad.transpose(draws.mean), ad.matmul(phi, params["q_mu"]))
     resid = ad.sub(tape.constant(y.reshape(-1, 1)), pred)
-    s2 = ad.matmul(ad.square(ad.matmul(phi, L)), tape.constant(np.ones((s, 1))))
+    _, ones_col = moment_constants(s)
+    s2 = ad.matmul(ad.square(ad.matmul(phi, L)), tape.constant(ones_col))
 
     lo = log_sigma2
     if ridge:  # the per-point term e adds its variance to the noise
@@ -184,36 +201,55 @@ def energy_loss(
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """Adam's moment estimates over all parameter groups as two flat buffers.
+
+    ``layout`` lists each group's (name, shape) in buffer order; ``m`` and
+    ``v`` hold the groups' entries back to back, each group in row-major
+    order.
+    """
+
+    layout: tuple
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, params: dict) -> "AdamState":
-        return cls(
-            {k: np.zeros_like(a) for k, a in params.items()},
-            {k: np.zeros_like(a) for k, a in params.items()},
-        )
+        layout = tuple((k, a.shape) for k, a in params.items())
+        size = sum(a.size for a in params.values())
+        return cls(layout, np.zeros(size), np.zeros(size))
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
-    """One bias-corrected Adam update. Mutates ``state``, returns new params."""
-    if sorted(params) != sorted(grads) or sorted(params) != sorted(state.m):
+    """One bias-corrected Adam update. Mutates ``state``, returns new params.
+
+    The groups are updated as one flat vector in the state's layout; every
+    operation is elementwise, so each entry gets the bits a per-group update
+    gives it. The new params, in layout order, are views of one buffer.
+    """
+    names = [k for k, _ in state.layout]
+    if params.keys() != grads.keys() or params.keys() != set(names):
         raise ContractError("params, grads and optimizer state must share keys")
     if lr <= 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
+    for k, shape in state.layout:
+        for what, a in (("parameter", params[k]), ("gradient", grads[k])):
+            if a.shape != shape:
+                raise DimensionError(f"{what} {k} has shape {a.shape}, expected {shape}")
     b1, b2, eps = ADAM_BETAS_EPS
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    out = {}
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise DimensionError(f"gradient for {k} has shape {g.shape}, expected {p.shape}")
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
-        out[k] = p - lr * (state.m[k] / c1) / (np.sqrt(state.v[k] / c2) + eps)
+    g = np.concatenate([grads[k].ravel() for k in names])
+    p = np.concatenate([params[k].ravel() for k in names])
+    state.m = b1 * state.m + (1.0 - b1) * g
+    state.v = b2 * state.v + (1.0 - b2) * (g * g)
+    new = p - lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+    out, pos = {}, 0
+    for k, shape in state.layout:
+        size = math.prod(shape)
+        out[k] = new[pos : pos + size].reshape(shape)
+        pos += size
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -186,6 +187,18 @@ def init_prior(
     return Prior(family, sizes, activation, params, noise_dim, noise_halfwidth)
 
 
+@lru_cache(maxsize=16)
+def moment_constants(s: int):
+    """The (1,S) row of 1/S and the (S,1) ones column that form S draws' moments.
+
+    Built once per S and read-only, since every step at that S shares them.
+    """
+    mean_row = np.full((1, s), 1.0 / s)
+    ones_col = np.ones((s, 1))
+    mean_row.flags.writeable = ones_col.flags.writeable = False
+    return mean_row, ones_col
+
+
 @dataclass
 class FunctionDraws:
     """S function draws evaluated at N inputs, with mean and centered residuals.
@@ -216,9 +229,9 @@ class FunctionDraws:
         f = as_matrix(f, "draw matrix")
         if f.shape[0] < 2:
             raise ParameterError(f"need at least 2 draws, got {f.shape[0]}")
-        s = f.shape[0]
-        mean = (np.full((1, s), 1.0 / s)) @ f
-        deltas = f - np.ones((s, 1)) @ mean
+        mean_row, ones_col = moment_constants(f.shape[0])
+        mean = mean_row @ f
+        deltas = f - ones_col @ mean
         return cls(f, mean, deltas)
 
     def slice_columns(self, start: int, stop: int) -> "FunctionDraws":
@@ -307,8 +320,9 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
             f = term if f is None else ad.add(f, term)
     if tape is None:
         return FunctionDraws.from_matrix(f)
-    mean = ad.matmul(tape.constant(np.full((1, s), 1.0 / s)), f)
-    deltas = ad.sub(f, ad.matmul(tape.constant(np.ones((s, 1))), mean))
+    mean_row, ones_col = moment_constants(s)
+    mean = ad.matmul(tape.constant(mean_row), f)
+    deltas = ad.sub(f, ad.matmul(tape.constant(ones_col), mean))
     return FunctionDraws(f, mean, deltas)
 
 

@@ -3,17 +3,20 @@
 No code path of ``vip`` calls these. They are the scalar, per-point forms of
 quantities the package computes batched on the tape (the alpha and ELBO
 data terms, the KL), a finite-difference gradient checker, the dense
-empirical kernel matrix that the rank-S feature route avoids forming, and
-the shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops.
+empirical kernel matrix that the rank-S feature route avoids forming, the
+shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops, and Adam updating
+each parameter group on its own, as ``adam_step`` did before it moved to one
+flat buffer.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from vip import autodiff as ad
 from vip.errors import ContractError, DimensionError, ParameterError
-from vip.inference import LOG_2PI, CoefficientPosterior, _check_sigma2
+from vip.inference import ADAM_BETAS_EPS, LOG_2PI, CoefficientPosterior, _check_sigma2
 from vip.numkit import Rng, as_vector
 from vip.priors import FunctionDraws, kernel_normaliser
 
@@ -140,3 +143,38 @@ def choose_sorted(rng: Rng, m: int, k: int) -> np.ndarray:
         j = t + int(u[t] * (m - t))
         pool[t], pool[j] = pool[j], pool[t]
     return np.sort(pool[:k])
+
+
+@dataclass
+class GroupAdamState:
+    m: dict
+    v: dict
+    t: int = 0
+
+    @classmethod
+    def zeros(cls, params: dict) -> "GroupAdamState":
+        return cls(
+            {k: np.zeros_like(a) for k, a in params.items()},
+            {k: np.zeros_like(a) for k, a in params.items()},
+        )
+
+
+def group_adam_step(params: dict, grads: dict, state: GroupAdamState, lr: float) -> dict:
+    """One bias-corrected Adam update. Mutates ``state``, returns new params."""
+    if sorted(params) != sorted(grads) or sorted(params) != sorted(state.m):
+        raise ContractError("params, grads and optimizer state must share keys")
+    if lr <= 0:
+        raise ParameterError(f"learning rate must be positive, got {lr}")
+    b1, b2, eps = ADAM_BETAS_EPS
+    state.t += 1
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    out = {}
+    for k, p in params.items():
+        g = grads[k]
+        if g.shape != p.shape:
+            raise DimensionError(f"gradient for {k} has shape {g.shape}, expected {p.shape}")
+        state.m[k] = b1 * state.m[k] + (1.0 - b1) * g
+        state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
+        out[k] = p - lr * (state.m[k] / c1) / (np.sqrt(state.v[k] / c2) + eps)
+    return out

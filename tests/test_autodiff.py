@@ -414,6 +414,78 @@ _FINITE_EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e2
                     2.2250738585072014e-308, 5e-324, -5e-324, 0.0, -0.0, 1.0)
 
 
+# entries of the exact-sum property: exact zeros of both signs weigh most, then
+# subnormals, the smallest normal, values near the overflow threshold, and any
+# finite double
+_SUM_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _sum_operand(draw, shape=None):
+    """A 2-D float64 array, sometimes all zeros, sometimes a strided view."""
+    rows, cols = shape or (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    layout = draw(st.sampled_from(["c", "transposed", "strided"]))
+    base_shape = {"c": (rows, cols), "transposed": (cols, rows), "strided": (2 * rows, 2 * cols)}
+    n = math.prod(base_shape[layout])
+    if draw(st.booleans()) and draw(st.booleans()):
+        entries = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    else:
+        entries = draw(st.lists(_SUM_ENTRIES, min_size=n, max_size=n))
+    base = np.array(entries).reshape(base_shape[layout])
+    return {"c": base, "transposed": base.T, "strided": base[::2, ::-2]}[layout]
+
+
+class TestExactSumsProperty:
+    """``vsum`` and ``dot`` give math.fsum's exactly rounded value, to the bit."""
+
+    @staticmethod
+    def _expect(op, terms, run, *operands):
+        try:
+            want = None if not np.isfinite(terms).all() else math.fsum(terms.ravel())
+        except OverflowError:
+            want = None
+        if want is None:
+            with pytest.raises(NumericalError) as exc:
+                run()
+            assert str(exc.value) == f"{op}: produced a non-finite value"
+            assert exc.value.leaf_ids == tuple(v.nid for v in operands)
+        else:
+            got = run().value
+            assert got.shape == (1, 1)
+            assert got[0, 0].hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arr=_sum_operand())
+    @example(arr=np.array([[1e308, 1e308, -0.0]]))
+    @example(arr=np.full((50, 50), -0.0))
+    def test_vsum_matches_fsum(self, arr):
+        tape = ad.Tape()
+        a = tape.leaf(arr, requires_grad=True)
+        self._expect("sum", arr, lambda: ad.vsum(a), a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pair=st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+            lambda shape: st.tuples(_sum_operand(shape), _sum_operand(shape))
+        )
+    )
+    @example(pair=(np.tril(np.full((50, 50), 0.1)), np.tril(np.full((50, 50), 0.1))))
+    @example(pair=(np.array([[1e200, 1e200]]), np.array([[1e200, -1e200]])))
+    def test_dot_matches_fsum_of_products(self, pair):
+        av, bv = pair
+        tape = ad.Tape()
+        a = tape.leaf(av, requires_grad=True)
+        b = tape.leaf(bv, requires_grad=True)
+        with np.errstate(over="ignore", under="ignore"):
+            terms = av * bv
+            self._expect("dot", terms, lambda: ad.dot(a, b), a, b)
+
+
 class TestUncheckedOpsStayFinite:
     """The ops that record without a finiteness check, at finite extremes."""
 

@@ -18,11 +18,12 @@ TINY_CFG = {
 }
 
 
-# what vip predict adds to an error in its --data file
-PREDICT_LAYOUT = (
-    "(vip predict reads the training layout: feature columns, "
-    "then a target column whose values it ignores)"
-)
+def _predict_layout(d):
+    """What vip predict adds to an error in the --data file of a d-input model."""
+    return (
+        f"(vip predict reads the model's {d} feature columns, optionally "
+        "followed by a target column whose values it ignores)"
+    )
 
 
 def _cfg_file(tmp_path, extra=None, name="cfg.json"):
@@ -339,9 +340,9 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert f"non-positive cell '{cell}'" in err and "row 3, column 2" in err
 
-    @pytest.mark.parametrize("width", [2, 4])
+    @pytest.mark.parametrize("width", [1, 4])
     def test_predict_data_of_wrong_width_is_data_error(self, tmp_path, capsys, width):
-        # a 2-feature model; its data files have 3 columns
+        # a 2-feature model reads 2 columns (features only) or 3 (training layout)
         rng = np.random.default_rng(0)
         train_csv = tmp_path / "train.csv"
         np.savetxt(train_csv, rng.standard_normal((12, 3)), delimiter=",")
@@ -356,26 +357,32 @@ class TestPredictEval:
         assert rc == 3
         err = capsys.readouterr().err
         assert err == (
-            f"error: {data}: {width - 1} feature columns, but the model takes input_dim 2 "
-            f"{PREDICT_LAYOUT}\n"
+            f"error: {data}: {width} columns, expected 2 (features only) or 3 "
+            f"(features, then a target) {_predict_layout(2)}\n"
         )
 
-    def test_predict_data_without_a_target_column_is_data_error(self, tmp_path, capsys):
-        # --data keeps the training layout: a 1-d model's file needs 2 columns
-        data = _synth(tmp_path, n=10)
+    @pytest.mark.parametrize("input_dim, has_header", [(1, False), (2, True)])
+    def test_predict_data_of_features_only_matches_training_layout(
+        self, tmp_path, input_dim, has_header
+    ):
+        rng = np.random.default_rng(3)
+        train_csv = tmp_path / "train.csv"
+        np.savetxt(train_csv, rng.standard_normal((12, input_dim + 1)), delimiter=",")
         model_out = str(tmp_path / "m.json")
-        assert cli.main(["train", "--data", data, "--config", _cfg_file(tmp_path),
+        assert cli.main(["train", "--data", str(train_csv), "--config", _cfg_file(tmp_path),
                          "--model-out", model_out]) == 0
-        features = tmp_path / "x.csv"
-        features.write_text("0.1\n0.2\n")
-        capsys.readouterr()
-        rc = cli.main(["predict", "--model", model_out, "--data", str(features),
-                       "--out", str(tmp_path / "p.csv")])
-        assert rc == 3
-        assert capsys.readouterr().err == (
-            f"error: {features}: need at least 2 columns, found 1 at row 1, column 1 "
-            f"{PREDICT_LAYOUT}\n"
-        )
+        rows = rng.standard_normal((7, input_dim + 1))
+        outputs = []
+        for name, table in (("xy.csv", rows), ("x.csv", rows[:, :input_dim])):
+            data = tmp_path / name
+            header = ",".join(f"c{j}" for j in range(table.shape[1])) if has_header else ""
+            np.savetxt(data, table, delimiter=",", fmt="%.17g", header=header, comments="")
+            out = tmp_path / f"pred-{name}"
+            argv = ["predict", "--model", model_out, "--data", str(data), "--out", str(out)]
+            assert cli.main(argv + (["--has-header"] if has_header else [])) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 8
 
     def test_corrupt_model_file_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)

@@ -1,5 +1,10 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +22,16 @@ from vip.inference import (
     train,
 )
 from vip.data import standardize, synth_toy
+from vip.modelfile import canonical_json, model_to_dict
 from vip.numkit import Rng
-from vip.priors import init_prior, kernel_normaliser, sample_functions
+from vip.priors import init_prior, kernel_normaliser, moment_constants, sample_functions
 
 from oracles import (
+    GroupAdamState,
     alpha_local_term,
     cov,
     elbo_local_term,
+    group_adam_step,
     kl_standard_normal,
     standard_posterior,
 )
@@ -380,6 +388,87 @@ class TestAdam:
         p = {"x": np.zeros((1, 1))}
         with pytest.raises(ContractError):
             adam_step(p, {"y": np.zeros((1, 1))}, AdamState.zeros(p), 0.1)
+
+    def test_matches_per_group_oracle_bitwise(self):
+        rng = np.random.default_rng(21)
+        shapes = {"w": (3, 4), "one": (1, 1), "tril": (50, 50), "col": (50, 1), "idle": (2, 5)}
+        p = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        ref_p = dict(p)
+        state, ref_state = AdamState.zeros(p), GroupAdamState.zeros(p)
+        for step in range(20):
+            grads = {
+                k: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 4)
+                for k, shape in shapes.items()
+            }
+            grads["idle"] = np.zeros(shapes["idle"])  # a group the loss never reaches
+            if step % 5 == 0:
+                grads["one"] = np.zeros((1, 1))
+            grads["tril"] = np.tril(grads["tril"], -1)  # zero on and above the diagonal
+            p = adam_step(p, grads, state, 0.01)
+            ref_p = group_adam_step(ref_p, grads, ref_state, 0.01)
+            assert list(p) == list(ref_p)
+            for k, shape in shapes.items():
+                assert p[k].shape == shape
+                assert p[k].tobytes() == ref_p[k].tobytes(), (step, k)
+        assert state.t == ref_state.t == 20
+        for flat, groups in ((state.m, ref_state.m), (state.v, ref_state.v)):
+            assert flat.tobytes() == np.concatenate([groups[k].ravel() for k in shapes]).tobytes()
+
+    @pytest.mark.parametrize("case", ["param keys", "grad keys", "param shape", "grad shape"])
+    def test_params_or_grads_off_the_state_layout_rejected(self, case):
+        p = {"a": np.zeros((2, 3)), "b": np.zeros((1, 1))}
+        state = AdamState.zeros(p)
+        grads = {k: np.ones_like(a) for k, a in p.items()}
+        if case == "param keys":  # params and grads agree, the state does not
+            p, grads = ({"a": d["a"], "c": d["b"]} for d in (p, grads))
+        elif case == "grad keys":
+            grads = {"a": grads["a"]}
+        elif case == "param shape":  # as many entries as the state's (2,3), laid out (3,2)
+            p["a"], grads["a"] = np.zeros((3, 2)), np.ones((3, 2))
+        else:
+            grads["b"] = np.ones((1, 2))
+        err = ContractError if case.endswith("keys") else DimensionError
+        with pytest.raises(err):
+            adam_step(p, grads, state, 0.1)
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+
+
+def _model_sha(s: int) -> str:
+    """SHA-256 of the model file a small minibatch ``ns`` fit at S=s saves."""
+    ds = standardize(synth_toy(64, 4, noise="std"))
+    cfg = TrainConfig(
+        alpha=0.5, num_draws=s, epochs=2, batch_size=16, sigma2_mode="learned",
+        prior_family="ns", hidden=(6,), noise_dim=3, seed=5,
+    )
+    text = canonical_json(model_to_dict(train(ds.x, ds.y, cfg)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCachedConstants:
+    """The per-S constants a training step shares are read-only and leak nothing."""
+
+    def test_read_only(self):
+        for a in (*moment_constants(7), *inf._embed_constants(7)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+    def test_sizes_in_turn_match_fresh_processes(self):
+        here = [_model_sha(s) for s in (20, 50, 20)]
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(inf.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, tests, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        fresh = {}
+        for s in (20, 50):
+            code = f"from test_inference import _model_sha; print(_model_sha({s}))"
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                check=True,
+            )
+            fresh[s] = out.stdout.strip()
+        assert here == [fresh[20], fresh[50], fresh[20]]
 
 
 class TestTrainConfig:
