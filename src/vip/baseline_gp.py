@@ -34,8 +34,12 @@ class RbfKernel:
     signal_variance: float
 
     def __post_init__(self):
-        if not (self.lengthscale > 0 and math.isfinite(self.lengthscale)):
-            raise ParameterError(f"lengthscale must be positive, got {self.lengthscale}")
+        # the Gram divides by lengthscale**2, which must neither underflow to 0 nor overflow
+        ls = self.lengthscale
+        if not (ls > 0 and 0.0 < ls * ls < math.inf):
+            raise ParameterError(
+                f"lengthscale must be positive with a positive, finite square, got {ls}"
+            )
         if not (self.signal_variance > 0 and math.isfinite(self.signal_variance)):
             raise ParameterError(
                 f"signal_variance must be positive, got {self.signal_variance}"

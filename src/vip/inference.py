@@ -375,6 +375,9 @@ class TrainedModel:
     final_params: dict = field(default=None, repr=False)
 
 
+# every non-finite value a step or the end-of-training checks meet is
+# reported by name; numpy's warnings would only precede that error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     """Fit prior parameters and q(a) on (x, y); see the module docstring.
 
@@ -461,8 +464,7 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     # a scale that underflows to 0 passes there, so it passes here too
     for name in prior.params:
         if name.startswith(("w_log_scale_", "b_log_scale_")):
-            with np.errstate(over="ignore"):
-                scale = np.exp(params[name])
+            scale = np.exp(params[name])
             _after_last_update(name, f"exp({name})", scale, low=-math.inf)
     return TrainedModel(
         prior=prior.with_params(params),

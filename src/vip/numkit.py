@@ -210,48 +210,27 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return check_finite(out, name)
 
 
-def _asymmetry(a: np.ndarray) -> float:
-    """max |a - a.T| of a square matrix, 128 rows at a time.
-
-    Block rows r0:r1 are compared against columns :r1 only, which covers
-    every (i, j) pair on or below the diagonal, and |a_ij - a_ji| is the
-    same rounded value for a pair and its mirror. No n x n temporary.
-    """
-    worst = 0.0
-    n = a.shape[0]
-    for r0 in range(0, n, 128):
-        r1 = min(r0 + 128, n)
-        d = a[r0:r1, :r1] - a[:r1, r0:r1].T
-        worst = max(worst, float(np.abs(d, out=d).max()))
-    return worst
-
-
 def cholesky(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    LAPACK ``dpotrf`` on the lower triangle of a copy of ``a``. When it stops
-    at a non-positive pivot, ``info`` names it and the factor's diagonal
-    holds the offending value, so the error reports which pivot failed
-    instead of a bare library code. A NaN pivot, which ``dpotrf`` may pass
-    through, is reported the same way.
+    LAPACK ``dpotrf`` on the lower triangle of a copy of ``a``; like
+    ``numpy.linalg.cholesky``, the upper triangle is never read, so the
+    caller builds the matrix symmetric. When ``dpotrf`` stops at a
+    non-positive pivot, ``info`` names it and the factor's diagonal holds
+    the offending value, so the error reports which pivot failed instead of
+    a bare library code. A NaN pivot, which ``dpotrf`` may pass through, is
+    reported the same way.
 
-    The input must be finite, square and symmetric to 1e-8 of
-    max(1, max|a|), checked in that order. The checks take two reductions
-    and one blocked pass over ``a`` and allocate no n x n temporary.
+    The input must be 2-D, finite and square, checked in that order.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"cholesky input must be 2-D, got ndim={a.ndim}")
-    # NaN propagates through max and min, so two finite extremes mean a
-    # finite matrix, and they give max|a| without an abs temporary
-    hi, lo = (float(a.max()), float(a.min())) if a.size else (0.0, 0.0)
-    if not (math.isfinite(hi) and math.isfinite(lo)):
+    if not all_finite(a):
         raise NumericalError("cholesky input contains non-finite entries")
     n, m = a.shape
     if n != m:
         raise DimensionError(f"cholesky needs a square matrix, got {n}x{m}")
-    if _asymmetry(a) > 1e-8 * max(1.0, hi, -lo):
-        raise ParameterError("cholesky input is not symmetric")
     L, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
     if info == 0:
         bad = np.flatnonzero(~np.isfinite(np.diagonal(L)))

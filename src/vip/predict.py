@@ -108,6 +108,9 @@ def predict_features(
     return _finish(mean, var_f, sigma2)
 
 
+# a non-finite draw, posterior or moment is checked and named where it
+# arises; numpy's warnings would only precede that error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def posterior_predict(
     model: TrainedModel, x_test, mode: str | None = None
 ) -> PredictiveDistribution:

@@ -91,9 +91,11 @@ class Prior:
             raise ParameterError("only the ns family takes noise inputs")
         if self.family == "ns" and self.noise_dim < 1:
             raise ParameterError(f"noise_dim must be >= 1, got {self.noise_dim}")
-        if not 0.0 <= self.noise_halfwidth < np.inf:
+        # the noise is drawn from [-a, a), whose width 2a must be finite too
+        if not 0.0 <= 2.0 * self.noise_halfwidth < np.inf:
             raise ParameterError(
-                f"noise_halfwidth must be finite and >= 0, got {self.noise_halfwidth}"
+                f"noise_halfwidth must be >= 0 with 2 * noise_halfwidth finite, "
+                f"got {self.noise_halfwidth}"
             )
         if self.layer_sizes[0] <= self.noise_dim:
             raise ParameterError("first layer must be wider than noise_dim (x gets the rest)")

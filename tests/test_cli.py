@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vip
 import vip.cli as cli
 from vip.errors import NumericalError
 from vip.modelfile import load_model
@@ -83,6 +88,18 @@ class TestTrain:
                 ["train", "--data", data, "--config", cfg, "--seed", "3", "--model-out", out]
             ) == 0
         assert open(m1, "rb").read() == open(m2, "rb").read()
+
+    def test_noise_halfwidth_with_overflowing_range_is_usage_error(self, tmp_path, capsys):
+        # the noise range 2 * 1e308 overflowed in the first step's draw, and
+        # training exited 4 with "leaf: non-finite value", naming no key
+        data = _synth(tmp_path)
+        cfg = _cfg_file(tmp_path, {"prior_family": "ns", "noise_halfwidth": 1e308})
+        capsys.readouterr()
+        argv = ["train", "--data", data, "--config", cfg, "--model-out", str(tmp_path / "m")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: noise_halfwidth must be >= 0 with 2 * noise_halfwidth finite, got 1e+308\n"
+        )
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         data = _synth(tmp_path)
@@ -305,7 +322,8 @@ class TestPredictEval:
         assert rc == 3
         assert f"{field} has non-finite entries" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400"])
+    # 1e308 is finite, but the noise range 2 * 1e308 is not
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1e308"])
     def test_non_finite_noise_halfwidth_is_data_error(self, tmp_path, capsys, text):
         data = _synth(tmp_path, n=10)
         model_out = tmp_path / "m.json"
@@ -642,6 +660,21 @@ class TestGpBaseline:
         assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lengthscale", [1e-300, 1e200])
+    def test_lengthscale_whose_square_is_not_positive_finite_is_usage_error(
+        self, tmp_path, capsys, lengthscale
+    ):
+        # 1e-300 squares to 0 and the Gram became NaN (exit 4); 1e200 squares
+        # past the largest double and raised OverflowError (exit 1)
+        gc = tmp_path / "grid.json"
+        gc.write_text(json.dumps({"protocol": "toy", "splits": 1, "lengthscales": [lengthscale]}))
+        capsys.readouterr()
+        assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: lengthscale must be positive with a positive, finite square, "
+            f"got {lengthscale!r}\n"
+        )
+
     def test_constant_training_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "const.csv"
         data.write_text("".join(f"{float(i)!r},0.5\n" for i in range(20)))
@@ -662,6 +695,48 @@ class TestGpBaseline:
         assert cli.main(["gp-baseline", "--data", data]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert len(rep["per_split"]) == 5
+
+
+def _cli_process(*args, cwd):
+    """``vip`` in a child interpreter, so stderr shows what a user sees:
+    pytest captures warnings raised in its own process."""
+    pkg_root = str(Path(vip.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "vip.cli", *args], cwd=cwd, env=env, capture_output=True,
+        text=True,
+    )
+
+
+class TestNoNumpyWarningsOnStderr:
+    # numpy's overflow warnings used to reach stderr ahead of the error line
+
+    def test_diverging_train(self, tmp_path):
+        assert cli.main(["synth", "--n", "300", "--seed", "0", "--noise", "std",
+                         "--out", str(tmp_path / "toy.csv")]) == 0
+        (tmp_path / "cfg.json").write_text(json.dumps({"epochs": 3, "learning_rate": 1000.0}))
+        proc = _cli_process("train", "--data", "toy.csv", "--config", "cfg.json",
+                            "--model-out", "m.json", cwd=tmp_path)
+        assert proc.returncode == 4
+        assert proc.stderr == (
+            "error: epoch 1, batch at 0: exp: produced a non-finite value "
+            "(parameters: w_log_scale_0)\n"
+        )
+
+    def test_predict_from_an_overflowing_model(self, tmp_path):
+        # one step at lr 1e300 leaves finite ns weights whose draws overflow
+        data = str(tmp_path / "toy.csv")
+        assert cli.main(["synth", "--n", "300", "--seed", "0", "--noise", "std",
+                         "--out", data]) == 0
+        cfg = _cfg_file(tmp_path, {"epochs": 1, "num_draws": 5, "learning_rate": 1e300,
+                                   "hidden": [10, 10], "prior_family": "ns"})
+        assert cli.main(["train", "--data", data, "--config", cfg,
+                         "--model-out", str(tmp_path / "m.json")]) == 0
+        proc = _cli_process("predict", "--model", "m.json", "--data", "toy.csv",
+                            "--out", "p.csv", cwd=tmp_path)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: cholesky input contains non-finite entries\n"
 
 
 class TestExitCodes:
@@ -706,7 +781,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "train.y" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_train_exits_4_naming_the_parameter(self, tmp_path, capsys):
         data = _synth(tmp_path, n=300, seed=0)
         cfg = _cfg_file(tmp_path, {"learning_rate": 1e3, "sigma2_mode": "learned"})
@@ -735,7 +809,6 @@ class TestExitCodes:
         ],
         ids=["noise", "q", "prior-scale"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_last_update_exits_4_naming_the_parameter(
         self, tmp_path, capsys, extra, name, what
     ):

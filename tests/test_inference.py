@@ -576,7 +576,6 @@ class TestTrain:
             ("ns", 0.5, "exp: produced a non-finite value (parameters: log_sigma2)"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_run_names_the_parameter(self, family, alpha, failure):
         # the toy protocol's data and config at a learning rate that diverges
         # in the first Adam step; the message names the leaf behind the op
@@ -595,7 +594,6 @@ class TestTrain:
             (0.1, "fixed", "q_diag out of range: softplus(q_diag) = 0.0"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_last_update_names_the_parameter(self, sigma2, sigma2_mode, message):
         # one epoch: the only Adam step diverges, and no forward pass follows it
         ds = standardize(synth_toy(300, 0, "std"))
