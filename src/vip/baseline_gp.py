@@ -3,12 +3,11 @@
 Reference baseline: zero prior mean (targets come standardized), predictive
 moments by Cholesky conditioning, hyperparameters by exhaustive grid search
 over (lengthscale, signal variance, noise variance) on the log marginal
-likelihood. Every training Gram is built at unit signal variance, made
-exactly symmetric, (K + K^T) / 2, and then scaled by the signal variance;
-the grid search and ``gp_predict`` share that construction. A
-constant 1e-10 jitter is added to the diagonal of every training system; if
-the factorization still fails it is retried once at 1e-6 before the pivot
-error propagates.
+likelihood. Training Grams K(x, x) are exactly symmetric by construction
+(``RbfKernel.gram``); a grid cell scores sv * (unit-signal Gram), bit for
+bit the Gram ``gp_predict`` builds at sv. A constant 1e-10 jitter is added
+to the diagonal of every training system; if the factorization still fails
+it is retried once at 1e-6 before the pivot error propagates.
 """
 
 from __future__ import annotations
@@ -46,28 +45,27 @@ class RbfKernel:
             )
 
     def gram(self, xa, xb) -> np.ndarray:
-        xa = as_matrix(xa, "kernel inputs")
-        xb = as_matrix(xb, "kernel inputs")
+        """K(xa, xb). ``gram(x, x)`` converts x once and takes x @ x.T, which
+        numpy runs as a symmetric rank-k update, so it is exactly symmetric."""
+        same = xb is xa
+        xa = np.ascontiguousarray(as_matrix(xa, "kernel inputs"))
+        xb = xa if same else as_matrix(xb, "kernel inputs")
         if xa.shape[1] != xb.shape[1]:
             raise ParameterError(
                 f"kernel inputs disagree on dimension: {xa.shape[1]} vs {xb.shape[1]}"
             )
+        # p before k, so that p, once freed, lies below k and the next N x N
+        # array reuses its pages instead of faulting in fresh ones
+        p = xa @ xb.T
+        p *= 2.0
         k = np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :]
-        k -= 2.0 * xa @ xb.T
+        k -= p
         np.maximum(k, 0.0, out=k)
         k *= -0.5
         k /= self.lengthscale**2
         np.exp(k, out=k)
         k *= self.signal_variance
         return k
-
-
-def _train_gram(kernel: RbfKernel, x: np.ndarray) -> np.ndarray:
-    """K(x, x) made exactly symmetric: (K + K^T) / 2."""
-    kff = kernel.gram(x, x)
-    a = kff + kff.T
-    a /= 2.0
-    return a
 
 
 def _train_chol(kff: np.ndarray, sigma2: float) -> np.ndarray:
@@ -91,6 +89,8 @@ def _train_chol(kff: np.ndarray, sigma2: float) -> np.ndarray:
         kff.flat[:: n + 1] = diag
 
 
+# as in posterior_predict; a subnormal lengthscale**2 overflows to the exact identity Gram
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDistribution:
     """Closed-form posterior at x_star for f ~ GP(0, k), y = f + N(0, sigma2)."""
     x = as_matrix(x, "training inputs")
@@ -99,11 +99,8 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
         raise ParameterError(f"{x.shape[0]} input rows vs {y.shape[0]} targets")
     x_star = as_matrix(x_star, "test inputs")
     sigma2 = _check_sigma2(sigma2)
-    # the grid search's sv * unit, scaled in place; freed before the test rows
-    kff = _train_gram(RbfKernel(kernel.lengthscale, 1.0), x)
-    kff *= kernel.signal_variance
-    la = _train_chol(kff, sigma2)
-    del kff
+    # bit for bit the grid cell's sv * unit, freed before the test rows
+    la = _train_chol(kernel.gram(x, x), sigma2)
     ksf = kernel.gram(x_star, x)
     mean = ksf @ chol_solve(la, y)
     v = scipy.linalg.solve_triangular(la, ksf.T, lower=True, check_finite=False)
@@ -137,6 +134,7 @@ class GpFit:
     log_marginal: float
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gp_fit_grid(x, y, lengthscales, signal_variances, sigma2s) -> GpFit:
     """Exhaustive marginal-likelihood grid search.
 
@@ -156,7 +154,7 @@ def gp_fit_grid(x, y, lengthscales, signal_variances, sigma2s) -> GpFit:
     best = None
     for ls in sorted(float(v) for v in lengthscales):
         kernels = [RbfKernel(ls, sv) for sv in svs]
-        unit = _train_gram(RbfKernel(ls, 1.0), x)
+        unit = RbfKernel(ls, 1.0).gram(x, x)
         for sig2 in sorted(float(v) for v in sigma2s):
             for kernel in kernels:
                 lm = gp_log_marginal(kernel.signal_variance * unit, y, sig2)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .data import destandardize_moments
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
@@ -66,7 +67,8 @@ def _finish(mean, var_f, sigma2) -> PredictiveDistribution:
 def exact_coefficient_posterior(b, y_centered, sigma2: float) -> CoefficientPosterior:
     """Conjugate posterior over a in y = B a + eps, a ~ N(0, I), eps ~ N(0, sigma2 I).
 
-    mu = (B^T B + sigma2 I)^-1 B^T y,  Sigma = sigma2 (B^T B + sigma2 I)^-1.
+    With A = B^T B + sigma2 I = L L^T: mu = A^-1 B^T y, Sigma = sigma2 W^T W for W = L^-1.
+    numpy runs B^T B and W^T W as symmetric products: A and Sigma are exactly symmetric.
     """
     b = as_matrix(b, "feature matrix")
     y = as_vector(y_centered, "centered targets")
@@ -74,11 +76,10 @@ def exact_coefficient_posterior(b, y_centered, sigma2: float) -> CoefficientPost
         raise DimensionError(f"{b.shape[0]} feature rows vs {y.shape[0]} targets")
     sigma2 = _check_sigma2(sigma2)
     s = b.shape[1]
-    a = b.T @ b + sigma2 * np.eye(s)
-    la = cholesky((a + a.T) / 2.0)
+    la = cholesky(b.T @ b + sigma2 * np.eye(s))
     mu = chol_solve(la, b.T @ y)
-    sig = sigma2 * chol_solve(la, np.eye(s))
-    return CoefficientPosterior(mu, cholesky((sig + sig.T) / 2.0))
+    w, _ = scipy.linalg.lapack.dtrtri(la, lower=1)  # la has a positive diagonal
+    return CoefficientPosterior(mu, cholesky(sigma2 * (w.T @ w)))
 
 
 def predict_features(

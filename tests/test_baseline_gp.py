@@ -5,14 +5,13 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vip import baseline_gp, numkit
 from vip.baseline_gp import (
     GpFit,
     RbfKernel,
-    _train_gram,
     gp_fit_grid,
     gp_log_marginal,
     gp_predict,
@@ -80,6 +79,31 @@ class TestKernel:
         with pytest.raises(ParameterError):
             RbfKernel(1.0, -2.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 600),
+        d=st.integers(1, 13),
+        layout=st.sampled_from(["C", "F", "strided", "int"]),
+        seed=st.integers(0, 2**32 - 1),
+        ls=st.floats(0.1, 5.0),
+        sv=st.floats(0.05, 5.0),
+    )
+    @example(n=500, d=8, layout="C", seed=0, ls=1.0, sv=1.0)
+    def test_gram_of_x_with_itself_is_exactly_symmetric(self, n, d, layout, seed, ls, sv):
+        # cholesky reads only the lower triangle, so the training Gram must
+        # be symmetric bit for bit, whatever the layout or dtype of x
+        rng = np.random.default_rng(seed)
+        if layout == "C":
+            x = rng.standard_normal((n, d))
+        elif layout == "F":
+            x = np.asfortranarray(rng.standard_normal((n, d)))
+        elif layout == "strided":
+            x = rng.standard_normal((2 * n, 2 * d))[::2, ::2]
+        else:
+            x = rng.integers(-3, 4, (n, d))
+        g = RbfKernel(ls, sv).gram(x, x)
+        assert np.array_equal(g, g.T)
+
 
 class TestTrainMatrix:
     @staticmethod
@@ -89,13 +113,12 @@ class TestTrainMatrix:
         sq = (
             np.sum(x * x, axis=1)[:, None]
             + np.sum(x * x, axis=1)[None, :]
-            - 2.0 * x @ x.T
+            - 2.0 * (x @ x.T)
         )
         np.maximum(sq, 0.0, out=sq)
         kff = sv * np.exp(-0.5 * sq / (ls**2))
         n = x.shape[0]
-        base = (kff + kff.T) / 2.0 + sigma2 * np.eye(n)
-        return base + jitter * np.eye(n)
+        return kff + sigma2 * np.eye(n) + jitter * np.eye(n)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -118,7 +141,7 @@ class TestTrainMatrix:
             return np.linalg.cholesky(a)
 
         with mock.patch.object(baseline_gp, "cholesky", recording_cholesky):
-            baseline_gp._train_chol(_train_gram(RbfKernel(ls, sv), x), sigma2)
+            baseline_gp._train_chol(RbfKernel(ls, sv).gram(x, x), sigma2)
         jitters = [baseline_gp._JITTER] + [baseline_gp._JITTER_RETRY] * retry
         assert len(seen) == len(jitters)
         for a, jitter in zip(seen, jitters):
@@ -199,7 +222,7 @@ class TestGpPredict:
 
         with mock.patch.object(baseline_gp, "cholesky", recording_cholesky):
             gp_predict(RbfKernel(0.9, 0.7), x, y, 0.1, x[:5])
-            gp_log_marginal(0.7 * _train_gram(RbfKernel(0.9, 1.0), x), y, 0.1)
+            gp_log_marginal(0.7 * RbfKernel(0.9, 1.0).gram(x, x), y, 0.1)
         assert len(seen) == 2
         assert seen[0].tobytes() == seen[1].tobytes()
 
@@ -208,7 +231,8 @@ class TestLogMarginal:
     def test_scalar_hand_value(self):
         # N=1, k(x,x)=1, sigma2=1, y=0: -0.5 log(4 pi)
         k = RbfKernel(1.0, 1.0)
-        got = gp_log_marginal(_train_gram(k, np.array([[0.0]])), np.array([0.0]), 1.0)
+        x = np.array([[0.0]])
+        got = gp_log_marginal(k.gram(x, x), np.array([0.0]), 1.0)
         assert got == pytest.approx(-0.5 * math.log(4 * math.pi), abs=1e-9)
 
     def test_matches_dense_oracle(self):
@@ -219,7 +243,7 @@ class TestLogMarginal:
             y = rng.standard_normal(n)
             k = RbfKernel(0.5 + rng.random(), 0.5 + rng.random())
             sig2 = 0.1 + rng.random()
-            got = gp_log_marginal(_train_gram(k, x), y, sig2)
+            got = gp_log_marginal(k.gram(x, x), y, sig2)
             cov = k.gram(x, x) + (sig2 + 1e-10) * np.eye(n)
             sign, logdet = np.linalg.slogdet(cov)
             want = -0.5 * (y @ np.linalg.solve(cov, y) + logdet + n * LOG_2PI)
@@ -229,7 +253,7 @@ class TestLogMarginal:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((6, 1))
         k = RbfKernel(1.0, 1.0)
-        got = gp_log_marginal(_train_gram(k, x), np.zeros(6), 0.3)
+        got = gp_log_marginal(k.gram(x, x), np.zeros(6), 0.3)
         cov = k.gram(x, x) + (0.3 + 1e-10) * np.eye(6)
         want = -0.5 * (np.linalg.slogdet(cov)[1] + 6 * LOG_2PI)
         assert got == pytest.approx(want, abs=1e-10)
@@ -239,10 +263,11 @@ class TestLogMarginal:
         x = rng.standard_normal((12, 2))
         y = rng.standard_normal(12)
         k = RbfKernel(0.8, 1.2)
-        base = gp_log_marginal(_train_gram(k, x), y, 0.2)
+        base = gp_log_marginal(k.gram(x, x), y, 0.2)
         for _ in range(5):
             perm = rng.permutation(12)
-            assert gp_log_marginal(_train_gram(k, x[perm]), y[perm], 0.2) == pytest.approx(
+            xp = x[perm]
+            assert gp_log_marginal(k.gram(xp, xp), y[perm], 0.2) == pytest.approx(
                 base, abs=1e-10
             )
 
@@ -252,7 +277,7 @@ class TestLogMarginal:
         # then restored, on the retry path and when the retry fails too
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal((7, 2)), rng.standard_normal(7)
-        kff = _train_gram(RbfKernel(0.7, 1.3), x)
+        kff = RbfKernel(0.7, 1.3).gram(x, x)
         before = kff.tobytes()
         calls = []
 
@@ -291,7 +316,7 @@ class TestGridFit:
         assert fit.kernel.signal_variance == 1.3
         assert fit.sigma2 == 0.2
         assert fit.log_marginal == pytest.approx(
-            gp_log_marginal(_train_gram(fit.kernel, x), y, 0.2)
+            gp_log_marginal(fit.kernel.gram(x, x), y, 0.2)
         )
 
     def test_argmax_over_grid(self):
@@ -301,7 +326,7 @@ class TestGridFit:
         ls_grid, sv_grid, s2_grid = [0.2, 0.5, 1.0, 2.0], [0.5, 1.0], [0.01, 0.1, 1.0]
         fit = gp_fit_grid(x, y, ls_grid, sv_grid, s2_grid)
         best = max(
-            gp_log_marginal(_train_gram(RbfKernel(l, v), x), y, s)
+            gp_log_marginal(RbfKernel(l, v).gram(x, x), y, s)
             for l in ls_grid
             for v in sv_grid
             for s in s2_grid
@@ -350,62 +375,45 @@ class TestGridFit:
             gp_fit_grid(np.zeros((2, 1)), np.zeros(2), [], [1.0], [0.1])
 
 
-def _is_power_of_two(v):
-    return math.frexp(v)[0] == 0.5
-
-
 class TestGridMatchesPerCellOracle:
     """The shared unit Gram against the per-cell composition it replaced.
 
-    When the unit Gram u is exactly symmetric, the grid's sv * ((u + u.T) / 2)
-    and the oracle's (sv*u + (sv*u).T) / 2 are both sv*u to the bit, since
-    adding an entry to itself and halving round nothing. When u is not
-    symmetric they still agree with sv a power of two while no entry is
-    subnormal, as scaling then rounds nothing; only an asymmetric Gram at
-    another sv may differ in the last bits.
+    A unit Gram u is exactly symmetric by construction, and a cell's own
+    Gram at signal variance sv is sv * u to the bit, since the kernel scales
+    by sv last; so the oracle's (sv*u + (sv*u).T) / 2 is sv * u as well, as
+    adding an entry to itself and halving round nothing. The grid then picks
+    the oracle's cell with the oracle's score, bit for bit.
     """
 
-    # a BLAS may return x @ x.T with asymmetric last bits from a few hundred
-    # rows on, so n reaches 320
+    # n up to 320 and d up to 13 reach the shapes at which a general
+    # product of x with a copy of itself has asymmetric last bits
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 320),
-        d=st.integers(1, 6),
+        d=st.integers(1, 13),
         seed=st.integers(0, 2**32 - 1),
         lengthscales=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=3),
-        signal_variances=st.one_of(
-            st.lists(st.integers(-3, 3).map(lambda e: 2.0**e), min_size=1, max_size=3),
-            st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
-        ),
+        signal_variances=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
         sigma2s=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=3),
     )
+    # a Gram built by a general product scores this cell differently in the
+    # last bit
+    @example(n=300, d=2, seed=0, lengthscales=[1.0], signal_variances=[0.7], sigma2s=[0.1])
     def test_fit_equals_the_per_cell_oracle(
         self, n, d, seed, lengthscales, signal_variances, sigma2s
     ):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((n, d)), rng.standard_normal(n)
         fit = gp_fit_grid(x, y, lengthscales, signal_variances, sigma2s)
-        cells, want = {}, None
+        want = None
         for ls in sorted(lengthscales):
             for sig2 in sorted(sigma2s):
                 for sv in sorted(signal_variances):
                     lm = _per_cell_log_marginal(RbfKernel(ls, sv), x, y, sig2)
-                    cells[ls, sv, sig2] = lm
                     if want is None or lm > want.log_marginal:
                         want = GpFit(RbfKernel(ls, sv), sig2, lm)
-        units = [RbfKernel(ls, 1.0).gram(x, x) for ls in lengthscales]
-        subnormal = any(
-            np.any((u != 0.0) & (u < np.finfo(float).tiny)) for u in units
-        )
-        symmetric = all(np.array_equal(u, u.T) for u in units)
-        if symmetric or (all(map(_is_power_of_two, signal_variances)) and not subnormal):
-            assert fit == want
-            assert fit.log_marginal.hex() == want.log_marginal.hex()
-        else:
-            # a near tie may pick another cell; its score is still the oracle's
-            got = cells[fit.kernel.lengthscale, fit.kernel.signal_variance, fit.sigma2]
-            assert fit.log_marginal == pytest.approx(got, rel=1e-13)
-            assert fit.log_marginal == pytest.approx(want.log_marginal, rel=1e-13)
+        assert fit == want
+        assert fit.log_marginal.hex() == want.log_marginal.hex()
 
 
 def test_grid_peak_memory_is_three_gram_arrays():

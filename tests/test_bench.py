@@ -213,6 +213,22 @@ def _learned():
     pr.posterior_predict(train(ds.x, ds.y, TrainConfig(**TINY)), ds.x, mode="learned")
 
 
+def _exact_three_features():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((40, 3))
+    y = np.sin(x.sum(axis=1)) + 0.1 * rng.standard_normal(40)
+    pr.posterior_predict(train(x, y, TrainConfig(**TINY)), x, mode="exact")
+
+
+def _gp_eight_columns():
+    # 270 training rows of 8 columns: a Gram whose inner products came from
+    # a general product would have asymmetric last bits at this shape
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((300, 8))
+    data = Dataset(x, np.sin(x[:, 0]) + 0.1 * rng.standard_normal(300))
+    gp_baseline_protocol("uci", data=data, splits=1)
+
+
 @pytest.mark.parametrize(
     "path, min_calls",
     [
@@ -220,6 +236,7 @@ def _learned():
             pytest.param(lambda f=f, e=e: _toy_exact(f, e), 1, id=f"toy-{f}-{e}")
             for f in ("bnn", "ns") for e in ("mle", "pm")
         ],
+        pytest.param(_exact_three_features, 2, id="exact-3-features"),
         # the learned route factors nothing today; it runs here so that a
         # factorisation added to it is checked too
         pytest.param(_learned, 0, id="learned"),
@@ -232,6 +249,7 @@ def _learned():
         pytest.param(
             lambda: gp_baseline_protocol("toy", splits=1, toy_n=60), 1, id="gp-baseline"
         ),
+        pytest.param(_gp_eight_columns, 1, id="gp-baseline-8-columns"),
     ],
 )
 def test_every_factored_matrix_is_exactly_symmetric(monkeypatch, path, min_calls):

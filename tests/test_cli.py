@@ -738,6 +738,16 @@ class TestNoNumpyWarningsOnStderr:
         assert proc.returncode == 4
         assert proc.stderr == "error: cholesky input contains non-finite entries\n"
 
+    def test_gp_baseline_with_a_subnormal_squared_lengthscale(self, tmp_path):
+        # 1e-160 squares to a subnormal, so the Gram's division overflows;
+        # its limit, the identity Gram, is the right answer
+        (tmp_path / "grid.json").write_text(json.dumps(
+            {"protocol": "toy", "lengthscales": [1e-160], "splits": 1, "toy_n": 60}
+        ))
+        proc = _cli_process("gp-baseline", "--grid-config", "grid.json", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
 
 class TestExitCodes:
     def test_argparse_usage_error(self):
