@@ -28,7 +28,7 @@ tape raises :class:`ContractError`.
 Every tape value is finite. Leaves and constants are checked as they are
 recorded, and so is the output of each op that can turn finite operands
 into a NaN or inf: ``add``, ``sub``, ``mul``, ``matmul``, ``scale``,
-``broadcast_add_row``, ``square`` and ``exp`` can overflow, and ``sum`` and
+``broadcast_add_row`` and ``exp`` can overflow, and ``sum`` and
 ``dot`` check their 1x1 result (a sum whose finite terms overflow raises
 the same error). The other ops need no check, because their operands are
 already finite: ``transpose`` and ``reshape`` move values, ``tanh`` lies in
@@ -256,11 +256,6 @@ def dot(a: Var, b: Var) -> Var:
     av, bv = a.value, b.value
     val = _fsum("dot", av * bv, a, b)
     return _binary("dot", a, b, val, lambda g: (g[0, 0] * bv, g[0, 0] * av))
-
-
-def square(a: Var) -> Var:
-    av = a.value
-    return _unary("square", a, av * av, lambda g: (2.0 * av * g,))
 
 
 def vexp(a: Var) -> Var:

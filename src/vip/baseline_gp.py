@@ -72,8 +72,9 @@ def _train_chol(kff: np.ndarray, sigma2: float) -> np.ndarray:
     """Lower factor of kff + (sigma2 + jitter) I.
 
     The shifted diagonal is written into ``kff`` for the factorisation and
-    restored afterwards, so no second N x N copy is made and the caller's
-    matrix comes back byte-unchanged.
+    restored afterwards, so no shifted copy of ``kff`` is made and the
+    caller's matrix comes back byte-unchanged; ``dpotrf`` still writes the
+    factor into an N x N array of its own.
     """
     n = kff.shape[0]
     diag = kff.diagonal().copy()
@@ -111,8 +112,9 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
 def gp_log_marginal(kff, y, sigma2: float) -> float:
     """log N(y; 0, kff + sigma2 I), via the jittered Cholesky factor.
 
-    ``kff`` is the symmetric training Gram; it is factored in place of a
-    copy and returned to the caller unchanged.
+    ``kff`` is the symmetric training Gram; its jittered diagonal is written
+    in place rather than into a shifted copy, and ``kff`` is returned to the
+    caller unchanged. The factor is a second N x N array.
     """
     kff = np.asarray(kff, dtype=np.float64)
     y = as_vector(y, "targets")

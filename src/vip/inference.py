@@ -164,7 +164,8 @@ def energy_loss(
     pred = ad.add(ad.transpose(draws.mean), ad.matmul(phi, params["q_mu"]))
     resid = ad.sub(tape.constant(y.reshape(-1, 1)), pred)
     _, ones_col = moment_constants(s)
-    s2 = ad.matmul(ad.square(ad.matmul(phi, L)), tape.constant(ones_col))
+    phi_l = ad.matmul(phi, L)
+    s2 = ad.matmul(ad.mul(phi_l, phi_l), tape.constant(ones_col))
 
     lo = log_sigma2
     if ridge:  # the per-point term e adds its variance to the noise
@@ -175,7 +176,7 @@ def energy_loss(
         logv = ad.vlog(v)
         inv_v = ad.vexp(ad.scale(logv, -1.0))
         base = ad.add(
-            ad.scale(logv, -0.5), ad.scale(ad.mul(ad.square(resid), inv_v), -0.5)
+            ad.scale(logv, -0.5), ad.scale(ad.mul(ad.mul(resid, resid), inv_v), -0.5)
         )
         row = ad.add(
             ad.scale(lo, 0.5 * (1.0 - alpha)),
@@ -184,7 +185,7 @@ def energy_loss(
         data = ad.scale(ad.vsum(ad.broadcast_add_row(base, row)), n_total / (alpha * mb))
     else:
         inv_sig = ad.vexp(ad.scale(lo, -1.0))
-        quad = ad.add(ad.square(resid), s2)
+        quad = ad.add(ad.mul(resid, resid), s2)
         invcol = ad.matmul(tape.constant(np.ones((mb, 1))), inv_sig)
         base = ad.scale(ad.mul(quad, invcol), -0.5)
         row = ad.add(ad.scale(lo, -0.5), tape.constant(-0.5 * LOG_2PI))

@@ -46,9 +46,8 @@ def derive_seed(seed: int, stream: int) -> int:
     Two rounds of the splitmix64 finalizer so that low-entropy inputs
     (seed=0, stream=1, ...) still land far apart.
     """
-    x = (int(seed) + _GOLDEN * (int(stream) + 1)) & _MASK64
-    x = _mix64(x)
-    return _mix64((x + _GOLDEN) & _MASK64)
+    x = _mix64(int(seed) + _GOLDEN * (int(stream) + 1))
+    return _mix64(x + _GOLDEN)
 
 
 class Rng:
@@ -58,8 +57,10 @@ class Rng:
     states; lanes step in lockstep and are read out in a fixed interleaved
     order, so the k-th raw word depends only on (seed, stream, k). Draw
     requests of any size therefore compose: asking for 60 then 40 variates
-    yields exactly the 100 a single request would. Box-Muller consumes raw
-    words in pairs and both outputs are used (the spare is carried over).
+    yields exactly the 100 a single request would. The stream keeps what it
+    has made but not handed out as one array each: ``_words``, raw words
+    from the last lane step, and ``_spare``, the 0 or 1 Box-Muller output
+    left by an odd normal request, which the next normal request starts with.
     """
 
     LANES = 256
@@ -68,15 +69,12 @@ class Rng:
         self.seed = int(seed)
         self.stream = int(stream)
         s = derive_seed(self.seed, self.stream)
-        lanes = []
-        for _ in range(self.LANES):
-            s = (s + _GOLDEN) & _MASK64
-            lane = _mix64(s)
-            lanes.append(lane if lane else _GOLDEN)
-        self._state = np.array(lanes, dtype=np.uint64)
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._pos = 0
-        self._norm_carry: float | None = None
+        self._state = np.array(
+            [_mix64(s + k * _GOLDEN) or _GOLDEN for k in range(1, self.LANES + 1)],
+            dtype=np.uint64,
+        )
+        self._words = np.empty(0, dtype=np.uint64)
+        self._spare = np.empty(0)
 
     def _step(self, nsteps: int) -> np.ndarray:
         """Advance all lanes ``nsteps`` times; returns nsteps*LANES raw words."""
@@ -92,21 +90,11 @@ class Rng:
     def _raw(self, n: int) -> np.ndarray:
         if n < 0:
             raise ParameterError(f"draw count must be >= 0, got {n}")
-        parts = []
-        avail = self._buf.size - self._pos
-        take = min(avail, n)
-        if take:
-            parts.append(self._buf[self._pos : self._pos + take])
-            self._pos += take
-            n -= take
-        if n > 0:
-            block = self._step(-(-n // self.LANES))
-            parts.append(block[:n])
-            self._buf = block
-            self._pos = n
-        if not parts:
-            return np.empty(0, dtype=np.uint64)
-        return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+        short = n - self._words.size
+        if short > 0:
+            self._words = np.concatenate([self._words, self._step(-(-short // self.LANES))])
+        out, self._words = self._words[:n], self._words[n:]
+        return out
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """n draws from [low, high), half-open like the raw 53-bit mantissas."""
@@ -118,28 +106,20 @@ class Rng:
     def standard_normal(self, n: int) -> np.ndarray:
         if n < 0:
             raise ParameterError(f"draw count must be >= 0, got {n}")
-        out = np.empty(n)
-        i = 0
-        if self._norm_carry is not None and n > 0:
-            out[0] = self._norm_carry
-            self._norm_carry = None
-            i = 1
-        rem = n - i
-        if rem == 0:
-            return out
-        npairs = (rem + 1) // 2
+        k = self._spare.size
+        npairs = max(n - k + 1, 0) // 2
         raw = self._raw(2 * npairs)
         # u1 in (0, 1] so the log is finite; u2 in [0, 1).
         u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
         u2 = (raw[1::2] >> np.uint64(11)) * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         th = (2.0 * np.pi) * u2
-        z = np.empty(2 * npairs)
-        z[0::2] = r * np.cos(th)
-        z[1::2] = r * np.sin(th)
-        out[i:] = z[:rem]
-        if rem % 2 == 1:
-            self._norm_carry = float(z[rem])
+        z = np.empty(k + 2 * npairs)
+        z[:k] = self._spare
+        z[k::2] = r * np.cos(th)
+        z[k + 1 :: 2] = r * np.sin(th)
+        # a copy, so the spare does not keep z alive
+        out, self._spare = z[:n], z[n:].copy()
         return out
 
     def permutation(self, n: int) -> np.ndarray:

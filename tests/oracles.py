@@ -4,9 +4,10 @@ No code path of ``vip`` calls these. They are the scalar, per-point forms of
 quantities the package computes batched on the tape (the alpha and ELBO
 data terms, the KL), a finite-difference gradient checker, the dense
 empirical kernel matrix that the rank-S feature route avoids forming, the
-shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops, and Adam updating
-each parameter group on its own, as ``adam_step`` did before it moved to one
-flat buffer.
+shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops, ``Rng`` tracking
+its leftover words with an offset and its leftover normal as a float, and
+Adam updating each parameter group on its own, as ``adam_step`` did before
+it moved to one flat buffer.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 from vip import autodiff as ad
 from vip.errors import ContractError, DimensionError, ParameterError
 from vip.inference import ADAM_BETAS_EPS, LOG_2PI, CoefficientPosterior, _check_sigma2
-from vip.numkit import Rng, as_vector
+from vip.numkit import _GOLDEN, _MASK64, Rng, _mix64, as_vector
 from vip.priors import FunctionDraws, kernel_normaliser
 
 
@@ -117,6 +118,77 @@ def empirical_kernel_matrix(
     k.flat[:: d.shape[1] + 1] += ridge
     k /= denom
     return k
+
+
+def _derive_seed(seed: int, stream: int) -> int:
+    x = (int(seed) + _GOLDEN * (int(stream) + 1)) & _MASK64
+    x = _mix64(x)
+    return _mix64((x + _GOLDEN) & _MASK64)
+
+
+class ReferenceRng(Rng):
+    """``Rng`` with its lane seeding loop, a word buffer read from an offset
+    and a separate normal carry. Same lane steps (``_step``), uniforms and
+    shuffles; the words and variates should come out the same."""
+
+    def __init__(self, seed: int, stream: int = 0):
+        self.seed = int(seed)
+        self.stream = int(stream)
+        s = _derive_seed(self.seed, self.stream)
+        lanes = []
+        for _ in range(self.LANES):
+            s = (s + _GOLDEN) & _MASK64
+            lane = _mix64(s)
+            lanes.append(lane if lane else _GOLDEN)
+        self._state = np.array(lanes, dtype=np.uint64)
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+        self._norm_carry = None
+
+    def _raw(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ParameterError(f"draw count must be >= 0, got {n}")
+        parts = []
+        avail = self._buf.size - self._pos
+        take = min(avail, n)
+        if take:
+            parts.append(self._buf[self._pos : self._pos + take])
+            self._pos += take
+            n -= take
+        if n > 0:
+            block = self._step(-(-n // self.LANES))
+            parts.append(block[:n])
+            self._buf = block
+            self._pos = n
+        if not parts:
+            return np.empty(0, dtype=np.uint64)
+        return parts[0].copy() if len(parts) == 1 else np.concatenate(parts)
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ParameterError(f"draw count must be >= 0, got {n}")
+        out = np.empty(n)
+        i = 0
+        if self._norm_carry is not None and n > 0:
+            out[0] = self._norm_carry
+            self._norm_carry = None
+            i = 1
+        rem = n - i
+        if rem == 0:
+            return out
+        npairs = (rem + 1) // 2
+        raw = self._raw(2 * npairs)
+        u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        u2 = (raw[1::2] >> np.uint64(11)) * 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u1))
+        th = (2.0 * np.pi) * u2
+        z = np.empty(2 * npairs)
+        z[0::2] = r * np.cos(th)
+        z[1::2] = r * np.sin(th)
+        out[i:] = z[:rem]
+        if rem % 2 == 1:
+            self._norm_carry = float(z[rem])
+        return out
 
 
 def permutation(rng: Rng, n: int) -> np.ndarray:

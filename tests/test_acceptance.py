@@ -419,6 +419,15 @@ def _cli(*args, cwd):
 
 
 def test_criterion_09_cli_determinism(tmp_path):
+    """Two identical ``vip train`` runs, and two ``vip bench`` runs, write
+    identical bytes.
+
+    The bytes are a function of the seed, the inputs, the numpy and scipy
+    builds and the BLAS thread count; the child processes here inherit one
+    environment, so all of those are held fixed. Runs at different BLAS
+    thread counts may differ in the last bits (see
+    ``test_cli.py::TestByteDeterminism``).
+    """
     _cli(
         "synth", "--n", "60", "--seed", "5", "--noise", "std",
         "--out", str(tmp_path / "toy.csv"),

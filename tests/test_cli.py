@@ -697,11 +697,12 @@ class TestGpBaseline:
         assert len(rep["per_split"]) == 5
 
 
-def _cli_process(*args, cwd):
+def _cli_process(*args, cwd, env_extra=None):
     """``vip`` in a child interpreter, so stderr shows what a user sees:
-    pytest captures warnings raised in its own process."""
+    pytest captures warnings raised in its own process. ``env_extra`` adds
+    to the child's environment."""
     pkg_root = str(Path(vip.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **(env_extra or {}))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "vip.cli", *args], cwd=cwd, env=env, capture_output=True,
@@ -747,6 +748,27 @@ class TestNoNumpyWarningsOnStderr:
         proc = _cli_process("gp-baseline", "--grid-config", "grid.json", cwd=tmp_path)
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+
+class TestByteDeterminism:
+    def test_model_bytes_repeat_at_a_fixed_blas_thread_count(self, tmp_path):
+        # The bytes are a function of the seed, the inputs, the numpy and
+        # scipy builds and the BLAS thread count: a threaded GEMM may split
+        # its sums differently, so only runs at one count are compared.
+        assert cli.main(["synth", "--n", "2000", "--seed", "3", "--noise", "std",
+                         "--out", str(tmp_path / "toy.csv")]) == 0
+        cfg = _cfg_file(tmp_path, {"prior_family": "ns", "num_draws": 50, "hidden": [50, 50],
+                                   "batch_size": 0, "alpha": 0.5, "epochs": 1})
+        for threads in ("1", "2"):
+            models = []
+            for run in range(2):
+                out = f"m{threads}_{run}.json"
+                proc = _cli_process("train", "--data", "toy.csv", "--config", cfg,
+                                    "--seed", "3", "--model-out", out, cwd=tmp_path,
+                                    env_extra={"OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                models.append((tmp_path / out).read_bytes())
+            assert models[0] == models[1], f"two runs at {threads} BLAS threads differ"
 
 
 class TestExitCodes:

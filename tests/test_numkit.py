@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vip import numkit
@@ -389,6 +389,53 @@ class TestShufflesMatchScalarLoops:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_rng.uniform(3), want_rng.uniform(3))
+
+
+class TestRngMatchesReference:
+    """``Rng`` against ``oracles.ReferenceRng``, the offset, parts list and
+    normal carry it replaced: any interleaving of requests gives the same
+    bytes, dtype and shape, and leaves the lanes in the same state."""
+
+    KINDS = ["uniform", "normal", "permutation", "choose_sorted"]
+
+    @staticmethod
+    def _draw(r, kind, n, frac):
+        if kind == "uniform":
+            return r.uniform(n, -0.5, 2.0)
+        if kind == "normal":
+            return r.standard_normal(n)
+        if kind == "permutation":
+            return r.permutation(n)
+        return r.choose_sorted(n, round(frac * n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(-(2**63), 2**64),
+        stream=st.integers(-(2**63), 2**64),
+        requests=st.lists(
+            st.tuples(st.sampled_from(KINDS), st.integers(0, 1000), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    # odd normal counts around a 256-word block edge, zero-size requests
+    # while a spare is held, and a shuffle between two halves of a pair
+    @example(
+        seed=-1, stream=3,
+        requests=[("normal", 1, 0.0), ("normal", 0, 0.0), ("uniform", 254, 0.0),
+                  ("normal", 3, 0.0), ("permutation", 1000, 0.0), ("normal", 0, 0.0),
+                  ("uniform", 0, 0.0), ("normal", 511, 0.0), ("choose_sorted", 7, 0.5)],
+    )
+    @example(seed=2**63 - 1, stream=0, requests=[("normal", 513, 0.0), ("normal", 999, 0.0)])
+    @example(seed=2**64, stream=-1, requests=[("choose_sorted", 1000, 1.0), ("normal", 1, 0.0)])
+    def test_any_interleaving_matches(self, seed, stream, requests):
+        got, want = Rng(seed, stream), oracles.ReferenceRng(seed, stream)
+        assert got._state.tobytes() == want._state.tobytes()
+        for kind, n, frac in requests:
+            a, b = self._draw(got, kind, n, frac), self._draw(want, kind, n, frac)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+            assert got._state.tobytes() == want._state.tobytes()
 
 
 class TestMatrixChecks:

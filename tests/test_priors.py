@@ -268,7 +268,7 @@ class TestBatchedDraws:
                 f = sample_functions(prior, x, s, Rng(seed, 2), tape=tape, params=params).values
             else:
                 f = _ns_per_draw(prior, x, s, Rng(seed, 2), tape=tape, params=params)
-            loss = ad.add(ad.dot(ad.vtanh(f), tape.constant(w)), ad.vsum(ad.square(f)))
+            loss = ad.add(ad.dot(ad.vtanh(f), tape.constant(w)), ad.vsum(ad.mul(f, f)))
             g = ad.backward(loss)
             return {k: g[v.nid] for k, v in params.items()}
 
@@ -395,7 +395,7 @@ class TestGradientFlow:
             tape = ad.Tape()
             leaves = {n: tape.leaf(a, requires_grad=True) for n, a in params_arrays.items()}
             draws = sample_functions(prior, x, 3, Rng(13, 0), tape=tape, params=leaves)
-            return tape, leaves, ad.vsum(ad.square(draws.values))
+            return tape, leaves, ad.vsum(ad.mul(draws.values, draws.values))
 
         base = dict(prior.params)
         tape, leaves, loss = loss_for(base)
