@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import NotPositiveDefiniteError, ParameterError
 from .inference import LOG_2PI, _check_sigma2
-from .numkit import as_matrix, as_vector, chol_solve, cholesky
+from .numkit import as_matrix, as_vector, cholesky
 from .predict import PredictiveDistribution, _finish
 
 _JITTER = 1e-10
@@ -93,7 +93,12 @@ def _train_chol(kff: np.ndarray, sigma2: float) -> np.ndarray:
 # as in posterior_predict; a subnormal lengthscale**2 overflows to the exact identity Gram
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDistribution:
-    """Closed-form posterior at x_star for f ~ GP(0, k), y = f + N(0, sigma2)."""
+    """Closed-form posterior at x_star for f ~ GP(0, k), y = f + N(0, sigma2).
+
+    GPML Alg. 2.1, whitened: with the jittered K + sigma2 I = L L^T, forward
+    solves give V = L^-1 K*^T and a = L^-1 y, the whitened y of
+    ``gp_log_marginal``; then mean = a^T V and var_f = sv - colsum(V^2).
+    """
     x = as_matrix(x, "training inputs")
     y = as_vector(y, "targets")
     if x.shape[0] != y.shape[0]:
@@ -102,11 +107,15 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
     sigma2 = _check_sigma2(sigma2)
     # bit for bit the grid cell's sv * unit, freed before the test rows
     la = _train_chol(kernel.gram(x, x), sigma2)
-    ksf = kernel.gram(x_star, x)
-    mean = ksf @ chol_solve(la, y)
-    v = scipy.linalg.solve_triangular(la, ksf.T, lower=True, check_finite=False)
+    # K*^T, the transpose of a C-ordered Gram, is Fortran-ordered, so V
+    # overwrites it in place. Solving for a in the same call would need a
+    # stacked copy of K*, which raised the process's peak RSS.
+    v = scipy.linalg.solve_triangular(
+        la, kernel.gram(x_star, x).T, lower=True, overwrite_b=True, check_finite=False
+    )
+    a = scipy.linalg.solve_triangular(la, y, lower=True, check_finite=False)
     var_f = kernel.signal_variance - np.einsum("nk,nk->k", v, v)
-    return _finish(mean, var_f, sigma2)
+    return _finish(a @ v, var_f, sigma2)
 
 
 def gp_log_marginal(kff, y, sigma2: float) -> float:

@@ -259,10 +259,7 @@ def main(argv=None) -> int:
     except (ParameterError, ContractError, DimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ParseError, ModelFileError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except (ParseError, ModelFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except NumericalError as e:

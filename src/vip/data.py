@@ -259,8 +259,8 @@ def interp_split(data: Dataset, n_segments: int, segment_len: int, seed: int):
         raise ParameterError(
             f"{k} segments of length {seg} leave no training rows in {n}"
         )
-    rng = Rng(seed, STREAM_SPLIT)
-    compressed = rng.choose_sorted(n - k * seg + k, k)
+    # the first k entries of a uniform permutation are a uniform k-subset
+    compressed = np.sort(Rng(seed, STREAM_SPLIT).permutation(n - k * seg + k)[:k])
     test_idx = []
     for i, c in enumerate(compressed):
         start = int(c) + i * (seg - 1)

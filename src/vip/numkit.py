@@ -133,20 +133,6 @@ class Rng:
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
 
-    def choose_sorted(self, m: int, k: int) -> np.ndarray:
-        """k distinct values from {0..m-1}, sorted. Partial Fisher-Yates."""
-        if not 0 <= k <= m:
-            raise ParameterError(f"cannot choose {k} from {m}")
-        if k == 0:
-            return np.arange(0)
-        # j = t + trunc(u * (m - t)) for t = 0 .. k-1
-        js = (self.uniform(k) * np.arange(m, m - k, -1)).astype(np.int64).tolist()
-        pool = list(range(m))
-        for t, j in enumerate(js):
-            j += t
-            pool[t], pool[j] = pool[j], pool[t]
-        return np.sort(np.array(pool[:k], dtype=np.int64))
-
 
 # Read-only zeros for all_finite's dot; 64K doubles, 512 KB.
 _ZEROS = np.zeros(1 << 16)
@@ -218,14 +204,3 @@ def cholesky(a) -> np.ndarray:
     if info > 0:
         raise NotPositiveDefiniteError(info - 1, float(L[info - 1, info - 1]))
     return L
-
-
-def chol_solve(L, b) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower factor ``cholesky`` returned.
-
-    That factor is finite with a positive diagonal, so the two LAPACK
-    triangular solves run without input checks. A non-finite ``b`` (say,
-    an overflowed product) gives a non-finite result for the caller to report.
-    """
-    z = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
-    return scipy.linalg.solve_triangular(L, z, lower=True, trans="T", check_finite=False)

@@ -30,9 +30,7 @@ import scipy.linalg
 from .data import destandardize_moments
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .inference import LOG_2PI, CoefficientPosterior, TrainedModel, _check_sigma2
-from .numkit import (
-    STREAM_PREDICT, Rng, all_finite, as_matrix, as_vector, chol_solve, cholesky,
-)
+from .numkit import STREAM_PREDICT, Rng, all_finite, as_matrix, as_vector, cholesky
 from .priors import FunctionDraws, kernel_normaliser, sample_functions
 
 _VAR_FLOOR = -1e-10  # anything below this is an error, above is clamped to 0
@@ -67,8 +65,12 @@ def _finish(mean, var_f, sigma2) -> PredictiveDistribution:
 def exact_coefficient_posterior(b, y_centered, sigma2: float) -> CoefficientPosterior:
     """Conjugate posterior over a in y = B a + eps, a ~ N(0, I), eps ~ N(0, sigma2 I).
 
-    With A = B^T B + sigma2 I = L L^T: mu = A^-1 B^T y, Sigma = sigma2 W^T W for W = L^-1.
-    numpy runs B^T B and W^T W as symmetric products: A and Sigma are exactly symmetric.
+    A = B^T B + sigma2 I = L L^T is the one matrix factored (numpy runs B^T B as
+    a symmetric product, so A is exactly symmetric); the rest is whitened
+    against W = L^-1: mu = W^T (W B^T y) and Sigma = sigma2 W^T W. With W = QR,
+    W^T W = R^T R, so R with each row signed to a positive diagonal, scaled by
+    sqrt(sigma2) and transposed, is chol(Sigma). QR cannot fail on the
+    nonsingular W: the posterior fails only where A's factorisation does.
     """
     b = as_matrix(b, "feature matrix")
     y = as_vector(y_centered, "centered targets")
@@ -77,9 +79,12 @@ def exact_coefficient_posterior(b, y_centered, sigma2: float) -> CoefficientPost
     sigma2 = _check_sigma2(sigma2)
     s = b.shape[1]
     la = cholesky(b.T @ b + sigma2 * np.eye(s))
-    mu = chol_solve(la, b.T @ y)
     w, _ = scipy.linalg.lapack.dtrtri(la, lower=1)  # la has a positive diagonal
-    return CoefficientPosterior(mu, cholesky(sigma2 * (w.T @ w)))
+    mu = w.T @ (w @ (b.T @ y))
+    # a non-finite W (an overflowed inverse) passes through to the checks of q
+    (r,) = scipy.linalg.qr(w, mode="r", check_finite=False)
+    r *= np.copysign(math.sqrt(sigma2), np.diagonal(r))[:, None]
+    return CoefficientPosterior(mu, r.T)
 
 
 def predict_features(

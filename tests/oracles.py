@@ -203,20 +203,6 @@ def permutation(rng: Rng, n: int) -> np.ndarray:
     return perm
 
 
-def choose_sorted(rng: Rng, m: int, k: int) -> np.ndarray:
-    """k distinct values from {0..m-1}, sorted. Partial Fisher-Yates."""
-    if not 0 <= k <= m:
-        raise ParameterError(f"cannot choose {k} from {m}")
-    pool = np.arange(m)
-    if k == 0:
-        return pool[:0]
-    u = rng.uniform(k)
-    for t in range(k):
-        j = t + int(u[t] * (m - t))
-        pool[t], pool[j] = pool[j], pool[t]
-    return np.sort(pool[:k])
-
-
 @dataclass
 class GroupAdamState:
     m: dict

@@ -236,7 +236,7 @@ def _gp_eight_columns():
             pytest.param(lambda f=f, e=e: _toy_exact(f, e), 1, id=f"toy-{f}-{e}")
             for f in ("bnn", "ns") for e in ("mle", "pm")
         ],
-        pytest.param(_exact_three_features, 2, id="exact-3-features"),
+        pytest.param(_exact_three_features, 1, id="exact-3-features"),
         # the learned route factors nothing today; it runs here so that a
         # factorisation added to it is checked too
         pytest.param(_learned, 0, id="learned"),

@@ -207,6 +207,24 @@ class TestPredictEval:
         b = open(str(tmp_path / "p_exact.csv")).read()
         assert a != b
 
+    def test_exact_route_where_only_a_second_factorisation_would_fail(self, tmp_path):
+        # A = B^T B + sigma2 I factors at this sigma2, but sigma2 W^T W, which
+        # the exact route once factored as well, does not: vip predict exited 4.
+        # Train seed and sigma2 are the first such pair of a search over seeds
+        # 0-5 and sigma2 = 10^(-k/8), k = 96..159, on this data and config.
+        data = _synth(tmp_path, n=60)
+        model_out = tmp_path / "m.json"
+        cfg = _cfg_file(tmp_path, {"num_draws": 20})
+        assert cli.main(["train", "--data", data, "--config", cfg, "--seed", "1",
+                         "--model-out", str(model_out)]) == 0
+        d = json.loads(model_out.read_text())
+        d["sigma2"] = 10.0 ** (-148 / 8)
+        model_out.write_text(json.dumps(d))
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--model", str(model_out), "--data", data,
+                         "--out", str(out), "--coeff", "exact"]) == 0
+        assert len(out.read_text().splitlines()) == 61
+
     def test_eval_missing_columns_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
         pred = tmp_path / "p.csv"

@@ -365,6 +365,17 @@ class TestInterpSplit:
             seen_last |= 11 in idx
         assert seen_first and seen_last
 
+    def test_placement_is_uniform_over_arrangements(self):
+        # 2 segments of 3 in 12 rows: C(8, 2) = 28 arrangements, 50 seeds each
+        # expected; a binomial sd is about 7
+        ds = Dataset(np.arange(12.0).reshape(-1, 1), np.arange(12.0))
+        counts = {}
+        for seed in range(1400):
+            key = tuple(interp_split(ds, 2, 3, seed=seed)[1].y.astype(int))
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 28
+        assert 20 < min(counts.values()) and max(counts.values()) < 80
+
 
 class TestToy:
     def test_fn_values(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vip import numkit
 from vip.errors import DimensionError, NotPositiveDefiniteError, NumericalError, ParameterError
-from vip.numkit import Rng, chol_solve, cholesky, derive_seed
+from vip.numkit import Rng, cholesky, derive_seed
 
 import oracles
 
@@ -203,51 +203,6 @@ class TestCholeskyInputChecks:
         assert _check_outcome(cholesky, b) == self.NON_FINITE
 
 
-class TestSolveTriangular:
-    """``chol_solve``: a forward then a transposed triangular solve."""
-
-    def test_identity(self):
-        np.testing.assert_array_equal(chol_solve(np.eye(4), np.arange(4.0)), np.arange(4.0))
-
-    def test_hand_worked_forward(self):
-        # L = [[2, 0], [1, 2]], L L^T = [[4, 2], [2, 5]]: forward L z = (6, 7)
-        # gives z = (3, 2), back L^T x = z gives x = (1, 1)
-        x = chol_solve(np.array([[2.0, 0.0], [1.0, 2.0]]), np.array([6.0, 7.0]))
-        np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-15)
-
-    def test_matches_dense_inverse(self):
-        # against a Gauss-Jordan inverse written out by hand in the test
-        def gj_inverse(a):
-            n = a.shape[0]
-            aug = np.hstack([a.astype(float), np.eye(n)])
-            for col in range(n):
-                p = col + int(np.argmax(np.abs(aug[col:, col])))
-                aug[[col, p]] = aug[[p, col]]
-                aug[col] /= aug[col, col]
-                for r in range(n):
-                    if r != col:
-                        aug[r] -= aug[r, col] * aug[col]
-            return aug[:, n:]
-
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            n = int(rng.integers(1, 50))
-            L = np.tril(rng.standard_normal((n, n)))
-            L[np.arange(n), np.arange(n)] = 1.0 + rng.random(n)
-            b = rng.standard_normal(n)
-            np.testing.assert_allclose(
-                chol_solve(L, b), gj_inverse(L.T) @ (gj_inverse(L) @ b), rtol=0, atol=1e-8
-            )
-
-    def test_chol_solve_round_trip(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((6, 6))
-        a = m @ m.T + 6 * np.eye(6)
-        x = rng.standard_normal(6)
-        L = cholesky(a)
-        np.testing.assert_allclose(chol_solve(L, a @ x), x, rtol=0, atol=1e-10)
-
-
 class TestRngMoments:
     def test_normal_mean_and_var(self):
         z = Rng(42, 0).standard_normal(1_000_000)
@@ -355,17 +310,9 @@ class TestPermutation:
             counts[Rng(seed, 0).permutation(4)[0]] += 1
         assert counts.min() > 400  # expectation 500 each
 
-    def test_choose_sorted(self):
-        c = Rng(2, 0).choose_sorted(50, 5)
-        assert c.shape == (5,)
-        assert len(set(c.tolist())) == 5
-        assert np.all(np.diff(c) > 0)
-        with pytest.raises(ParameterError):
-            Rng(2).choose_sorted(3, 4)
-
 
 class TestShufflesMatchScalarLoops:
-    """The list-based shuffles against the numpy-scalar loops they replaced:
+    """The list-based shuffle against the numpy-scalar loop it replaced:
     same values, same dtype, same variates consumed."""
 
     @settings(max_examples=200, deadline=None)
@@ -377,43 +324,28 @@ class TestShufflesMatchScalarLoops:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_rng.uniform(3), want_rng.uniform(3))
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        m=st.integers(0, 3000), frac=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**63 - 1), stream=st.integers(0, 9),
-    )
-    def test_choose_sorted(self, m, frac, seed, stream):
-        k = round(frac * m)
-        got_rng, want_rng = Rng(seed, stream), Rng(seed, stream)
-        got, want = got_rng.choose_sorted(m, k), oracles.choose_sorted(want_rng, m, k)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_rng.uniform(3), want_rng.uniform(3))
-
 
 class TestRngMatchesReference:
     """``Rng`` against ``oracles.ReferenceRng``, the offset, parts list and
     normal carry it replaced: any interleaving of requests gives the same
     bytes, dtype and shape, and leaves the lanes in the same state."""
 
-    KINDS = ["uniform", "normal", "permutation", "choose_sorted"]
+    KINDS = ["uniform", "normal", "permutation"]
 
     @staticmethod
-    def _draw(r, kind, n, frac):
+    def _draw(r, kind, n):
         if kind == "uniform":
             return r.uniform(n, -0.5, 2.0)
         if kind == "normal":
             return r.standard_normal(n)
-        if kind == "permutation":
-            return r.permutation(n)
-        return r.choose_sorted(n, round(frac * n))
+        return r.permutation(n)
 
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(-(2**63), 2**64),
         stream=st.integers(-(2**63), 2**64),
         requests=st.lists(
-            st.tuples(st.sampled_from(KINDS), st.integers(0, 1000), st.floats(0.0, 1.0)),
+            st.tuples(st.sampled_from(KINDS), st.integers(0, 1000)),
             min_size=1,
             max_size=12,
         ),
@@ -422,17 +354,17 @@ class TestRngMatchesReference:
     # while a spare is held, and a shuffle between two halves of a pair
     @example(
         seed=-1, stream=3,
-        requests=[("normal", 1, 0.0), ("normal", 0, 0.0), ("uniform", 254, 0.0),
-                  ("normal", 3, 0.0), ("permutation", 1000, 0.0), ("normal", 0, 0.0),
-                  ("uniform", 0, 0.0), ("normal", 511, 0.0), ("choose_sorted", 7, 0.5)],
+        requests=[("normal", 1), ("normal", 0), ("uniform", 254), ("normal", 3),
+                  ("permutation", 1000), ("normal", 0), ("uniform", 0), ("normal", 511),
+                  ("permutation", 7)],
     )
-    @example(seed=2**63 - 1, stream=0, requests=[("normal", 513, 0.0), ("normal", 999, 0.0)])
-    @example(seed=2**64, stream=-1, requests=[("choose_sorted", 1000, 1.0), ("normal", 1, 0.0)])
+    @example(seed=2**63 - 1, stream=0, requests=[("normal", 513), ("normal", 999)])
+    @example(seed=2**64, stream=-1, requests=[("permutation", 1000), ("normal", 1)])
     def test_any_interleaving_matches(self, seed, stream, requests):
         got, want = Rng(seed, stream), oracles.ReferenceRng(seed, stream)
         assert got._state.tobytes() == want._state.tobytes()
-        for kind, n, frac in requests:
-            a, b = self._draw(got, kind, n, frac), self._draw(want, kind, n, frac)
+        for kind, n in requests:
+            a, b = self._draw(got, kind, n), self._draw(want, kind, n)
             assert (a.dtype, a.shape) == (b.dtype, b.shape)
             assert a.tobytes() == b.tobytes()
             assert got._state.tobytes() == want._state.tobytes()

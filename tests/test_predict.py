@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vip import autodiff as ad
 from vip import predict as pr
-from vip.errors import DimensionError, NumericalError, ParameterError
+from vip.errors import DimensionError, NotPositiveDefiniteError, NumericalError, ParameterError
 from vip.inference import (
     SOFTPLUS_INV_ONE,
     CoefficientPosterior,
@@ -17,7 +17,7 @@ from vip.inference import (
     energy_loss,
     train,
 )
-from vip.numkit import STREAM_PREDICT, Rng
+from vip.numkit import STREAM_PREDICT, Rng, cholesky
 from vip.predict import (
     exact_coefficient_posterior,
     nll_rmse,
@@ -73,6 +73,53 @@ class TestExactCoefficientPosterior:
             q = exact_coefficient_posterior(b, rng.standard_normal(n), 0.05 + rng.random())
             phi = rng.standard_normal(s)
             assert phi @ cov(q) @ phi <= phi @ phi + 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), s=st.integers(1, 25), n=st.integers(0, 300),
+        rank=st.integers(1, 25), centred=st.booleans(), log10_sigma2=st.floats(-14.0, 1.0),
+    )
+    # centred full-rank draws at sigma2 = 1e-14: A factors, and the second
+    # factorisation, of sigma2 W^T W, used to fail
+    @example(seed=3, s=20, n=300, rank=20, centred=True, log10_sigma2=-14.0)
+    def test_succeeds_wherever_a_factors_and_matches_dense_oracle(
+        self, seed, s, n, rank, centred, log10_sigma2
+    ):
+        # B of rank at most min(rank, S); centred rows (across the S columns,
+        # as prediction's draw deviations are) make B^T B singular as well
+        rng = np.random.default_rng(seed)
+        r = min(rank, s)
+        b = rng.standard_normal((n, r)) @ rng.standard_normal((r, s))
+        if centred:
+            b -= b.mean(axis=1, keepdims=True)
+        y = rng.standard_normal(n)
+        sigma2 = 10.0**log10_sigma2
+        a = b.T @ b + sigma2 * np.eye(s)
+        try:
+            cholesky(a)
+        except NotPositiveDefiniteError:
+            return
+        q = exact_coefficient_posterior(b, y, sigma2)
+        # both sides carry forward errors of order cond(A) eps
+        tol = 64 * np.linalg.cond(a) * np.finfo(float).eps
+        a_inv, bty = np.linalg.inv(a), b.T @ y
+        err_mu = np.linalg.norm(q.mu - np.linalg.solve(a, bty))
+        assert err_mu <= tol * np.linalg.norm(a_inv, 2) * np.linalg.norm(bty)
+        err_cov = np.linalg.norm(cov(q) - sigma2 * a_inv)
+        assert err_cov <= tol * np.linalg.norm(sigma2 * a_inv)
+
+    def test_factors_once(self, monkeypatch):
+        # one exact prediction factors the S x S matrix A and nothing else
+        model, x, _ = small_model()
+        real, shapes = pr.cholesky, []
+
+        def counted(a):
+            shapes.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(pr, "cholesky", counted)
+        posterior_predict(model, x, mode="exact")
+        assert shapes == [(5, 5)]
 
 
 def widened(prior):
