@@ -6,11 +6,9 @@ deliberately small and closed: elementwise arithmetic and activations,
 ``dot``. Composite quantities (divisions, diagonal embeddings, row stacking)
 are built from these primitives rather than added as new ops. A binary op
 takes two Vars from one tape; a constant operand comes from ``tape.constant``.
-Gradients accumulate in a fixed order (descending node index), ``sum`` and
-``dot`` reduce with math.fsum so their forward values do not depend on
-element order, and relu takes derivative 0 at exactly 0. The exact sum
-skips exact zeros (half of ``dot(L, L)`` for a lower-triangular L): adding
-a zero changes no exactly rounded sum, so the value is the same.
+Gradients accumulate in a fixed order (descending node index), and relu
+takes derivative 0 at exactly 0. ``sum`` and ``dot`` are numpy sums; no VJP
+reads their forward value, so how those values round moves no gradient.
 
 ``backward`` never writes into an array: a node's first gradient
 contribution is kept as it is when it is already C-ordered (a transposed
@@ -229,32 +227,17 @@ def broadcast_add_row(a: Var, row: Var) -> Var:
     )
 
 
-def _fsum(op: str, arr: np.ndarray, *operands: Var) -> np.ndarray:
-    """math.fsum of ``arr`` as 1x1; an overflowing sum fails like any other op.
-
-    The nonzero entries go to fsum as one list of Python floats, which it
-    walks about twice as fast as numpy scalars. Dropping the exact zeros
-    leaves the exactly rounded sum as it was.
-    """
-    flat = arr.ravel()
-    try:
-        return np.array([[math.fsum(flat[flat != 0.0].tolist())]])
-    except (OverflowError, ValueError):  # ValueError: dot's products hold inf and -inf
-        _fail(f"{op}: produced a non-finite value", *operands)
-
-
 def vsum(a: Var) -> Var:
-    """Sum of all entries (exactly rounded, so element order cannot matter)."""
+    """Sum of all entries, as 1x1."""
     shape = a.value.shape
-    val = _fsum("sum", a.value, a)
-    return _unary("sum", a, val, lambda g: (np.full(shape, g[0, 0]),))
+    return _unary("sum", a, a.value.sum(keepdims=True), lambda g: (np.full(shape, g[0, 0]),))
 
 
 def dot(a: Var, b: Var) -> Var:
     _pair("dot", a, b)
     _same_shape("dot", a, b)
     av, bv = a.value, b.value
-    val = _fsum("dot", av * bv, a, b)
+    val = (av * bv).sum(keepdims=True)
     return _binary("dot", a, b, val, lambda g: (g[0, 0] * bv, g[0, 0] * av))
 
 

@@ -28,7 +28,13 @@ import numpy as np
 import scipy.linalg
 
 from .data import destandardize_moments
-from .errors import ContractError, DimensionError, NumericalError, ParameterError
+from .errors import (
+    ContractError,
+    DimensionError,
+    NotPositiveDefiniteError,
+    NumericalError,
+    ParameterError,
+)
 from .inference import LOG_2PI, CoefficientPosterior, TrainedModel, _check_sigma2
 from .numkit import STREAM_PREDICT, Rng, all_finite, as_matrix, as_vector, cholesky
 from .priors import FunctionDraws, kernel_normaliser, sample_functions
@@ -50,15 +56,12 @@ class PredictiveDistribution:
 
 
 def _finish(mean, var_f, sigma2) -> PredictiveDistribution:
-    mean = as_vector(np.asarray(mean, float), "predictive mean")
-    var_f = np.asarray(var_f, float)
-    if var_f.shape != mean.shape:
-        raise DimensionError("mean and var_f must have matching shapes")
+    # both callers check sigma2 and build var_f in mean's shape
+    mean = as_vector(mean, "predictive mean")
     low = float(var_f.min()) if var_f.size else 0.0
     if not all_finite(var_f) or low < _VAR_FLOOR:
         raise NumericalError(f"predictive variance broke its floor: min {low:.3e}")
     var_f = np.maximum(var_f, 0.0)
-    sigma2 = _check_sigma2(sigma2)
     return PredictiveDistribution(mean, var_f, var_f + sigma2, sigma2)
 
 
@@ -157,7 +160,16 @@ def posterior_predict(
     dt = joint.slice_columns(0, n)
     dtest = joint.slice_columns(n, n + x_test.shape[0])
     b = dt.deltas.T / math.sqrt(denom)
-    q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], model.sigma2 + ridge / denom)
+    noise = model.sigma2 + ridge / denom
+    try:
+        q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], noise)
+    except NotPositiveDefiniteError as e:
+        at = f"sigma2 = {model.sigma2:.6g}"
+        if ridge:
+            at = f"sigma2 + ridge/denom = {model.sigma2:.6g} + {ridge / denom:.6g}"
+        raise NumericalError(
+            f"exact coefficient posterior failed at noise variance {at}: {e}"
+        ) from e
     return predict_features(dtest, q, model.sigma2, denom, ridge)
 
 

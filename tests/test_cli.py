@@ -225,6 +225,35 @@ class TestPredictEval:
                          "--out", str(out), "--coeff", "exact"]) == 0
         assert len(out.read_text().splitlines()) == 61
 
+    @pytest.mark.parametrize(
+        "extra, at",
+        [
+            ({}, "sigma2 = 1e-19"),
+            ({"estimator": "pm", "psi": 1e-30}, "sigma2 + ridge/denom = 1e-19 + 5.26316e-32"),
+        ],
+    )
+    def test_exact_posterior_that_fails_to_factor_names_itself(
+        self, tmp_path, capsys, extra, at
+    ):
+        # at this sigma2, A = B^T B + sigma2 I itself is not positive definite
+        data = _synth(tmp_path, n=60)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_draws": 20, "hidden": [3], "epochs": 20, **extra}))
+        model = tmp_path / "m.json"
+        assert cli.main(["train", "--data", data, "--config", str(cfg), "--seed", "0",
+                         "--model-out", str(model)]) == 0
+        d = json.loads(model.read_text())
+        d["sigma2"] = 1e-19
+        model.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert cli.main(["predict", "--model", str(model), "--data", data,
+                         "--out", str(tmp_path / "p.csv"), "--coeff", "exact"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: exact coefficient posterior failed at noise variance {at}: "
+            "matrix is not positive definite: pivot "
+        )
+
     def test_eval_missing_columns_is_data_error(self, tmp_path):
         data = _synth(tmp_path, n=10)
         pred = tmp_path / "p.csv"
