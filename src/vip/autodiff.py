@@ -3,12 +3,13 @@
 Every value is a 2-D float64 array; scalars ride along as 1x1. The op set is
 deliberately small and closed: elementwise arithmetic and activations,
 ``matmul``, ``transpose``, ``reshape``, ``broadcast_add_row``, ``sum`` and
-``dot``. Composite quantities (divisions, diagonal embeddings, row stacking)
-are built from these primitives rather than added as new ops. A binary op
-takes two Vars from one tape; a constant operand comes from ``tape.constant``.
-Gradients accumulate in a fixed order (descending node index), and relu
-takes derivative 0 at exactly 0. ``sum`` and ``dot`` are numpy sums; no VJP
-reads their forward value, so how those values round moves no gradient.
+``dot``. Composites (divisions, diagonal embeddings, row stacking) are built
+from these primitives, not added as ops. Each op checks its operands before
+it reads them: one Var, or two Vars from one tape; a constant operand comes
+from ``tape.constant``. Gradients accumulate in a fixed order (descending
+node index), and relu takes derivative 0 at exactly 0. ``sum`` and ``dot``
+are numpy sums; no VJP reads their forward value, so how those values round
+moves no gradient.
 
 ``backward`` never writes into an array: a node's first gradient
 contribution is kept as it is when it is already C-ordered (a transposed
@@ -24,19 +25,17 @@ a spent tape keeps only its index lists. A second ``backward`` on the same
 tape raises :class:`ContractError`.
 
 Every tape value is finite. Leaves and constants are checked as they are
-recorded, and so is the output of each op that can turn finite operands
-into a NaN or inf: ``add``, ``sub``, ``mul``, ``matmul``, ``scale``,
-``broadcast_add_row`` and ``exp`` can overflow, and ``sum`` and
-``dot`` check their 1x1 result (a sum whose finite terms overflow raises
-the same error). The other ops need no check, because their operands are
-already finite: ``transpose`` and ``reshape`` move values, ``tanh`` lies in
-[-1, 1], ``relu`` keeps a value or gives 0, ``softplus`` of a finite value
-is finite, and ``log`` rejects an operand <= 0 and is finite above it. So
-the op that first makes a non-finite value is the one that raises.
-
-A tape op that raises :class:`NumericalError` sets the error's ``leaf_ids``
-to the requires-grad leaves its operands depend on, so a caller can name
-the parameters involved.
+recorded, and so is the output of each op that can turn finite operands into
+a NaN or inf: ``add``, ``sub``, ``mul``, ``matmul``, ``scale``,
+``broadcast_add_row`` and ``exp`` can overflow, and ``sum`` and ``dot``
+check their 1x1 result (a sum whose finite terms overflow raises the same
+error). The other ops need no check, because their operands are already
+finite: ``transpose`` and ``reshape`` move values, ``tanh`` lies in [-1, 1],
+``relu`` keeps a value or gives 0, ``softplus`` of a finite value is finite,
+and ``log`` rejects an operand <= 0 and is finite above it. So the op that
+first makes a non-finite value is the one that raises. A tape op's
+:class:`NumericalError` carries in ``leaf_ids`` the requires-grad leaves its
+operands depend on, so a caller can name the parameters involved.
 """
 
 from __future__ import annotations
@@ -68,12 +67,6 @@ class Var:
         return f"Var(nid={self.nid}, shape={self.value.shape})"
 
 
-def _check_finite(value: np.ndarray, where: str, what: str, *operands: Var):
-    """Raise ``NumericalError("<where>: <what>")`` if ``value`` holds a NaN or inf."""
-    if not all_finite(value):
-        _fail(f"{where}: {what}", *operands)
-
-
 def _fail(message: str, *operands: Var):
     err = NumericalError(message)
     if operands:
@@ -90,7 +83,8 @@ def _coerce_value(value, where: str) -> np.ndarray:
             raise DimensionError(
                 f"{where}: values must be 2-D (scalars as 1x1), got ndim={value.ndim}"
             )
-    _check_finite(value, where, "non-finite value")
+    if not all_finite(value):
+        _fail(f"{where}: non-finite value")
     return value
 
 
@@ -109,7 +103,9 @@ class Tape:
         return len(self._parents)
 
     def leaf(self, value, requires_grad: bool = False) -> Var:
-        v = self._record(_coerce_value(value, "leaf"), (), None)
+        v = Var(_coerce_value(value, "leaf"), self, len(self._parents))
+        self._parents.append(())
+        self._vjps.append(None)
         if requires_grad:
             self.leaf_ids.append(v.nid)
             self._leaf_shapes[v.nid] = v.value.shape
@@ -117,11 +113,6 @@ class Tape:
 
     def constant(self, value) -> Var:
         return self.leaf(value, requires_grad=False)
-
-    def _record(self, value: np.ndarray, parents: tuple[int, ...], vjp) -> Var:
-        self._parents.append(parents)
-        self._vjps.append(vjp)
-        return Var(value, self, len(self._parents) - 1)
 
     def _upstream_leaves(self, nids) -> tuple[int, ...]:
         """Requires-grad leaf ids the nodes ``nids`` depend on, ascending."""
@@ -135,133 +126,128 @@ class Tape:
         return tuple(sorted(seen.intersection(self.leaf_ids)))
 
 
-def _unary(op: str, a: Var, value: np.ndarray, vjp, check: bool = True) -> Var:
-    """Record ``value``; ``check=False`` for ops that keep finite values finite."""
+def _value(op: str, a: Var) -> np.ndarray:
     if type(a) is not Var:
         raise ContractError(f"{op}: operand must be a Var")
-    if check:
-        _check_finite(value, op, "produced a non-finite value", a)
-    return a.tape._record(value, (a.nid,), vjp)
+    return a.value
 
 
-def _pair(op: str, a: Var, b: Var):
+def _values(op: str, a: Var, b: Var, same_shape: bool = True):
+    """Both operands' values, checked to be Vars of one tape (of one shape, if ``same_shape``)."""
     if type(a) is not Var or type(b) is not Var:
         raise ContractError(f"{op}: both operands must be Vars")
     if a.tape is not b.tape:
         raise ContractError(f"{op}: operands come from different tapes")
+    av, bv = a.value, b.value
+    if same_shape and av.shape != bv.shape:
+        raise DimensionError(f"{op}: shapes {av.shape} and {bv.shape} differ")
+    return av, bv
 
 
-def _binary(op: str, a: Var, b: Var, value: np.ndarray, vjp) -> Var:
-    _check_finite(value, op, "produced a non-finite value", a, b)
-    return a.tape._record(value, (a.nid, b.nid), vjp)
+def _record1(op: str, a: Var, value: np.ndarray, vjp, check: bool = True) -> Var:
+    """Record ``value`` as op(a); ``check=False`` for ops that keep finite values finite."""
+    if check and not all_finite(value):
+        _fail(f"{op}: produced a non-finite value", a)
+    a.tape._parents.append((a.nid,))
+    a.tape._vjps.append(vjp)
+    return Var(value, a.tape, len(a.tape._parents) - 1)
 
 
-def _same_shape(op: str, a: Var, b: Var):
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
+def _record2(op: str, a: Var, b: Var, value: np.ndarray, vjp) -> Var:
+    """Record ``value`` as op(a, b), which must be finite."""
+    if not all_finite(value):
+        _fail(f"{op}: produced a non-finite value", a, b)
+    a.tape._parents.append((a.nid, b.nid))
+    a.tape._vjps.append(vjp)
+    return Var(value, a.tape, len(a.tape._parents) - 1)
 
 
 def add(a: Var, b: Var) -> Var:
-    _pair("add", a, b)
-    _same_shape("add", a, b)
-    return _binary("add", a, b, a.value + b.value, lambda g: (g, g))
+    av, bv = _values("add", a, b)
+    return _record2("add", a, b, av + bv, lambda g: (g, g))
 
 
 def sub(a: Var, b: Var) -> Var:
-    _pair("sub", a, b)
-    _same_shape("sub", a, b)
-    return _binary("sub", a, b, a.value - b.value, lambda g: (g, -g))
+    av, bv = _values("sub", a, b)
+    return _record2("sub", a, b, av - bv, lambda g: (g, -g))
 
 
 def mul(a: Var, b: Var) -> Var:
-    _pair("mul", a, b)
-    _same_shape("mul", a, b)
-    av, bv = a.value, b.value
-    return _binary("mul", a, b, av * bv, lambda g: (g * bv, g * av))
+    av, bv = _values("mul", a, b)
+    return _record2("mul", a, b, av * bv, lambda g: (g * bv, g * av))
 
 
 def matmul(a: Var, b: Var) -> Var:
-    _pair("matmul", a, b)
-    if a.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions {a.value.shape} x {b.value.shape} do not match"
-        )
-    av, bv = a.value, b.value
-    return _binary("matmul", a, b, av @ bv, lambda g: (g @ bv.T, av.T @ g))
+    av, bv = _values("matmul", a, b, same_shape=False)
+    if av.shape[1] != bv.shape[0]:
+        raise DimensionError(f"matmul: inner dimensions {av.shape} x {bv.shape} do not match")
+    return _record2("matmul", a, b, av @ bv, lambda g: (g @ bv.T, av.T @ g))
 
 
 def transpose(a: Var) -> Var:
-    return _unary("transpose", a, a.value.T.copy(), lambda g: (g.T,), check=False)
+    return _record1("transpose", a, _value("transpose", a).T.copy(), lambda g: (g.T,), check=False)
 
 
 def reshape(a: Var, shape) -> Var:
     """The entries of a, in row-major order, laid out as a 2-D ``shape``."""
-    old = a.value.shape
+    av = _value("reshape", a)
+    old = av.shape
     shape = tuple(int(k) for k in shape)
-    if len(shape) != 2 or shape[0] * shape[1] != a.value.size:
+    if len(shape) != 2 or shape[0] * shape[1] != av.size:
         raise DimensionError(f"reshape: cannot lay out {old} as {shape}")
-    return _unary(
-        "reshape", a, a.value.reshape(shape), lambda g: (g.reshape(old),), check=False
-    )
+    return _record1("reshape", a, av.reshape(shape), lambda g: (g.reshape(old),), check=False)
 
 
 def scale(a: Var, c: float) -> Var:
     c = float(c)
-    return _unary("scale", a, a.value * c, lambda g: (g * c,))
+    return _record1("scale", a, _value("scale", a) * c, lambda g: (g * c,))
 
 
 def broadcast_add_row(a: Var, row: Var) -> Var:
     """a (m,n) plus a (1,n) row replicated down the rows."""
-    _pair("broadcast_add_row", a, row)
-    m, n = a.value.shape
-    if row.value.shape != (1, n):
+    av, rv = _values("broadcast_add_row", a, row, same_shape=False)
+    if rv.shape != (1, av.shape[1]):
         raise DimensionError(
-            f"broadcast_add_row: row shape {row.value.shape} does not match matrix {a.value.shape}"
+            f"broadcast_add_row: row shape {rv.shape} does not match matrix {av.shape}"
         )
-    return _binary(
-        "broadcast_add_row",
-        a,
-        row,
-        a.value + row.value,
-        lambda g: (g, g.sum(axis=0, keepdims=True)),
+    return _record2(
+        "broadcast_add_row", a, row, av + rv, lambda g: (g, g.sum(axis=0, keepdims=True))
     )
 
 
 def vsum(a: Var) -> Var:
     """Sum of all entries, as 1x1."""
-    shape = a.value.shape
-    return _unary("sum", a, a.value.sum(keepdims=True), lambda g: (np.full(shape, g[0, 0]),))
+    shape = _value("sum", a).shape
+    return _record1("sum", a, a.value.sum(keepdims=True), lambda g: (np.full(shape, g[0, 0]),))
 
 
 def dot(a: Var, b: Var) -> Var:
-    _pair("dot", a, b)
-    _same_shape("dot", a, b)
-    av, bv = a.value, b.value
+    av, bv = _values("dot", a, b)
     val = (av * bv).sum(keepdims=True)
-    return _binary("dot", a, b, val, lambda g: (g[0, 0] * bv, g[0, 0] * av))
+    return _record2("dot", a, b, val, lambda g: (g[0, 0] * bv, g[0, 0] * av))
 
 
 def vexp(a: Var) -> Var:
-    out = np.exp(a.value)
-    return _unary("exp", a, out, lambda g: (out * g,))
+    out = np.exp(_value("exp", a))
+    return _record1("exp", a, out, lambda g: (out * g,))
 
 
 def vlog(a: Var) -> Var:
-    if np.any(a.value <= 0.0):
+    av = _value("log", a)
+    if np.any(av <= 0.0):
         _fail("log: non-positive operand", a)
-    av = a.value
-    return _unary("log", a, np.log(av), lambda g: (g / av,), check=False)
+    return _record1("log", a, np.log(av), lambda g: (g / av,), check=False)
 
 
 def vtanh(a: Var) -> Var:
-    out = np.tanh(a.value)
-    return _unary("tanh", a, out, lambda g: ((1.0 - out * out) * g,), check=False)
+    out = np.tanh(_value("tanh", a))
+    return _record1("tanh", a, out, lambda g: ((1.0 - out * out) * g,), check=False)
 
 
 def relu(a: Var) -> Var:
-    av = a.value
+    av = _value("relu", a)
     mask = av > 0.0
-    return _unary(
+    return _record1(
         "relu", a, np.where(mask, av, 0.0), lambda g: (np.where(mask, g, 0.0),), check=False
     )
 
@@ -276,14 +262,14 @@ def _sigmoid(v: float) -> float:
 
 
 def softplus(a: Var) -> Var:
-    av = a.value
+    av = _value("softplus", a)
     out = np.logaddexp(0.0, av)
 
     def vjp(g):
         sig = np.array([_sigmoid(v) for v in av.ravel().tolist()]).reshape(av.shape)
         return (sig * g,)
 
-    return _unary("softplus", a, out, vjp, check=False)
+    return _record1("softplus", a, out, vjp, check=False)
 
 
 def backward(loss: Var) -> dict[int, np.ndarray]:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
-from .numkit import STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, as_matrix, as_vector
+from .numkit import STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, all_finite, as_matrix, as_vector
 from .priors import (
     FunctionDraws,
     init_prior,
@@ -94,27 +93,15 @@ def _check_sigma2(sigma2: float) -> float:
 # symbolic energy
 
 
-@lru_cache(maxsize=16)
-def _embed_constants(s: int):
-    """The (1,S) ones row, identity and strict lower mask that build L from its leaves.
-
-    Built once per S and read-only, since every step at that S shares them.
-    """
-    out = (np.ones((1, s)), np.eye(s), np.tril(np.ones((s, s)), -1))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def _variational_graph(tape: ad.Tape, params: dict):
     """Realize L and sum(log diag L) from the raw leaves on the tape."""
     diag_raw = params["q_diag"]
     tril_raw = params["q_tril"]
-    ones_row, eye, strict = _embed_constants(tril_raw.value.shape[0])
+    c = moment_constants(tril_raw.value.shape[0])
     sp = ad.softplus(diag_raw)  # (s,1)
     log_diag_sum = ad.vsum(ad.vlog(sp))
-    diag_embed = ad.mul(ad.matmul(sp, tape.constant(ones_row)), tape.constant(eye))
-    L = ad.add(ad.mul(tril_raw, tape.constant(strict)), diag_embed)
+    diag_embed = ad.mul(ad.matmul(sp, tape.constant(c.ones_row)), tape.constant(c.eye))
+    L = ad.add(ad.mul(tril_raw, tape.constant(c.strict)), diag_embed)
     return L, log_diag_sum
 
 
@@ -163,9 +150,8 @@ def energy_loss(
     phi = ad.scale(ad.transpose(draws.deltas), 1.0 / math.sqrt(denom))  # (mb, s)
     pred = ad.add(ad.transpose(draws.mean), ad.matmul(phi, params["q_mu"]))
     resid = ad.sub(tape.constant(y.reshape(-1, 1)), pred)
-    _, ones_col = moment_constants(s)
     phi_l = ad.matmul(phi, L)
-    s2 = ad.matmul(ad.mul(phi_l, phi_l), tape.constant(ones_col))
+    s2 = ad.matmul(ad.mul(phi_l, phi_l), tape.constant(moment_constants(s).ones_col))
 
     lo = log_sigma2
     if ridge:  # the per-point term e adds its variance to the noise
@@ -231,7 +217,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
     names = [k for k, _ in state.layout]
     if params.keys() != grads.keys() or params.keys() != set(names):
         raise ContractError("params, grads and optimizer state must share keys")
-    if lr <= 0:
+    if not lr > 0:
         raise ParameterError(f"learning rate must be positive, got {lr}")
     for k, shape in state.layout:
         for what, a in (("parameter", params[k]), ("gradient", grads[k])):
@@ -324,12 +310,14 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if int(self.batch_size) < 0:
             raise ParameterError(f"batch_size must be >= 0, got {self.batch_size}")
-        if float(self.learning_rate) <= 0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < float(self.learning_rate) < math.inf:
+            raise ParameterError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.sigma2_mode not in ("fixed", "learned", "grid"):
             raise ParameterError(f"unknown sigma2_mode {self.sigma2_mode!r}")
         _check_sigma2(self.sigma2)
-        if len(self.sigma2_grid) == 0 or any(g <= 0 for g in self.sigma2_grid):
+        if len(self.sigma2_grid) == 0 or any(not g > 0 for g in self.sigma2_grid):
             raise ParameterError("sigma2_grid must be non-empty and positive")
         # rejects an unknown estimator or a negative psi
         kernel_normaliser(int(self.num_draws), self.estimator, self.psi)
@@ -427,7 +415,15 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
         for start in range(0, n, mb):
             idx = perm[start : start + mb]
             tape = ad.Tape()
-            leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
+            try:
+                leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
+            except NumericalError as err:
+                # init is finite, so the last Adam update made these non-finite
+                names = ", ".join(k for k, a in params.items() if not all_finite(a))
+                raise NumericalError(
+                    f"epoch {updated[0]}, batch at {updated[1]}: the Adam update overflowed "
+                    f"(parameters: {names})"
+                ) from err
             try:
                 draws = sample_functions(
                     prior, x[idx], s, rng_draws, tape=tape,
@@ -449,6 +445,7 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
                 params, {k: grads[leaves[k].nid] for k in params}, state,
                 config.learning_rate,
             )
+            updated = (epoch, start)
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
         if callback is not None:
             callback(epoch, trace[-1])

@@ -124,6 +124,8 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n); consumes n-1 uniforms."""
+        if n < 0:
+            raise ParameterError(f"permutation needs n >= 0, got {n}")
         if n < 2:
             return np.arange(n)
         # j = trunc(u * (i + 1)) for i = n-1 .. 1, one IEEE product each

@@ -189,16 +189,26 @@ def init_prior(
     return Prior(family, sizes, activation, params, noise_dim, noise_halfwidth)
 
 
-@lru_cache(maxsize=16)
-def moment_constants(s: int):
-    """The (1,S) row of 1/S and the (S,1) ones column that form S draws' moments.
+_StepConstants = namedtuple("_StepConstants", "mean_row ones_col ones_row eye strict")
 
+
+@lru_cache(maxsize=16)
+def moment_constants(s: int) -> _StepConstants:
+    """A training step's constants at S draws.
+
+    The (1,S) row of 1/S and the (S,1) ones column form the draws' moments;
+    the identity's columns place taped BNN draws in their rows; the (1,S)
+    ones row, the identity and the strict lower mask build q's factor L.
     Built once per S and read-only, since every step at that S shares them.
+    Numeric draws, whose S may be far larger, make their two moment arrays.
     """
-    mean_row = np.full((1, s), 1.0 / s)
-    ones_col = np.ones((s, 1))
-    mean_row.flags.writeable = ones_col.flags.writeable = False
-    return mean_row, ones_col
+    out = _StepConstants(
+        np.full((1, s), 1.0 / s), np.ones((s, 1)), np.ones((1, s)), np.eye(s),
+        np.tril(np.ones((s, s)), -1),
+    )
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -231,9 +241,9 @@ class FunctionDraws:
         f = as_matrix(f, "draw matrix")
         if f.shape[0] < 2:
             raise ParameterError(f"need at least 2 draws, got {f.shape[0]}")
-        mean_row, ones_col = moment_constants(f.shape[0])
-        mean = mean_row @ f
-        deltas = f - ones_col @ mean
+        s = f.shape[0]
+        mean = np.full((1, s), 1.0 / s) @ f
+        deltas = f - np.ones((s, 1)) @ mean
         return cls(f, mean, deltas)
 
     def slice_columns(self, start: int, stop: int) -> "FunctionDraws":
@@ -314,17 +324,16 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
             f[k] = _forward(prior, x, ops, params, eps)[:, 0]
     else:
         f = None
+        eye = moment_constants(s).eye
         for k, eps in enumerate(_bnn_draw_eps(prior, s, rng)):
             row = ad.transpose(_forward(prior, x, ops, params, eps))
-            basis = np.zeros((s, 1))
-            basis[k, 0] = 1.0
-            term = ad.matmul(tape.constant(basis), row)
+            term = ad.matmul(tape.constant(eye[:, k : k + 1]), row)
             f = term if f is None else ad.add(f, term)
     if tape is None:
         return FunctionDraws.from_matrix(f)
-    mean_row, ones_col = moment_constants(s)
-    mean = ad.matmul(tape.constant(mean_row), f)
-    deltas = ad.sub(f, ad.matmul(tape.constant(ones_col), mean))
+    c = moment_constants(s)
+    mean = ad.matmul(tape.constant(c.mean_row), f)
+    deltas = ad.sub(f, ad.matmul(tape.constant(c.ones_col), mean))
     return FunctionDraws(f, mean, deltas)
 
 
@@ -382,7 +391,7 @@ def kernel_normaliser(num_draws: int, estimator: str, psi: float = 0.0):
     if estimator == "mle":
         return num_draws, 0.0
     if estimator == "pm":
-        if psi < 0:
+        if not psi >= 0:
             raise ParameterError(f"psi must be >= 0, got {psi}")
         return num_draws - 1, psi
     raise ParameterError(f"unknown estimator {estimator!r}")

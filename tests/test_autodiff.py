@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import types
 import warnings
 import weakref
 import zlib
@@ -352,11 +351,30 @@ class TestCoercionAndMessages:
             ad.mul(tape.leaf(1.0), ad.Tape().leaf(1.0))
         assert str(exc.value) == "mul: operands come from different tapes"
         with pytest.raises(ContractError) as exc:
-            ad.transpose(types.SimpleNamespace(value=np.ones((2, 2))))
+            ad.transpose(np.ones((2, 2)))
         assert str(exc.value) == "transpose: operand must be a Var"
         with pytest.raises(ContractError) as exc:
             ad.backward(np.ones((1, 1)))
         assert str(exc.value) == "backward: loss must be a Var"
+
+    UNARY = {
+        "transpose": ad.transpose,
+        "reshape": lambda a: ad.reshape(a, (4, 1)),
+        "scale": lambda a: ad.scale(a, 2.0),
+        "sum": ad.vsum,
+        "exp": ad.vexp,
+        "log": ad.vlog,
+        "tanh": ad.vtanh,
+        "relu": ad.relu,
+        "softplus": ad.softplus,
+    }
+
+    @pytest.mark.parametrize("name", list(UNARY))
+    def test_unary_op_checks_its_operand_before_reading_it(self, name):
+        # each op read a.value first, so a plain array raised AttributeError
+        with pytest.raises(ContractError) as exc:
+            self.UNARY[name](np.ones((2, 2)))
+        assert str(exc.value) == f"{name}: operand must be a Var"
 
     def test_second_backward_on_a_tape_rejected(self):
         tape = ad.Tape()

@@ -869,6 +869,19 @@ class TestExitCodes:
         assert err.startswith("error: epoch 1, batch at 0: ")
         assert err.rstrip().endswith("(parameters: w_log_scale_0)")
 
+    def test_overflowing_update_exits_4_naming_its_step(self, tmp_path, capsys):
+        # epoch 0's update made these groups inf, and the next step's leaf
+        # failed outside train's error handling: "leaf: non-finite value"
+        data = _synth(tmp_path, n=50, seed=1)
+        cfg = _cfg_file(tmp_path, {"learning_rate": 1e308, "epochs": 3, "num_draws": 5,
+                                   "hidden": [4], "sigma2_mode": "learned"})
+        argv = ["train", "--data", data, "--config", cfg, "--model-out", str(tmp_path / "m")]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: epoch 0, batch at 0: the Adam update overflowed "
+            "(parameters: w_mean_0, b_mean_0, w_mean_1, b_mean_1, log_sigma2)\n"
+        )
+
     @pytest.mark.parametrize(
         "extra, name, what",
         [

@@ -487,7 +487,7 @@ class TestCachedConstants:
     """The per-S constants a training step shares are read-only and leak nothing."""
 
     def test_read_only(self):
-        for a in (*moment_constants(7), *inf._embed_constants(7)):
+        for a in moment_constants(7):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
@@ -531,6 +531,21 @@ class TestTrainConfig:
             TrainConfig(sigma2_mode="annealed").validate()
         with pytest.raises(ParameterError):
             TrainConfig(sigma2_grid=()).validate()
+
+    def test_nan_settings_rejected_in_library_calls(self):
+        # each compared as `x <= 0` or `x < 0`, which NaN passes; the CLI
+        # caught them only through check_value_types
+        for bad in (
+            lambda: TrainConfig(learning_rate=math.nan).validate(),
+            lambda: TrainConfig(learning_rate=math.inf).validate(),
+            lambda: TrainConfig(sigma2_grid=(0.1, math.nan)).validate(),
+            lambda: TrainConfig(estimator="pm", psi=math.nan).validate(),
+            lambda: kernel_normaliser(10, "pm", psi=math.nan),
+            lambda: Rng(0).permutation(-1),  # returned an empty array
+            lambda: adam_step({}, {}, AdamState.zeros({}), math.nan),  # NaN parameters
+        ):
+            with pytest.raises(ParameterError):
+                bad()
 
 
 def tiny_data(seed=0, n=12):
