@@ -66,19 +66,9 @@ class CoefficientPosterior:
         return self.mu.shape[0]
 
 
-def _after_last_update(name: str, what: str, value, low: float = 0.0) -> None:
-    """No forward pass sees the last update: ``what`` of ``name`` must be in (low, inf)."""
-    bad = [v for v in np.ravel(value).tolist() if not low < v < math.inf]
-    if bad:
-        raise NumericalError(
-            f"the last update took {name} out of range: {what} = {bad[0]!r} (parameters: {name})"
-        )
-
-
 def q_from_raw(mu_raw, tril_raw, diag_raw) -> CoefficientPosterior:
     """q from its (S,1) mean, (S,S) tril and (S,1) diag: L's diagonal is softplus(diag)."""
     diag = np.logaddexp(0.0, diag_raw[:, 0])
-    _after_last_update("q_diag", "softplus(q_diag)", diag)
     return CoefficientPosterior(mu_raw[:, 0], np.tril(tril_raw, -1) + np.diag(diag))
 
 
@@ -217,8 +207,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
     names = [k for k, _ in state.layout]
     if params.keys() != grads.keys() or params.keys() != set(names):
         raise ContractError("params, grads and optimizer state must share keys")
-    if not lr > 0:
-        raise ParameterError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < math.inf:
+        raise ParameterError(f"learning rate must be positive and finite, got {lr}")
     for k, shape in state.layout:
         for what, a in (("parameter", params[k]), ("gradient", grads[k])):
             if a.shape != shape:
@@ -238,6 +228,36 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
         out[k] = new[pos : pos + size].reshape(shape)
         pos += size
     return out
+
+
+def _check_update(params: dict) -> None:
+    """Reject an update that leaves a group where the model cannot read it:
+    each group finite, exp of a BNN log-scale below inf (underflow to 0
+    passes), and math.exp(log_sigma2) and softplus(q_diag) in (0, inf). The
+    error gives the first offending value and names every offending group."""
+    bad = []
+    for name, a in params.items():
+        what, value, low = name, a, -math.inf
+        if not all_finite(a):
+            pass
+        elif name == "log_sigma2":
+            try:
+                what, value, low = "exp(log_sigma2)", math.exp(a[0, 0]), 0.0
+            except OverflowError:
+                what, value, low = "exp(log_sigma2)", math.inf, 0.0
+        elif name == "q_diag":
+            what, value, low = "softplus(q_diag)", np.logaddexp(0.0, a), 0.0
+        elif name.startswith(("w_log_scale_", "b_log_scale_")):
+            what, value = f"exp({name})", np.exp(a)
+        else:
+            continue
+        value = np.ravel(value)
+        out = value[~((low < value) & (value < math.inf))]
+        if out.size:
+            bad.append((name, f"{name} out of range: {what} = {float(out[0])!r}"))
+    if bad:
+        names = ", ".join(name for name, _ in bad)
+        raise NumericalError(f"the Adam update took {bad[0][1]} (parameters: {names})")
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +384,17 @@ class TrainedModel:
     final_params: dict = field(default=None, repr=False)
 
 
-# every non-finite value a step or the end-of-training checks meet is
-# reported by name; numpy's warnings would only precede that error
+# every non-finite value a step meets or makes is reported by name;
+# numpy's warnings would only precede that error
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     """Fit prior parameters and q(a) on (x, y); see the module docstring.
 
     x and y are expected on the scale training should happen at (the caller
-    standardizes); ``stats`` is carried through to the model untouched.
+    standardizes); ``stats`` is carried through to the model untouched. A
+    NumericalError names the epoch and batch of the step that failed: a tape
+    op's names the parameters it read, and an update the model cannot read
+    (see ``_check_update``) names every group it left out of range.
     """
     x = as_matrix(x, "inputs")
     y = as_vector(y, "targets")
@@ -415,59 +438,32 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
         for start in range(0, n, mb):
             idx = perm[start : start + mb]
             tape = ad.Tape()
+            leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
             try:
-                leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
-            except NumericalError as err:
-                # init is finite, so the last Adam update made these non-finite
-                names = ", ".join(k for k, a in params.items() if not all_finite(a))
-                raise NumericalError(
-                    f"epoch {updated[0]}, batch at {updated[1]}: the Adam update overflowed "
-                    f"(parameters: {names})"
-                ) from err
-            try:
-                draws = sample_functions(
-                    prior, x[idx], s, rng_draws, tape=tape,
-                    params={k: leaves[k] for k in prior.params},
-                )
+                draws = sample_functions(prior, x[idx], s, rng_draws, tape=tape,
+                                         params={k: leaves[k] for k in prior.params})
                 lo = leaves["log_sigma2"] if learn_sigma else tape.constant(log_sigma2)
                 loss, _ = energy_loss(
                     tape, y[idx], draws, leaves, config.alpha, lo, n, denom, ridge
                 )
+                epoch_losses.append(float(loss.value[0, 0]))
+                grads = ad.backward(loss)
+                grads = {k: grads[v.nid] for k, v in leaves.items()}
+                params = adam_step(params, grads, state, config.learning_rate)
+                _check_update(params)
             except NumericalError as err:
                 names = [k for k, v in leaves.items() if v.nid in err.leaf_ids]
                 involved = f" (parameters: {', '.join(names)})" if names else ""
-                raise NumericalError(
-                    f"epoch {epoch}, batch at {start}: {err}{involved}"
-                ) from err
-            epoch_losses.append(float(loss.value[0, 0]))
-            grads = ad.backward(loss)
-            params = adam_step(
-                params, {k: grads[leaves[k].nid] for k in params}, state,
-                config.learning_rate,
-            )
-            updated = (epoch, start)
+                raise NumericalError(f"epoch {epoch}, batch at {start}: {err}{involved}") from err
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
         if callback is not None:
             callback(epoch, trace[-1])
 
-    sigma2 = config.sigma2
-    if learn_sigma:
-        try:
-            sigma2 = math.exp(params["log_sigma2"][0, 0])
-        except OverflowError:
-            sigma2 = math.inf
-        _after_last_update("log_sigma2", "exp(log_sigma2)", sigma2)
-    q = q_from_raw(params["q_mu"], params["q_tril"], params["q_diag"])
-    # a BNN forward pass takes exp of each log-scale and fails on an inf;
-    # a scale that underflows to 0 passes there, so it passes here too
-    for name in prior.params:
-        if name.startswith(("w_log_scale_", "b_log_scale_")):
-            scale = np.exp(params[name])
-            _after_last_update(name, f"exp({name})", scale, low=-math.inf)
+    sigma2 = math.exp(params["log_sigma2"][0, 0]) if learn_sigma else float(config.sigma2)
     return TrainedModel(
         prior=prior.with_params(params),
-        q=q,
-        sigma2=_check_sigma2(sigma2),
+        q=q_from_raw(params["q_mu"], params["q_tril"], params["q_diag"]),
+        sigma2=sigma2,
         config=config,
         seed=int(config.seed),
         loss_trace=trace,

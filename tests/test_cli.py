@@ -1,18 +1,24 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vip
 import vip.cli as cli
 from vip.errors import NumericalError
+from vip.inference import TrainConfig
 from vip.modelfile import load_model
 
 TINY_CFG = {
@@ -612,6 +618,87 @@ class TestConfigTypes:
         assert key in capsys.readouterr().err
 
 
+# what a fuzzed config puts in place of a setting: non-finite and extreme
+# numbers, a negative zero and wrongly typed values
+_FUZZ_EDGES = [math.nan, math.inf, -math.inf, 1e307, 1.7e308, -0.0, "1", True, None, [0.5]]
+_FUZZ_KEYS = [f.name for f in dataclasses.fields(TrainConfig)] + ["learning_rte"]
+_FUZZ_REPLACEMENTS = st.one_of(
+    # a float setting at an extreme that validation can pass, so training runs
+    st.tuples(
+        st.sampled_from([f.name for f in dataclasses.fields(TrainConfig) if f.type == "float"]),
+        st.sampled_from([1e307, 1.7e308, -0.0]),
+    ),
+    st.tuples(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_EDGES)),
+)
+
+
+@st.composite
+def _fuzz_configs(draw):
+    """A small valid config with one or two settings replaced by an edge value.
+
+    Integer settings stay small: an edge value in one is never an integer,
+    so a huge epoch count cannot reach training."""
+    cfg = {
+        "prior_family": draw(st.sampled_from(["bnn", "ns"])),
+        "alpha": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "batch_size": draw(st.sampled_from([0, 1, 7])),
+        "sigma2_mode": draw(st.sampled_from(["fixed", "learned", "grid"])),
+        "sigma2_grid": [0.1, 1.0],
+        "estimator": draw(st.sampled_from(["mle", "pm"])),
+        "learning_rate": draw(st.sampled_from([0.01, 1e3])),
+        "epochs": draw(st.integers(0, 2)),
+        "num_draws": draw(st.integers(2, 5)),
+        "hidden": [draw(st.integers(1, 4))],
+        "noise_dim": 2,
+    }
+    cfg.update(draw(st.lists(_FUZZ_REPLACEMENTS, min_size=1, max_size=2)))
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding a 20-row toy CSV, on which both configs below
+    overflow an Adam update."""
+    d = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--n", "20", "--seed", "24", "--noise", "var",
+                         "--out", str(d / "data.csv")]) == 0
+    return d
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_fuzz_configs())
+    # the only update makes w_0 inf, which a model file cannot hold
+    @example(cfg={"learning_rate": 1e307, "epochs": 1, "num_draws": 5, "hidden": [4],
+                  "sigma2_mode": "fixed", "prior_family": "ns", "alpha": 0.5})
+    # the only update makes the BNN means inf (on 50 rows q_mu too)
+    @example(cfg={"learning_rate": 1.7e308, "epochs": 1, "num_draws": 5, "hidden": [4],
+                  "sigma2_mode": "fixed", "alpha": 0.5})
+    def test_train_exits_with_a_code_and_one_error_line(self, fuzz_dir, cfg):
+        (fuzz_dir / "cfg.json").write_text(json.dumps(cfg))
+        model = fuzz_dir / "m.json"
+        model.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--data", str(fuzz_dir / "data.csv"), "--config",
+                           str(fuzz_dir / "cfg.json"), "--model-out", str(model)])
+        assert rc in (0, 2, 3, 4)
+        assert [str(w.message) for w in caught] == []
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert model.exists()
+            return
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+        assert not model.exists()
+        if rc == 4 and cfg.get("sigma2_mode", "learned") != "grid":
+            # a fit outside the grid search fails only in a training step
+            assert lines[0].startswith("error: epoch ")
+
+
 class TestBench:
     def test_toy_report(self, tmp_path, capsys):
         cfg = _cfg_file(tmp_path)
@@ -768,8 +855,9 @@ class TestNoNumpyWarningsOnStderr:
                             "--model-out", "m.json", cwd=tmp_path)
         assert proc.returncode == 4
         assert proc.stderr == (
-            "error: epoch 1, batch at 0: exp: produced a non-finite value "
-            "(parameters: w_log_scale_0)\n"
+            "error: epoch 0, batch at 0: the Adam update took w_log_scale_0 out of range: "
+            "exp(w_log_scale_0) = inf (parameters: w_log_scale_0, b_log_scale_0, "
+            "w_log_scale_1, b_log_scale_1, w_log_scale_2, b_log_scale_2, log_sigma2)\n"
         )
 
     def test_predict_from_an_overflowing_model(self, tmp_path):
@@ -865,44 +953,77 @@ class TestExitCodes:
         cfg = _cfg_file(tmp_path, {"learning_rate": 1e3, "sigma2_mode": "learned"})
         argv = ["train", "--data", data, "--config", cfg, "--model-out", str(tmp_path / "m")]
         assert cli.main(argv) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: epoch 1, batch at 0: ")
-        assert err.rstrip().endswith("(parameters: w_log_scale_0)")
+        assert capsys.readouterr().err == (
+            "error: epoch 0, batch at 0: the Adam update took w_log_scale_0 out of range: "
+            "exp(w_log_scale_0) = inf (parameters: w_log_scale_0, b_log_scale_0, "
+            "w_log_scale_1, b_log_scale_1, log_sigma2)\n"
+        )
 
     def test_overflowing_update_exits_4_naming_its_step(self, tmp_path, capsys):
-        # epoch 0's update made these groups inf, and the next step's leaf
-        # failed outside train's error handling: "leaf: non-finite value"
+        # epoch 0's update made the means inf and the log-scales too large
+        # to take exp of
         data = _synth(tmp_path, n=50, seed=1)
         cfg = _cfg_file(tmp_path, {"learning_rate": 1e308, "epochs": 3, "num_draws": 5,
                                    "hidden": [4], "sigma2_mode": "learned"})
         argv = ["train", "--data", data, "--config", cfg, "--model-out", str(tmp_path / "m")]
         assert cli.main(argv) == 4
         assert capsys.readouterr().err == (
-            "error: epoch 0, batch at 0: the Adam update overflowed "
-            "(parameters: w_mean_0, b_mean_0, w_mean_1, b_mean_1, log_sigma2)\n"
+            "error: epoch 0, batch at 0: the Adam update took w_mean_0 out of range: "
+            "w_mean_0 = inf (parameters: w_mean_0, w_log_scale_0, b_mean_0, b_log_scale_0, "
+            "w_mean_1, w_log_scale_1, b_mean_1, b_log_scale_1, log_sigma2)\n"
         )
 
     @pytest.mark.parametrize(
-        "extra, name, what",
+        "extra, failure",
+        [
+            # w_0 became inf: vip train exited 1 on a JSON ValueError
+            # traceback while saving the model
+            (
+                {"learning_rate": 1e307, "prior_family": "ns"},
+                "w_0 out of range: w_0 = inf (parameters: w_0)",
+            ),
+            # q_mu became inf: vip train exited 4 with "mu contains
+            # non-finite entries", naming neither the step nor a parameter
+            (
+                {"learning_rate": 1.7e308},
+                "w_mean_0 out of range: w_mean_0 = inf (parameters: w_mean_0, w_log_scale_0, "
+                "b_mean_0, b_log_scale_0, w_mean_1, w_log_scale_1, b_mean_1, b_log_scale_1, "
+                "q_mu)",
+            ),
+        ],
+        ids=["ns-weight", "bnn-q-mean"],
+    )
+    def test_overflowing_only_update_exits_4_naming_its_step(
+        self, tmp_path, capsys, extra, failure
+    ):
+        data, model = _synth(tmp_path, n=50, seed=1), tmp_path / "m.json"
+        cfg = _cfg_file(tmp_path, {"epochs": 1, "num_draws": 5, "hidden": [4], "alpha": 0.5,
+                                   **extra})
+        capsys.readouterr()
+        argv = ["train", "--data", data, "--config", cfg, "--model-out", str(model)]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"error: epoch 0, batch at 0: the Adam update took {failure}\n"
+        )
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "extra, groups",
         [
             # exp(log_sigma2) overflowed in the end-of-training conversion: an
             # uncaught OverflowError, exit 1
-            ({}, "log_sigma2", "exp(log_sigma2) = inf"),
+            ({}, ", log_sigma2"),
             # softplus(q_diag) underflowed to 0 and q was rejected as a bad
             # setting, exit 2
-            ({"sigma2_mode": "fixed", "alpha": 0.0}, "q_diag", "softplus(q_diag) = 0.0"),
+            ({"sigma2_mode": "fixed", "alpha": 0.0}, ", q_diag"),
             # a BNN log-scale grew by ~lr: the model was saved, exit 0, and
             # vip predict on it failed naming no parameter
-            (
-                {"sigma2_mode": "fixed", "alpha": 0.5},
-                "w_log_scale_0",
-                "exp(w_log_scale_0) = inf",
-            ),
+            ({"sigma2_mode": "fixed", "alpha": 0.5}, ""),
         ],
         ids=["noise", "q", "prior-scale"],
     )
     def test_diverging_last_update_exits_4_naming_the_parameter(
-        self, tmp_path, capsys, extra, name, what
+        self, tmp_path, capsys, extra, groups
     ):
         # one epoch at lr 1e3: the first and only Adam step diverges, and no
         # forward pass runs after it
@@ -913,6 +1034,8 @@ class TestExitCodes:
         argv = ["train", "--data", str(data), "--config", str(cfg), "--model-out", str(model)]
         assert cli.main(argv) == 4
         assert capsys.readouterr().err == (
-            f"error: the last update took {name} out of range: {what} (parameters: {name})\n"
+            "error: epoch 0, batch at 0: the Adam update took w_log_scale_0 out of range: "
+            "exp(w_log_scale_0) = inf (parameters: w_log_scale_0, b_log_scale_0, "
+            f"w_log_scale_1, b_log_scale_1, w_log_scale_2, b_log_scale_2{groups})\n"
         )
         assert not model.exists()

@@ -428,6 +428,14 @@ class TestAdam:
         with pytest.raises(ContractError):
             adam_step(p, {"y": np.zeros((1, 1))}, AdamState.zeros(p), 0.1)
 
+    def test_infinite_learning_rate_rejected(self):
+        # an inf rate moved every entry with a nonzero gradient to -inf
+        p = {"x": np.ones((2, 1))}
+        state = AdamState.zeros(p)
+        with pytest.raises(ParameterError, match="^learning rate must be positive and finite"):
+            adam_step(p, {"x": np.ones((2, 1))}, state, math.inf)
+        assert state.t == 0
+
     def test_matches_per_group_oracle_bitwise(self):
         rng = np.random.default_rng(21)
         shapes = {"w": (3, 4), "one": (1, 1), "tril": (50, 50), "col": (50, 1), "idle": (2, 5)}
@@ -625,39 +633,68 @@ class TestTrain:
     @pytest.mark.parametrize(
         "family, alpha, failure",
         [
-            ("bnn", 0.0, "exp: produced a non-finite value (parameters: w_log_scale_0)"),
-            ("ns", 0.0, "log: non-positive operand (parameters: q_diag)"),
-            ("ns", 0.5, "exp: produced a non-finite value (parameters: log_sigma2)"),
+            (
+                "bnn", 0.0,
+                "w_log_scale_0 out of range: exp(w_log_scale_0) = inf (parameters: w_log_scale_0, "
+                "b_log_scale_0, w_log_scale_1, b_log_scale_1, w_log_scale_2, b_log_scale_2, "
+                "q_diag, log_sigma2)",
+            ),
+            (
+                "ns", 0.0,
+                "q_diag out of range: softplus(q_diag) = 0.0 (parameters: q_diag, log_sigma2)",
+            ),
+            (
+                "ns", 0.5,
+                "log_sigma2 out of range: exp(log_sigma2) = inf (parameters: log_sigma2)",
+            ),
+        ],
+        # each id names the op the diverged values would fail in the next step
+        ids=[
+            "bnn-0.0-exp: produced a non-finite value",
+            "ns-0.0-log: non-positive operand",
+            "ns-0.5-exp: produced a non-finite value",
         ],
     )
     def test_diverging_run_names_the_parameter(self, family, alpha, failure):
         # the toy protocol's data and config at a learning rate that diverges
-        # in the first Adam step; the message names the leaf behind the op
+        # in the first Adam step; the message names that step and the groups
+        # it sent out of range
         ds = standardize(synth_toy(300, 0, "std"))
         cfg = TrainConfig(prior_family=family, alpha=alpha, learning_rate=1e3, epochs=3)
         with pytest.raises(NumericalError) as exc:
             train(ds.x, ds.y, cfg)
-        assert str(exc.value) == f"epoch 1, batch at 0: {failure}"
+        assert str(exc.value) == f"epoch 0, batch at 0: the Adam update took {failure}"
 
     @pytest.mark.parametrize(
-        "sigma2, sigma2_mode, message",
+        "sigma2, sigma2_mode, groups",
         [
-            (0.1, "learned", "log_sigma2 out of range: exp(log_sigma2) = inf"),
+            (0.1, "learned", "q_diag, log_sigma2"),
             # a noise far above the data's pushes log_sigma2 down by ~lr
-            (100.0, "learned", "log_sigma2 out of range: exp(log_sigma2) = 0.0"),
-            (0.1, "fixed", "q_diag out of range: softplus(q_diag) = 0.0"),
+            (100.0, "learned", "q_diag, log_sigma2"),
+            (0.1, "fixed", "q_diag"),
+        ],
+        # each id names the group the case takes out of range besides the
+        # BNN log-scales, which come first in the message
+        ids=[
+            "0.1-learned-log_sigma2 out of range",
+            "100.0-learned-log_sigma2 out of range",
+            "0.1-fixed-q_diag out of range",
         ],
     )
-    def test_diverging_last_update_names_the_parameter(self, sigma2, sigma2_mode, message):
-        # one epoch: the only Adam step diverges, and no forward pass follows it
+    def test_diverging_last_update_names_the_parameter(self, sigma2, sigma2_mode, groups):
+        # one epoch: the only Adam step diverges, and no forward pass follows
+        # it; its check is the one every step's update passes
         ds = standardize(synth_toy(300, 0, "std"))
         cfg = TrainConfig(
             alpha=0.0, sigma2=sigma2, sigma2_mode=sigma2_mode, learning_rate=1e3, epochs=1
         )
         with pytest.raises(NumericalError) as exc:
             train(ds.x, ds.y, cfg)
-        name = message.split()[0]
-        assert str(exc.value) == f"the last update took {message} (parameters: {name})"
+        assert str(exc.value) == (
+            "epoch 0, batch at 0: the Adam update took w_log_scale_0 out of range: "
+            "exp(w_log_scale_0) = inf (parameters: w_log_scale_0, b_log_scale_0, "
+            f"w_log_scale_1, b_log_scale_1, w_log_scale_2, b_log_scale_2, {groups})"
+        )
 
     def test_step_peak_memory_is_one_forward_tape(self):
         # a full-batch BNN step at N=2000, S=20 peaks at about 9 MB, with its
