@@ -6,7 +6,7 @@ perturbs earlier ones.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,41 +23,28 @@ SPLIT_STREAM_BASE = 100
 GRID_VAL_FRAC = 0.2
 
 
-@dataclass
-class GridSearchResult:
-    sigma2: float
-    model: TrainedModel
-    val_nll: dict
-
-
-def grid_search_sigma2(ds: datamod.Dataset, cfg: TrainConfig) -> GridSearchResult:
+def grid_search_sigma2(ds: datamod.Dataset, cfg: TrainConfig) -> TrainedModel:
     """Pick sigma2 from cfg.sigma2_grid by validation NLL, then refit on all of ds.
 
     One model is trained on the sub-training rows; each grid value is scored
     by re-deriving the exact coefficient posterior at that sigma2 (the draws
     are pinned by the model seed, so nothing else moves).  Ties go to the
     smallest sigma2.  A single-element grid skips the search entirely.
+    Returns the refit model, whose sigma2 is the value picked.
     """
-    cfg.validate()
     grid = sorted(float(g) for g in cfg.sigma2_grid)
-
-    val_scores = {}
+    best = grid[0]
     if len(set(grid)) > 1:
         sub_tr, val = datamod.split(ds, 1.0 - GRID_VAL_FRAC, derive_seed(cfg.seed, STREAM_GRID))
         probe = train(sub_tr.x, sub_tr.y, replace(cfg, sigma2_mode="fixed"))
-        best, best_nll = None, math.inf
+        best_nll = math.inf
         for s2 in grid:
             pred = posterior_predict(replace(probe, sigma2=s2), val.x, mode="exact")
             nll = nll_rmse(pred, val.y)["nll"]
-            val_scores[s2] = nll
             if nll < best_nll:
                 best, best_nll = s2, nll
-    else:
-        best = grid[0]
 
-    final_cfg = replace(cfg, sigma2_mode="fixed", sigma2=best)
-    model = train(ds.x, ds.y, final_cfg, stats=ds.stats)
-    return GridSearchResult(sigma2=best, model=model, val_nll=val_scores)
+    return train(ds.x, ds.y, replace(cfg, sigma2_mode="fixed", sigma2=best), stats=ds.stats)
 
 
 def _mean_se(values):
@@ -141,7 +128,7 @@ def run_protocol(
     def fit_predict(tr, te_x, sk):
         cfg_k = replace(cfg, seed=sk)
         if cfg.sigma2_mode == "grid":
-            model = grid_search_sigma2(tr, cfg_k).model
+            model = grid_search_sigma2(tr, cfg_k)
         else:
             model = train(tr.x, tr.y, cfg_k, stats=tr.stats)
         return posterior_predict(model, te_x), {"sigma2": float(model.sigma2)}

@@ -81,7 +81,7 @@ def _cmd_synth(args) -> int:
 def _fit(ds_std, cfg):
     """Train on a standardized dataset, honoring grid mode."""
     if cfg.sigma2_mode == "grid":
-        return benchmod.grid_search_sigma2(ds_std, cfg).model
+        return benchmod.grid_search_sigma2(ds_std, cfg)
     return train(ds_std.x, ds_std.y, cfg, stats=ds_std.stats)
 
 

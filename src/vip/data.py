@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .numkit import STREAM_DATA, STREAM_SPLIT, Rng
+from .numkit import STREAM_DATA, STREAM_SPLIT, Rng, check_finite
 
 
 @dataclass
@@ -209,6 +209,7 @@ def compute_stats(data: Dataset) -> Stats:
     return Stats(means[:-1], stds[:-1], float(means[-1]), float(stds[-1]))
 
 
+@np.errstate(over="ignore")  # an inf input is rejected by name where it is read
 def apply_stats(data: Dataset, stats: Stats) -> Dataset:
     if stats.feature_means.shape[0] != data.d:
         raise ParameterError("stats dimension does not match data")
@@ -222,13 +223,16 @@ def standardize(data: Dataset) -> Dataset:
     return apply_stats(data, compute_stats(data))
 
 
+@np.errstate(over="ignore")
 def destandardize_moments(mean, var, stats: Stats):
     """Map a predictive mean and variance from the standardized target scale
-    back to original units; without ``stats`` both pass through unchanged."""
+    back to original units, or raise if they overflow there; without
+    ``stats`` both pass through unchanged."""
     if stats is None:
         return mean, var
     sd = stats.target_std
-    return mean * sd + stats.target_mean, var * sd * sd
+    mean, var = mean * sd + stats.target_mean, var * sd * sd
+    return check_finite(mean, "destandardized mean"), check_finite(var, "destandardized variance")
 
 
 def split(data: Dataset, train_frac: float, seed: int):

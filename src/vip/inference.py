@@ -22,6 +22,7 @@ same tape and are updated jointly with Adam.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -284,7 +285,8 @@ def _type_matches(value, default) -> bool:
         return isinstance(value, str)
     if isinstance(default, int):
         return isinstance(value, int)
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    # compared, not converted: an integer too large for a float is not finite
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 def check_value_types(d: dict, defaults: dict) -> None:
@@ -321,16 +323,20 @@ class TrainConfig:
     seed: int = 0
     coeff_mode: str = "auto"  # exact | learned | auto
 
-    def validate(self) -> "TrainConfig":
-        if not 0.0 <= float(self.alpha) <= 1.0:
+    def __post_init__(self):
+        """Check every field as a JSON config is checked; the lists become tuples."""
+        check_value_types(vars(self), {f.name: f.default for f in fields(self)})
+        self.hidden = tuple(self.hidden)
+        self.sigma2_grid = tuple(self.sigma2_grid)
+        if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if int(self.num_draws) < 2:
+        if self.num_draws < 2:
             raise ParameterError(f"num_draws must be >= 2, got {self.num_draws}")
-        if int(self.epochs) < 0:
+        if self.epochs < 0:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if int(self.batch_size) < 0:
+        if self.batch_size < 0:
             raise ParameterError(f"batch_size must be >= 0, got {self.batch_size}")
-        if not 0 < float(self.learning_rate) < math.inf:
+        if not 0 < self.learning_rate < math.inf:
             raise ParameterError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
@@ -340,12 +346,11 @@ class TrainConfig:
         if len(self.sigma2_grid) == 0 or any(not g > 0 for g in self.sigma2_grid):
             raise ParameterError("sigma2_grid must be non-empty and positive")
         # rejects an unknown estimator or a negative psi
-        kernel_normaliser(int(self.num_draws), self.estimator, self.psi)
+        kernel_normaliser(self.num_draws, self.estimator, self.psi)
         if self.prior_family not in ("bnn", "ns"):
             raise ParameterError(f"unknown prior_family {self.prior_family!r}")
         if self.coeff_mode not in ("exact", "learned", "auto"):
             raise ParameterError(f"unknown coeff_mode {self.coeff_mode!r}")
-        return self
 
     def to_dict(self) -> dict:
         out = {}
@@ -356,16 +361,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = sorted(set(d) - set(defaults))
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
-        check_value_types(d, defaults)
-        kwargs = dict(d)
-        for key in ("sigma2_grid", "hidden"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs).validate()
+        return cls(**d)
 
 
 @dataclass
@@ -403,7 +402,6 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     n = x.shape[0]
     if n < 2:
         raise ParameterError(f"need at least 2 training points, got {n}")
-    config.validate()
     if config.sigma2_mode == "grid":
         raise ContractError(
             "sigma2_mode='grid' is resolved by the benchmark grid search; "
@@ -415,7 +413,7 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
         Rng(config.seed, STREAM_INIT), noise_dim=config.noise_dim,
         noise_halfwidth=config.noise_halfwidth,
     )
-    s = int(config.num_draws)
+    s = config.num_draws
     params = dict(prior.params)
     params["q_mu"] = np.zeros((s, 1))
     params["q_tril"] = np.zeros((s, s))
@@ -428,11 +426,11 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     state = AdamState.zeros(params)
     rng_draws = Rng(config.seed, STREAM_DRAWS)
     rng_shuffle = Rng(config.seed, STREAM_SHUFFLE)
-    mb = min(int(config.batch_size) or n, n)
+    mb = min(config.batch_size or n, n)
     denom, ridge = kernel_normaliser(s, config.estimator, config.psi)
     trace = []
 
-    for epoch in range(int(config.epochs)):
+    for epoch in range(config.epochs):
         perm = rng_shuffle.permutation(n)
         epoch_losses = []
         for start in range(0, n, mb):
@@ -465,7 +463,7 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
         q=q_from_raw(params["q_mu"], params["q_tril"], params["q_diag"]),
         sigma2=sigma2,
         config=config,
-        seed=int(config.seed),
+        seed=config.seed,
         loss_trace=trace,
         train_x=x,
         train_y=y,

@@ -100,7 +100,7 @@ def model_from_dict(d: dict) -> TrainedModel:
         stats = None if d.get("stats") is None else Stats.from_dict(d["stats"])
         train_x = _finite_array("train.x", d["train"]["x"])
         train_y = _finite_array("train.y", d["train"]["y"])
-    except (KeyError, TypeError, ValueError, ParameterError, DimensionError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, ParameterError, DimensionError) as e:
         raise ModelFileError(f"malformed model file: {e}") from e
     if train_x.ndim != 2 or train_x.shape[1] != prior.input_dim:
         raise ModelFileError(
@@ -115,7 +115,7 @@ def model_from_dict(d: dict) -> TrainedModel:
     with np.errstate(over="ignore"):
         if not math.isfinite(train_y @ train_y):
             raise ModelFileError("train.y is too large: its sum of squares overflows")
-    if q.dim != int(config.num_draws):
+    if q.dim != config.num_draws:
         raise ModelFileError(f"q has dimension {q.dim}, config.num_draws is {config.num_draws}")
     if stats is not None:
         _check_stats(stats, prior.input_dim)

@@ -28,13 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import destandardize_moments
-from .errors import (
-    ContractError,
-    DimensionError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    ParameterError,
-)
+from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .inference import LOG_2PI, CoefficientPosterior, TrainedModel, _check_sigma2
 from .numkit import STREAM_PREDICT, Rng, all_finite, as_matrix, as_vector, cholesky
 from .priors import FunctionDraws, kernel_normaliser, sample_functions
@@ -148,7 +142,7 @@ def posterior_predict(
         mode = "exact" if n <= 2000 else "learned"
     if mode not in ("exact", "learned"):
         raise ParameterError(f"unknown prediction mode {mode!r}")
-    s = int(cfg.num_draws)
+    s = cfg.num_draws
     rng = Rng(model.seed, STREAM_PREDICT)
     denom, ridge = kernel_normaliser(s, cfg.estimator, cfg.psi)
 
@@ -163,7 +157,7 @@ def posterior_predict(
     noise = model.sigma2 + ridge / denom
     try:
         q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], noise)
-    except NotPositiveDefiniteError as e:
+    except NumericalError as e:
         at = f"sigma2 = {model.sigma2:.6g}"
         if ridge:
             at = f"sigma2 + ridge/denom = {model.sigma2:.6g} + {ridge / denom:.6g}"
@@ -186,10 +180,14 @@ def nll_rmse(pred: PredictiveDistribution, y_true, stats=None) -> dict:
     return gaussian_nll_rmse(y, mean, var)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gaussian_nll_rmse(y: np.ndarray, mean: np.ndarray, var: np.ndarray) -> dict:
-    """Average NLL and RMSE of targets y under independent N(mean, var)."""
+    """Average NLL and RMSE of targets y under independent N(mean, var); a
+    score that overflows a double is a NumericalError."""
     if np.any(var <= 0):
         raise ContractError("observation variance must be positive for the NLL")
     nll = float(np.mean(0.5 * (LOG_2PI + np.log(var)) + (y - mean) ** 2 / (2 * var)))
     rmse = float(np.sqrt(np.mean((y - mean) ** 2)))
+    if not (math.isfinite(nll) and math.isfinite(rmse)):
+        raise NumericalError(f"the score overflows a double: nll {nll}, rmse {rmse}")
     return {"nll": nll, "rmse": rmse}

@@ -21,6 +21,8 @@ from vip.errors import NumericalError
 from vip.inference import TrainConfig
 from vip.modelfile import load_model
 
+from test_data import _csv_text
+
 TINY_CFG = {
     "epochs": 4,
     "num_draws": 4,
@@ -411,6 +413,17 @@ class TestPredictEval:
         err = capsys.readouterr().err
         assert f"non-positive cell '{cell}'" in err and "row 3, column 2" in err
 
+    def test_eval_score_that_overflows_is_numerical_error(self, tmp_path, capsys):
+        # the squared residual overflows; the inf score made the JSON report raise
+        data = _synth(tmp_path, n=3)
+        pred = tmp_path / "p.csv"
+        pred.write_text("mean,var_y\n1e200,1.0\n0.2,1.0\n0.3,1.0\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 4
+        assert capsys.readouterr().err == (
+            "error: the score overflows a double: nll inf, rmse inf\n"
+        )
+
     @pytest.mark.parametrize("width", [1, 4])
     def test_predict_data_of_wrong_width_is_data_error(self, tmp_path, capsys, width):
         # a 2-feature model reads 2 columns (features only) or 3 (training layout)
@@ -587,6 +600,8 @@ BAD_CONFIG_VALUES = [
     ("hidden", 5),  # list of integers
     ("sigma2_grid", [0.1, "a"]),  # list of numbers
     ("activation", 3),  # string
+    # an integer too large for a double is not finite
+    pytest.param("learning_rate", 10**400, id="learning_rate-10**400"),
 ]
 
 
@@ -658,12 +673,41 @@ def _fuzz_configs(draw):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A directory holding a 20-row toy CSV, on which both configs below
-    overflow an Adam update."""
+    overflow an Adam update, and a model of each family trained on it."""
     d = tmp_path_factory.mktemp("fuzz")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["synth", "--n", "20", "--seed", "24", "--noise", "var",
                          "--out", str(d / "data.csv")]) == 0
+        (d / "tiny.json").write_text(json.dumps(
+            {"epochs": 2, "num_draws": 4, "hidden": [3], "sigma2_mode": "fixed", "noise_dim": 2}
+        ))
+        for family in ("bnn", "ns"):
+            assert cli.main(["train", "--data", str(d / "data.csv"), "--config",
+                             _cfg_file(d, {"prior_family": family}, name=f"{family}.cfg.json"),
+                             "--model-out", str(d / f"{family}.json")]) == 0
     return d
+
+
+def _main_in_process(argv):
+    """Run the CLI in-process; return its exit code and its stderr, with each
+    warning raised counted as a line of stderr, as it is in a process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([str(a) for a in argv])
+    return rc, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+def _assert_exit_contract(rc, err):
+    """A documented exit code; exit 0 writes nothing to stderr, any other
+    exactly one line starting ``error: ``."""
+    assert rc in (0, 2, 3, 4)
+    if rc == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
 
 
 class TestConfigFuzz:
@@ -675,28 +719,101 @@ class TestConfigFuzz:
     # the only update makes the BNN means inf (on 50 rows q_mu too)
     @example(cfg={"learning_rate": 1.7e308, "epochs": 1, "num_draws": 5, "hidden": [4],
                   "sigma2_mode": "fixed", "alpha": 0.5})
+    # the grid search's validation NLL overflowed a temporary with a warning
+    @example(cfg={"sigma2_mode": "grid", "sigma2_grid": [0.1, 1.0], "estimator": "pm",
+                  "psi": 1.7e308, "epochs": 0, "num_draws": 2, "hidden": [1], "alpha": 0.0})
     def test_train_exits_with_a_code_and_one_error_line(self, fuzz_dir, cfg):
         (fuzz_dir / "cfg.json").write_text(json.dumps(cfg))
         model = fuzz_dir / "m.json"
         model.unlink(missing_ok=True)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main(["train", "--data", str(fuzz_dir / "data.csv"), "--config",
-                           str(fuzz_dir / "cfg.json"), "--model-out", str(model)])
-        assert rc in (0, 2, 3, 4)
-        assert [str(w.message) for w in caught] == []
-        if rc == 0:
-            assert err.getvalue() == ""
-            assert model.exists()
-            return
-        lines = err.getvalue().splitlines(keepends=True)
-        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
-        assert not model.exists()
+        rc, err = _main_in_process(["train", "--data", fuzz_dir / "data.csv", "--config",
+                                    fuzz_dir / "cfg.json", "--model-out", model])
+        _assert_exit_contract(rc, err)
+        assert model.exists() == (rc == 0)
         if rc == 4 and cfg.get("sigma2_mode", "learned") != "grid":
             # a fit outside the grid search fails only in a training step
-            assert lines[0].startswith("error: epoch ")
+            assert err.startswith("error: epoch ")
+
+
+# what a fuzzed model file puts in place of a value: non-finite and extreme
+# numbers, a negative zero, integers beyond a double's precision and range,
+# and wrongly typed values; _DELETE removes the key or list item instead
+_DELETE = "<delete>"
+_MODEL_EDGES = [math.nan, math.inf, -math.inf, 1e308, -0.0, 2**70, 10**400,
+                "1", True, None, [], {}, _DELETE]
+# the top-level fields, each that is validated drawn three times as often
+_MODEL_FIELDS = ["stats", "q", "train", "prior", "sigma2", "seed", "config"] * 3 + [
+    "format_version"
+]
+
+
+@st.composite
+def _model_mutations(draw):
+    """A path into a model file, a top-level field and then indices that each
+    pick a key (in sorted order) or an item one level down, and the value
+    that goes there."""
+    path = [draw(st.sampled_from(_MODEL_FIELDS)), *draw(st.lists(st.integers(0, 40), max_size=4))]
+    return path, draw(st.sampled_from(_MODEL_EDGES))
+
+
+def _mutate(d, path, value):
+    """Put ``value`` at ``path`` in ``d``: a key names itself, an index picks
+    modulo the length; the walk stops early at a scalar or an empty block."""
+    parent, key = None, None
+    for step in path:
+        if not (isinstance(d, (dict, list)) and d):
+            break
+        if isinstance(d, list):
+            step %= len(d)
+        elif isinstance(step, int):
+            step = sorted(d)[step % len(d)]
+        parent, key, d = d, step, d[step]
+    if value == _DELETE:
+        del parent[key]
+    else:
+        parent[key] = value
+
+
+class TestModelFileFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(["bnn", "ns"]), mutation=_model_mutations())
+    # a zero feature or target std passes every check but the stats block's
+    @example(family="bnn", mutation=(["stats", "feature_stds", 0], -0.0))
+    @example(family="ns", mutation=(["stats", "target_std"], -0.0))
+    # these overflowed, standardising the ignored target column or mapping
+    # the moments back to the target scale, or escaped as an OverflowError
+    @example(family="bnn", mutation=(["stats", "target_mean"], 1e308))
+    @example(family="bnn", mutation=(["stats", "target_std"], 1e308))
+    @example(family="ns", mutation=(["q", "mu", 0], 10**400))
+    def test_predict_exits_with_a_code_and_one_error_line(self, fuzz_dir, family, mutation):
+        d = json.loads((fuzz_dir / f"{family}.json").read_text())
+        _mutate(d, *mutation)
+        (fuzz_dir / "fuzzed.json").write_text(json.dumps(d, allow_nan=True))
+        for coeff in ("exact", "learned"):
+            _assert_exit_contract(*_main_in_process(
+                ["predict", "--model", fuzz_dir / "fuzzed.json", "--data",
+                 fuzz_dir / "data.csv", "--coeff", coeff, "--out", fuzz_dir / "p.csv"]
+            ))
+
+
+class TestCsvFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(text=_csv_text(), has_header=st.booleans())
+    def test_train_and_predict_exit_with_a_code_and_one_error_line(
+        self, fuzz_dir, text, has_header
+    ):
+        data = fuzz_dir / "fuzzed.csv"
+        data.write_text(text, encoding="utf-8", newline="")
+        header = ["--has-header"] if has_header else []
+        _assert_exit_contract(*_main_in_process(
+            ["train", "--data", data, "--config", fuzz_dir / "tiny.json",
+             "--model-out", fuzz_dir / "fuzzed-model.json", *header]
+        ))
+        for coeff in ("exact", "learned"):
+            _assert_exit_contract(*_main_in_process(
+                ["predict", "--model", fuzz_dir / "bnn.json", "--data", data,
+                 "--coeff", coeff, "--out", fuzz_dir / "p.csv", *header]
+            ))
 
 
 class TestBench:
@@ -786,7 +903,8 @@ class TestGpBaseline:
     @pytest.mark.parametrize(
         "key, value",
         [("splits", "a"), ("train_frac", "0.5"), ("lengthscales", [1.0, "x"]),
-         ("sigma2s", 0.1), ("protocol", 5), ("toy_n", 30.0)],
+         ("sigma2s", 0.1), ("protocol", 5), ("toy_n", 30.0),
+         pytest.param("train_frac", 10**400, id="train_frac-10**400")],
     )
     def test_wrongly_typed_grid_key_is_usage_error(self, tmp_path, capsys, key, value):
         gc = tmp_path / "grid.json"
@@ -872,7 +990,10 @@ class TestNoNumpyWarningsOnStderr:
         proc = _cli_process("predict", "--model", "m.json", "--data", "toy.csv",
                             "--out", "p.csv", cwd=tmp_path)
         assert proc.returncode == 4
-        assert proc.stderr == "error: cholesky input contains non-finite entries\n"
+        assert proc.stderr == (
+            "error: exact coefficient posterior failed at noise variance sigma2 = 0.1: "
+            "cholesky input contains non-finite entries\n"
+        )
 
     def test_gp_baseline_with_a_subnormal_squared_lengthscale(self, tmp_path):
         # 1e-160 squares to a subnormal, so the Gram's division overflows;

@@ -1,9 +1,11 @@
 import hashlib
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -518,7 +520,69 @@ class TestCachedConstants:
         assert here == [fresh[20], fresh[50], fresh[20]]
 
 
+# a value of each kind a setting may be given: a value of its type (drawn
+# three times as often as each other kind), a numpy scalar, an integral float
+# for an integer, a string and a list
+_CHOICES = ["fixed", "learned", "grid", "mle", "pm", "bnn", "ns", "tanh", "exact", "auto"]
+
+
+def _kinds(valid, *others):
+    return st.sampled_from([valid] * 3 + list(others)).flatmap(lambda kind: kind)
+
+
+def _setting(default):
+    if isinstance(default, tuple):
+        items = st.lists(_setting(default[0]), max_size=3)
+        return _kinds(items, items.map(tuple), _setting(default[0]))
+    if isinstance(default, str):
+        valid = st.sampled_from(_CHOICES)
+        return _kinds(valid, valid.map(np.str_), st.sampled_from(["", "TANH", "\u00e9"]),
+                      valid.map(lambda v: [v]))
+    if isinstance(default, int):
+        valid = st.integers(0, 30)
+        return _kinds(valid, valid.map(np.int64), valid.map(float), valid.map(str),
+                      valid.map(lambda v: [v]), st.sampled_from([2**70, 10**400, -1, True, None]))
+    valid = st.floats(0.0, 2.0) | st.integers(0, 2)
+    return _kinds(valid, valid.map(np.float64), valid.map(np.float32), valid.map(str),
+                  valid.map(lambda v: [v]),
+                  st.sampled_from([1e308, 5e-324, -0.0, 10**400, math.nan, math.inf, True]))
+
+
+_SETTINGS = st.lists(
+    st.sampled_from([f.name for f in fields(TrainConfig)]).flatmap(
+        lambda k: st.tuples(st.just(k), _setting(getattr(TrainConfig, k)))
+    ),
+    max_size=4,
+).map(dict)
+
+
 class TestTrainConfig:
+    # each trained and saved a model that load_model rejected, or raised a
+    # bare TypeError in train or save_model
+    @pytest.mark.parametrize("key, value", [
+        ("num_draws", 5.0), ("epochs", 2.5), ("alpha", "0.5"), ("hidden", (3.0,)),
+        ("num_draws", np.int64(5)), ("hidden", 5),
+    ])
+    def test_mistyped_library_setting_is_rejected_when_built(self, key, value):
+        cfg = dict(epochs=2, num_draws=5, hidden=(3,))
+        with pytest.raises(ParameterError, match=f"^{key} must be "):
+            TrainConfig(**{**cfg, key: value})
+        with pytest.raises(ParameterError, match=f"^{key} must be "):
+            replace(TrainConfig(**cfg), **{key: value})
+
+    @settings(max_examples=300, deadline=None)
+    @given(kwargs=_SETTINGS)
+    def test_every_config_that_builds_round_trips_through_json(self, kwargs):
+        try:
+            cfg = TrainConfig(**kwargs)
+        except ParameterError:
+            return
+        assert isinstance(cfg.hidden, tuple) and isinstance(cfg.sigma2_grid, tuple)
+        text = json.dumps(cfg.to_dict(), allow_nan=False)
+        back = TrainConfig.from_dict(json.loads(text))
+        assert back == cfg
+        assert json.dumps(back.to_dict(), allow_nan=False) == text
+
     def test_round_trip(self):
         cfg = TrainConfig(alpha=0.25, hidden=(7,), sigma2_mode="fixed")
         back = TrainConfig.from_dict(cfg.to_dict())
@@ -530,24 +594,23 @@ class TestTrainConfig:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            TrainConfig(alpha=1.5).validate()
+            TrainConfig(alpha=1.5)
         with pytest.raises(ParameterError):
-            TrainConfig(num_draws=1).validate()
+            TrainConfig(num_draws=1)
         with pytest.raises(ParameterError):
-            TrainConfig(sigma2=0.0).validate()
+            TrainConfig(sigma2=0.0)
         with pytest.raises(ParameterError):
-            TrainConfig(sigma2_mode="annealed").validate()
+            TrainConfig(sigma2_mode="annealed")
         with pytest.raises(ParameterError):
-            TrainConfig(sigma2_grid=()).validate()
+            TrainConfig(sigma2_grid=())
 
     def test_nan_settings_rejected_in_library_calls(self):
-        # each compared as `x <= 0` or `x < 0`, which NaN passes; the CLI
-        # caught them only through check_value_types
+        # each compared as `x <= 0` or `x < 0`, which NaN passes
         for bad in (
-            lambda: TrainConfig(learning_rate=math.nan).validate(),
-            lambda: TrainConfig(learning_rate=math.inf).validate(),
-            lambda: TrainConfig(sigma2_grid=(0.1, math.nan)).validate(),
-            lambda: TrainConfig(estimator="pm", psi=math.nan).validate(),
+            lambda: TrainConfig(learning_rate=math.nan),
+            lambda: TrainConfig(learning_rate=math.inf),
+            lambda: TrainConfig(sigma2_grid=(0.1, math.nan)),
+            lambda: TrainConfig(estimator="pm", psi=math.nan),
             lambda: kernel_normaliser(10, "pm", psi=math.nan),
             lambda: Rng(0).permutation(-1),  # returned an empty array
             lambda: adam_step({}, {}, AdamState.zeros({}), math.nan),  # NaN parameters
