@@ -76,6 +76,9 @@ def _repeated_splits(protocol, data, splits, seed, fit_predict, head=None, **spl
         raise ParameterError(f"{protocol} protocol needs a dataset")
     if splits < 1:
         raise ParameterError("splits must be >= 1")
+    if protocol == "toy" and split_opts["toy_n"] < 2:
+        # one row has a constant feature column, which standardising rejects
+        raise ParameterError(f"toy_n must be >= 2, got {split_opts['toy_n']}")
     per = []
     for k in range(splits):
         sk = derive_seed(seed, SPLIT_STREAM_BASE + k)

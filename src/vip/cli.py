@@ -23,8 +23,9 @@ from .errors import (
     ParameterError,
     ParseError,
 )
-from .inference import TrainConfig, check_value_types, train
+from .inference import TrainConfig, train
 from .modelfile import canonical_json, load_model, save_model
+from .numkit import check_value_types
 from .predict import gaussian_nll_rmse, posterior_predict
 
 
@@ -131,6 +132,9 @@ def _cmd_eval(args) -> int:
         i_mean, i_var = header.index("mean"), header.index("var_y")
     except ValueError:
         raise ParseError(f"{args.pred}: header must name 'mean' and 'var_y' columns") from None
+    for name in ("mean", "var_y"):
+        if header.count(name) > 1:
+            raise ParseError(f"{args.pred}: header names column {name!r} twice", row=1)
     data = datamod.load_csv(args.data, has_header=args.has_header)
     if data.n != table.shape[0]:
         raise ParseError(

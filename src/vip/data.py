@@ -25,23 +25,6 @@ class Stats:
     target_mean: float
     target_std: float
 
-    def to_dict(self) -> dict:
-        return {
-            "feature_means": [float(v) for v in self.feature_means],
-            "feature_stds": [float(v) for v in self.feature_stds],
-            "target_mean": float(self.target_mean),
-            "target_std": float(self.target_std),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Stats":
-        return Stats(
-            feature_means=np.asarray(d["feature_means"], dtype=float),
-            feature_stds=np.asarray(d["feature_stds"], dtype=float),
-            target_mean=float(d["target_mean"]),
-            target_std=float(d["target_std"]),
-        )
-
 
 @dataclass
 class Dataset:

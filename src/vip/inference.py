@@ -22,14 +22,16 @@ same tape and are updated jointly with Adam.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
-from .numkit import STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, all_finite, as_matrix, as_vector
+from .numkit import (
+    STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, all_finite, as_matrix, as_vector,
+    check_value_types,
+)
 from .priors import (
     FunctionDraws,
     init_prior,
@@ -266,41 +268,6 @@ def _check_update(params: dict) -> None:
 
 
 _GRID_DEFAULT = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
-
-
-def _type_name(default) -> str:
-    if isinstance(default, tuple):
-        return "a list of " + ("integers" if isinstance(default[0], int) else "finite numbers")
-    if isinstance(default, str):
-        return "a string"
-    return "an integer" if isinstance(default, int) else "a finite number"
-
-
-def _type_matches(value, default) -> bool:
-    if isinstance(value, bool):
-        return False  # true/false is never a valid setting, though bool subclasses int
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_type_matches(v, default[0]) for v in value)
-    if isinstance(default, str):
-        return isinstance(value, str)
-    if isinstance(default, int):
-        return isinstance(value, int)
-    # compared, not converted: an integer too large for a float is not finite
-    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-
-
-def check_value_types(d: dict, defaults: dict) -> None:
-    """Reject a settings dict whose values are not typed like the defaults.
-
-    An int default takes integers, a float default any finite number, a str
-    default a string and a tuple default a list of items typed like its
-    first entry. The ParameterError names the key.
-    """
-    for key, value in d.items():
-        if not _type_matches(value, defaults[key]):
-            raise ParameterError(
-                f"{key} must be {_type_name(defaults[key])}, got {value!r}"
-            )
 
 
 @dataclass

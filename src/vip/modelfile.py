@@ -1,8 +1,9 @@
-"""Model persistence.
+"""Model persistence: the one module that knows the model-file layout.
 
 One JSON document per model, rendered canonically (sorted keys, two-space
 indent, no NaN, trailing newline) so identical models serialize to identical
-bytes.  The standardized training block rides along because rank-reduced
+bytes, and read back value by value through ``numkit.check_value_types``.
+The standardized training block rides along because rank-reduced
 prediction re-evaluates function draws jointly over train and test inputs.
 """
 
@@ -13,17 +14,26 @@ import numpy as np
 
 from .data import Stats
 from .errors import DimensionError, ModelFileError, ParameterError
-from .inference import (
-    CoefficientPosterior,
-    TrainConfig,
-    TrainedModel,
-    _check_sigma2,
-    check_value_types,
-)
-from .numkit import all_finite
-from .priors import prior_from_dict
+from .inference import CoefficientPosterior, TrainConfig, TrainedModel, _check_sigma2
+from .numkit import check_value_types
+from .priors import Prior
 
 FORMAT_VERSION = 2
+
+# Each prior family's per-layer arrays: model-file key -> parameter-name prefix.
+_PRIOR_ARRAYS = {
+    "bnn": {"weight_mean": "w_mean", "weight_log_scale": "w_log_scale",
+            "bias_mean": "b_mean", "bias_log_scale": "b_log_scale"},
+    "ns": {"weights": "w", "biases": "b"},
+}
+
+# The type each value is read as: an array stands for JSON lists nested as
+# deep as its ndim around finite numbers, a tuple for a list of its item.
+_VECTOR, _MATRIX = np.zeros(1), np.zeros((1, 1))
+_TOP = {"seed": 0, "sigma2": 0.1}
+_Q = {"mu": _VECTOR, "chol": _MATRIX}
+_TRAIN = {"x": _MATRIX, "y": _VECTOR}
+_STATS = {"feature_means": _VECTOR, "feature_stds": _VECTOR, "target_mean": 0.0, "target_std": 0.0}
 
 
 def canonical_json(obj) -> str:
@@ -32,46 +42,52 @@ def canonical_json(obj) -> str:
 
 
 def model_to_dict(model: TrainedModel) -> dict:
+    p = model.prior
+    prior = {"family": p.family, "layer_sizes": list(p.layer_sizes), "activation": p.activation}
+    for key, prefix in _PRIOR_ARRAYS[p.family].items():
+        prior[key] = [p.params[f"{prefix}_{l}"].tolist() for l in range(len(p.layer_sizes) - 1)]
+    if p.family == "ns":
+        prior.update(noise_dim=p.noise_dim, noise_halfwidth=p.noise_halfwidth)
     return {
         "format_version": FORMAT_VERSION,
         "seed": int(model.seed),
         "sigma2": float(model.sigma2),
         "config": model.config.to_dict(),
-        "prior": model.prior.to_dict(),
-        "q": {
-            "mu": [float(v) for v in model.q.mu],
-            "chol": model.q.chol.tolist(),
+        "prior": prior,
+        "q": {"mu": model.q.mu.tolist(), "chol": model.q.chol.tolist()},
+        "stats": None if model.stats is None else {
+            k: np.asarray(v, float).tolist() for k, v in vars(model.stats).items()
         },
-        "stats": None if model.stats is None else model.stats.to_dict(),
-        "train": {
-            "x": model.train_x.tolist(),
-            "y": [float(v) for v in model.train_y],
-        },
+        "train": {"x": model.train_x.tolist(), "y": model.train_y.tolist()},
     }
 
 
 _REQUIRED = ("format_version", "seed", "sigma2", "config", "prior", "q", "train")
-_SCALARS = {"seed": 0, "sigma2": 0.1}  # typed like these
+
+
+def _read(block: dict, where: str, types: dict) -> dict:
+    """The values of ``types``' keys in ``block``, by the type rule; a missing key reads as null."""
+    return check_value_types({k: block.get(k) for k in types}, types, where)
+
+
+def _prior_from_dict(d: dict) -> Prior:
+    family = d.get("family")
+    # an unknown family reads no arrays; Prior then rejects it by name
+    keys = _PRIOR_ARRAYS.get(family, {}) if isinstance(family, str) else {}
+    layers = _read(d, "prior.", dict.fromkeys(keys, (_MATRIX,)))
+    params = {f"{keys[k]}_{l}": a for k, arrays in layers.items() for l, a in enumerate(arrays)}
+    noise = (d.get("noise_dim"), d.get("noise_halfwidth")) if family == "ns" else ()
+    return Prior(family, d.get("layer_sizes"), d.get("activation"), params, *noise)
 
 
 def _check_stats(stats: Stats, input_dim: int) -> None:
     for name in ("feature_means", "feature_stds"):
-        v = getattr(stats, name)
-        if v.shape != (input_dim,) or not all_finite(v):
+        if getattr(stats, name).shape != (input_dim,):
             raise ModelFileError(f"stats.{name} must hold {input_dim} finite entries")
     if np.any(stats.feature_stds <= 0.0):
         raise ModelFileError("stats.feature_stds must be positive")
-    if not math.isfinite(stats.target_mean):
-        raise ModelFileError("stats.target_mean must be finite")
-    if not (stats.target_std > 0.0 and math.isfinite(stats.target_std)):
+    if not stats.target_std > 0.0:
         raise ModelFileError("stats.target_std must be positive and finite")
-
-
-def _finite_array(name: str, value) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
-    if not all_finite(a):
-        raise ModelFileError(f"{name} has non-finite entries")
-    return a
 
 
 def model_from_dict(d: dict) -> TrainedModel:
@@ -80,29 +96,27 @@ def model_from_dict(d: dict) -> TrainedModel:
     missing = [k for k in _REQUIRED if k not in d]
     if missing:
         raise ModelFileError(f"model file missing fields: {', '.join(missing)}")
-    if d["format_version"] != FORMAT_VERSION:
-        raise ModelFileError(
-            f"unsupported format_version {d['format_version']!r}, expected {FORMAT_VERSION}"
-        )
-    for key in ("config", "prior", "q", "train", "stats"):
-        if not (isinstance(d.get(key), dict) or key == "stats" and d.get(key) is None):
-            or_null = " or null" if key == "stats" else ""
-            raise ModelFileError(f"model file field {key!r} must be a JSON object{or_null}")
-    try:
-        check_value_types({k: d[k] for k in _SCALARS}, _SCALARS)
-        sigma2 = _check_sigma2(d["sigma2"])
-        seed = int(d["seed"])
-        prior = prior_from_dict(d["prior"])
-        q = CoefficientPosterior(
-            _finite_array("q.mu", d["q"]["mu"]), _finite_array("q.chol", d["q"]["chol"])
-        )
+    try:  # a ModelFileError raised in here passes through as it is
+        version = _read(d, "", {"format_version": FORMAT_VERSION})["format_version"]
+        if version != FORMAT_VERSION:  # before other values, which a version may retype
+            raise ModelFileError(
+                f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
+            )
+        top = _read(d, "", _TOP)
+        for key in ("config", "prior", "q", "train", "stats"):
+            if not (isinstance(d.get(key), dict) or key == "stats" and d.get(key) is None):
+                or_null = " or null" if key == "stats" else ""
+                raise ModelFileError(f"model file field {key!r} must be a JSON object{or_null}")
+        sigma2 = _check_sigma2(top["sigma2"])
+        prior = _prior_from_dict(d["prior"])
+        q = CoefficientPosterior(**_read(d["q"], "q.", _Q))
         config = TrainConfig.from_dict(d["config"])
-        stats = None if d.get("stats") is None else Stats.from_dict(d["stats"])
-        train_x = _finite_array("train.x", d["train"]["x"])
-        train_y = _finite_array("train.y", d["train"]["y"])
+        stats = None if d.get("stats") is None else Stats(**_read(d["stats"], "stats.", _STATS))
+        train = _read(d["train"], "train.", _TRAIN)
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError, DimensionError) as e:
         raise ModelFileError(f"malformed model file: {e}") from e
-    if train_x.ndim != 2 or train_x.shape[1] != prior.input_dim:
+    train_x, train_y = train["x"], train["y"]
+    if train_x.shape[1] != prior.input_dim:
         raise ModelFileError(
             f"train.x has shape {train_x.shape}, prior.input_dim is {prior.input_dim}"
         )
@@ -120,15 +134,8 @@ def model_from_dict(d: dict) -> TrainedModel:
     if stats is not None:
         _check_stats(stats, prior.input_dim)
     return TrainedModel(
-        prior=prior,
-        q=q,
-        sigma2=sigma2,
-        config=config,
-        seed=seed,
-        loss_trace=[],
-        train_x=train_x,
-        train_y=train_y,
-        stats=stats,
+        prior=prior, q=q, sigma2=sigma2, config=config, seed=top["seed"], loss_trace=[],
+        train_x=train_x, train_y=train_y, stats=stats,
     )
 
 

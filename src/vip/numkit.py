@@ -2,13 +2,16 @@
 
 Matrices are plain numpy arrays: 2-D, float64, finite. The helpers here do
 the shape/finiteness policing so the rest of the package can assume clean
-inputs. Randomness goes through :class:`Rng`, a counter-style generator with
-named streams; library code never touches ``numpy.random``.
+inputs; ``check_value_types`` types every value read from JSON. Randomness
+goes through :class:`Rng`, a counter-style generator with named streams;
+library code never touches ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -206,3 +209,62 @@ def cholesky(a) -> np.ndarray:
     if info > 0:
         raise NotPositiveDefiniteError(info - 1, float(L[info - 1, info - 1]))
     return L
+
+
+def _type_name(default, plural: bool = False) -> str:
+    if isinstance(default, (tuple, np.ndarray)):
+        return ("lists of " if plural else "a list of ") + _type_name(default[0], True)
+    if isinstance(default, str):
+        return "strings" if plural else "a string"
+    if isinstance(default, int):
+        return "integers" if plural else "an integer"
+    return "finite numbers" if plural else "a finite number"
+
+
+def _read_as(value, default):
+    """``value`` read as the type of ``default``, or None if it is not of it."""
+    if isinstance(value, bool):
+        return None  # true/false is never a valid setting, though bool subclasses int
+    if isinstance(default, np.ndarray):
+        # one pass over the flattened items checks their types, so no bool or
+        # string is converted; numpy then converts the numbers in one go
+        items = [value]
+        for _ in range(default.ndim):
+            if not all(type(v) is list for v in items):
+                return None
+            items = [x for v in items for x in v]
+        if not {type(x) for x in items} <= {int, float}:
+            return None
+        try:
+            a = np.array(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or an integer past the largest double
+            return None
+        return a if a.ndim == default.ndim and all_finite(a) else None
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            return None
+        items = [_read_as(v, default[0]) for v in value]
+        return None if any(v is None for v in items) else items
+    if isinstance(default, (str, int)):
+        return value if isinstance(value, type(default)) else None
+    # compared, not converted: an integer too large for a float is not finite
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return float(value) if finite else None
+
+
+def check_value_types(d: dict, defaults: dict, where: str = "") -> dict:
+    """``d``'s values, each read as the type of its key's default; the
+    ParameterError names ``where`` and the first key whose value is not.
+
+    An int default takes integers, a float default any finite number (read
+    as a float), a str default a string, a tuple default a list of items
+    typed like its first entry, and an array default lists nested ndim deep
+    around finite numbers (read as a float array). Booleans and null fail.
+    """
+    out = {key: _read_as(value, defaults[key]) for key, value in d.items()}
+    for key, value in out.items():
+        if value is None:
+            raise ParameterError(
+                f"{where}{key} must be {_type_name(defaults[key])}, got {reprlib.repr(d[key])}"
+            )
+    return out

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, ParameterError
-from .numkit import Rng, all_finite, as_matrix
+from .numkit import Rng, as_matrix, check_value_types
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -33,29 +33,29 @@ _ACTIVATIONS = ("tanh", "relu")
 def _check_layers(layer_sizes):
     if len(layer_sizes) < 2:
         raise ParameterError("layer_sizes needs at least input and output entries")
-    if any(int(s) < 1 for s in layer_sizes):
+    if any(s < 1 for s in layer_sizes):
         raise ParameterError(f"layer sizes must be positive, got {layer_sizes}")
     if layer_sizes[-1] != 1:
         raise ParameterError("function draws are scalar-valued: last layer size must be 1")
 
 
-# Each family's arrays per layer, in parameter order: (model-file key,
-# parameter-name prefix, weight or bias). Layer l's array is named
-# f"{prefix}_{l}"; a weight is fan_in x fan_out, a bias 1 x fan_out.
+# Each family's arrays per layer, in parameter order: (parameter-name prefix,
+# weight or bias). Layer l's array is named f"{prefix}_{l}"; a weight is
+# fan_in x fan_out, a bias 1 x fan_out.
 _LAYOUT = {
-    "bnn": (
-        ("weight_mean", "w_mean", "weight"),
-        ("weight_log_scale", "w_log_scale", "weight"),
-        ("bias_mean", "b_mean", "bias"),
-        ("bias_log_scale", "b_log_scale", "bias"),
-    ),
-    "ns": (("weights", "w", "weight"), ("biases", "b", "bias")),
+    "bnn": (("w_mean", "weight"), ("w_log_scale", "weight"), ("b_mean", "bias"),
+            ("b_log_scale", "bias")),
+    "ns": (("w", "weight"), ("b", "bias")),
 }
 
 
 def _check_family(family):
     if family not in _LAYOUT:
         raise ParameterError(f"unknown prior family {family!r}")
+
+
+# the JSON types of a Prior's settings, as check_value_types reads them
+_SETTING_TYPES = {"family": "bnn", "layer_sizes": (1,), "noise_dim": 0, "noise_halfwidth": 0.0}
 
 
 @dataclass
@@ -78,15 +78,15 @@ class Prior:
     noise_halfwidth: float = 0.0
 
     def __post_init__(self):
+        check_value_types({k: getattr(self, k) for k in _SETTING_TYPES}, _SETTING_TYPES, "prior.")
         _check_family(self.family)
-        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        self.layer_sizes = tuple(self.layer_sizes)
         _check_layers(self.layer_sizes)
         if self.activation not in _ACTIVATIONS:
             raise ParameterError(
                 f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
             )
-        self.noise_dim = int(self.noise_dim)
-        self.noise_halfwidth = float(self.noise_halfwidth)
+        self.noise_halfwidth = float(self.noise_halfwidth)  # a checked integer becomes a float
         if self.family == "bnn" and (self.noise_dim or self.noise_halfwidth):
             raise ParameterError("only the ns family takes noise inputs")
         if self.family == "ns" and self.noise_dim < 1:
@@ -101,7 +101,7 @@ class Prior:
             raise ParameterError("first layer must be wider than noise_dim (x gets the rest)")
         shapes = {}
         for l, (fi, fo) in enumerate(zip(self.layer_sizes[:-1], self.layer_sizes[1:])):
-            for _, prefix, kind in _LAYOUT[self.family]:
+            for prefix, kind in _LAYOUT[self.family]:
                 shapes[f"{prefix}_{l}"] = (fi, fo) if kind == "weight" else (1, fo)
         if set(self.params) != set(shapes):
             raise ParameterError(
@@ -120,33 +120,6 @@ class Prior:
     def with_params(self, params: dict) -> "Prior":
         """This prior with its arrays taken from ``params``; other names are ignored."""
         return replace(self, params={name: params[name] for name in self.params})
-
-    def to_dict(self) -> dict:
-        n_layers = len(self.layer_sizes) - 1
-        out = {
-            "family": self.family,
-            "layer_sizes": list(self.layer_sizes),
-            "activation": self.activation,
-        }
-        for key, prefix, _ in _LAYOUT[self.family]:
-            out[key] = [self.params[f"{prefix}_{l}"].tolist() for l in range(n_layers)]
-        if self.family == "ns":
-            out.update(noise_dim=self.noise_dim, noise_halfwidth=self.noise_halfwidth)
-        return out
-
-
-def prior_from_dict(d: dict) -> Prior:
-    """The prior a ``to_dict`` mapping describes; its arrays must be finite."""
-    family = d.get("family")
-    _check_family(family)
-    params = {}
-    for key, prefix, _ in _LAYOUT[family]:
-        arrays = [np.asarray(a, float) for a in d[key]]
-        if not all(all_finite(a) for a in arrays):
-            raise ParameterError(f"prior.{key} has non-finite entries")
-        params.update((f"{prefix}_{l}", a) for l, a in enumerate(arrays))
-    noise = (d["noise_dim"], d["noise_halfwidth"]) if family == "ns" else ()
-    return Prior(family, d["layer_sizes"], d["activation"], params, *noise)
 
 
 def init_prior(

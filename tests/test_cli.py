@@ -21,7 +21,7 @@ from vip.errors import NumericalError
 from vip.inference import TrainConfig
 from vip.modelfile import load_model
 
-from test_data import _csv_text
+from test_data import _NUMBER, _csv_text
 
 TINY_CFG = {
     "epochs": 4,
@@ -346,6 +346,21 @@ class TestPredictEval:
         assert rc == 3
         assert f"{block}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, name", [("x1,mean,var_y,mean", "mean"),
+                                              ("mean,var_y,var_y", "var_y")])
+    def test_eval_header_naming_a_column_twice_is_data_error(self, tmp_path, capsys, header,
+                                                             name):
+        # the first of two 'mean' columns was scored, at exit 0
+        data = _synth(tmp_path, n=2)
+        pred = tmp_path / "p.csv"
+        width = header.count(",") + 1
+        pred.write_text("\n".join([header, ",".join(["1.0"] * width), ",".join(["2.0"] * width)]))
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(pred), "--data", data]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {pred}: header names column {name!r} twice at row 1\n"
+        )
+
     def test_eval_header_wider_than_rows_is_data_error(self, tmp_path, capsys):
         data = _synth(tmp_path, n=3)
         pred = tmp_path / "p.csv"
@@ -375,7 +390,7 @@ class TestPredictEval:
         rc = cli.main(["predict", "--model", str(model_out), "--data", data,
                        "--out", str(tmp_path / "p.csv")])
         assert rc == 3
-        assert f"{field} has non-finite entries" in capsys.readouterr().err
+        assert f"{field} must be a list of " in capsys.readouterr().err
 
     # 1e308 is finite, but the noise range 2 * 1e308 is not
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "1e400", "1e308"])
@@ -485,6 +500,69 @@ class TestPredictEval:
                        "--out", str(tmp_path / "p.csv")])
         assert rc == 3
         assert f"model file field '{field}' must be a JSON object" in capsys.readouterr().err
+
+
+# Hand edits of a model file that each loaded and predicted at exit 0: a
+# value of the wrong JSON type, or a non-integer where an integer belongs.
+# (model family, path, new value, the field the error names)
+_MODEL_TYPE_PROBES = [
+    ("bnn", ["q", "mu", 0], "1", "q.mu"),
+    ("bnn", ["q", "mu", 0], True, "q.mu"),
+    ("bnn", ["q", "chol", 0, 0], "1", "q.chol"),
+    ("bnn", ["train", "x", 0, 0], "0.5", "train.x"),
+    ("bnn", ["train", "y", 0], True, "train.y"),
+    ("bnn", ["stats", "target_std"], "2", "stats.target_std"),
+    ("bnn", ["stats", "target_mean"], True, "stats.target_mean"),
+    ("bnn", ["stats", "feature_means", 0], "0", "stats.feature_means"),
+    ("bnn", ["prior", "layer_sizes"], [1, 3.7, 1], "prior.layer_sizes"),
+    ("bnn", ["prior", "layer_sizes", 0], True, "prior.layer_sizes"),
+    ("bnn", ["prior", "layer_sizes", 1], "3", "prior.layer_sizes"),
+    ("bnn", ["prior", "weight_mean", 0, 0, 0], "0.1", "prior.weight_mean"),
+    ("bnn", ["format_version"], 2.0, "format_version"),
+    ("ns", ["prior", "noise_dim"], 2.5, "prior.noise_dim"),
+    ("ns", ["prior", "noise_dim"], "2", "prior.noise_dim"),
+    ("ns", ["prior", "noise_halfwidth"], "1", "prior.noise_halfwidth"),
+    ("ns", ["prior", "weights", 0, 0, 0], True, "prior.weights"),
+]
+
+
+@pytest.fixture(scope="module")
+def probe_dir(tmp_path_factory):
+    """A 40-row toy CSV and a bnn and an ns model (noise_dim 2) trained on it."""
+    d = tmp_path_factory.mktemp("probe")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--n", "40", "--seed", "1", "--out", str(d / "data.csv")]) == 0
+        for family, extra in (("bnn", {}), ("ns", {"prior_family": "ns", "noise_dim": 2})):
+            (d / f"{family}.cfg.json").write_text(
+                json.dumps({"epochs": 2, "num_draws": 4, "hidden": [3], **extra})
+            )
+            assert cli.main(["train", "--data", str(d / "data.csv"), "--config",
+                             str(d / f"{family}.cfg.json"), "--model-out",
+                             str(d / f"{family}.json")]) == 0
+    return d
+
+
+class TestModelFileTypes:
+    @pytest.mark.parametrize("family, path, value, field", [
+        pytest.param(*p, id=p[0] + (f"-{'.'.join(map(str, p[1]))}={json.dumps(p[2])}"
+                                    if p[1] else "-unedited"))
+        for p in [("bnn", [], None, None), ("ns", [], None, None), *_MODEL_TYPE_PROBES]
+    ])
+    def test_mistyped_value_exits_3_naming_the_field(self, probe_dir, family, path, value,
+                                                     field):
+        d = json.loads((probe_dir / f"{family}.json").read_text())
+        if path:
+            _mutate(d, path, value)
+        (probe_dir / "edited.json").write_text(json.dumps(d))
+        for coeff in ("exact", "learned"):
+            rc, err = _main_in_process(["predict", "--model", probe_dir / "edited.json",
+                                        "--data", probe_dir / "data.csv", "--coeff", coeff,
+                                        "--out", probe_dir / "p.csv"])
+            if field is None:  # the unedited file
+                assert (rc, err) == (0, "")
+            else:
+                assert rc == 3 and len(err.splitlines()) == 1
+                assert err.startswith(f"error: malformed model file: {field} must be ")
 
 
 def _trained(tmp_path):
@@ -758,7 +836,8 @@ def _model_mutations(draw):
 
 def _mutate(d, path, value):
     """Put ``value`` at ``path`` in ``d``: a key names itself, an index picks
-    modulo the length; the walk stops early at a scalar or an empty block."""
+    modulo the length; the walk stops early at a scalar or an empty block.
+    Returns the value that was there."""
     parent, key = None, None
     for step in path:
         if not (isinstance(d, (dict, list)) and d):
@@ -772,6 +851,16 @@ def _mutate(d, path, value):
         del parent[key]
     else:
         parent[key] = value
+    return d
+
+
+def _mistyped(old, new):
+    """True when ``new`` is not a JSON number where ``old`` was one, or not an
+    integer where ``old`` was one (every integer a fuzzed model file holds is
+    a value that must be an integer)."""
+    if type(old) not in (int, float) or new == _DELETE:
+        return False
+    return type(new) not in (int, float) or type(old) is int and type(new) is not int
 
 
 class TestModelFileFuzz:
@@ -787,13 +876,16 @@ class TestModelFileFuzz:
     @example(family="ns", mutation=(["q", "mu", 0], 10**400))
     def test_predict_exits_with_a_code_and_one_error_line(self, fuzz_dir, family, mutation):
         d = json.loads((fuzz_dir / f"{family}.json").read_text())
-        _mutate(d, *mutation)
+        old = _mutate(d, *mutation)
         (fuzz_dir / "fuzzed.json").write_text(json.dumps(d, allow_nan=True))
         for coeff in ("exact", "learned"):
-            _assert_exit_contract(*_main_in_process(
+            rc, err = _main_in_process(
                 ["predict", "--model", fuzz_dir / "fuzzed.json", "--data",
                  fuzz_dir / "data.csv", "--coeff", coeff, "--out", fuzz_dir / "p.csv"]
-            ))
+            )
+            _assert_exit_contract(rc, err)
+            if _mistyped(old, mutation[1]):
+                assert rc == 3
 
 
 class TestCsvFuzz:
@@ -814,6 +906,66 @@ class TestCsvFuzz:
                 ["predict", "--model", fuzz_dir / "bnn.json", "--data", data,
                  "--coeff", coeff, "--out", fuzz_dir / "p.csv", *header]
             ))
+
+
+@st.composite
+def _numeric_csv(draw):
+    """A table of 2 to 12 rows of 2 or 3 well-formed numbers each, so that
+    fuzzed runs also get past parsing."""
+    width, rows = draw(st.integers(2, 3)), draw(st.integers(2, 12))
+    return "".join(",".join(draw(_NUMBER) for _ in range(width)) + "\n" for _ in range(rows))
+
+
+_DATA_TEXT = st.one_of(_csv_text(), _numeric_csv())
+
+
+@st.composite
+def _scored_files(draw):
+    """A data file's text, and a prediction file's with a row for each of its
+    non-blank lines, under a header that names mean and var_y, one of them
+    perhaps twice, among x1 columns; its var_y cells are positive numbers."""
+    text = draw(_DATA_TEXT)
+    names = draw(st.permutations(
+        ["mean", "var_y", *draw(st.lists(st.sampled_from(["x1", "mean", "var_y"]), max_size=2))]
+    ))
+    cell = {"x1": _NUMBER, "mean": _NUMBER, "var_y": _NUMBER.filter(lambda c: float(c) > 0)}
+    rows = [",".join(draw(cell[name]) for name in names) for line in text.splitlines() if line]
+    return text, "\n".join([",".join(names), *rows]) + "\n"
+
+
+class TestEvalFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(files=_scored_files(), has_header=st.booleans())
+    def test_eval_exits_with_a_code_and_one_error_line(self, fuzz_dir, files, has_header):
+        data, pred = fuzz_dir / "fuzzed.csv", fuzz_dir / "fuzzed-pred.csv"
+        data.write_text(files[0], encoding="utf-8", newline="")
+        pred.write_text(files[1], encoding="utf-8", newline="")
+        header = ["--has-header"] if has_header else []
+        _assert_exit_contract(*_main_in_process(["eval", "--pred", pred, "--data", data,
+                                                 *header]))
+
+
+class TestBenchDataFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(text=_DATA_TEXT, has_header=st.booleans(),
+           protocol=st.sampled_from(["uci", "interp"]))
+    def test_bench_and_gp_baseline_exit_with_a_code_and_one_error_line(
+        self, fuzz_dir, text, has_header, protocol
+    ):
+        data = fuzz_dir / "fuzzed.csv"
+        data.write_text(text, encoding="utf-8", newline="")
+        header = ["--has-header"] if has_header else []
+        (fuzz_dir / "grid.json").write_text(json.dumps(
+            {"protocol": protocol, "splits": 1, "n_segments": 1, "segment_len": 1,
+             "lengthscales": [1.0], "signal_variances": [1.0], "sigma2s": [0.1, 1.0]}
+        ))
+        _assert_exit_contract(*_main_in_process(
+            ["bench", "--protocol", protocol, "--data", data, "--config", fuzz_dir / "tiny.json",
+             "--splits", "1", "--segments", "1", "--segment-len", "1", *header]
+        ))
+        _assert_exit_contract(*_main_in_process(
+            ["gp-baseline", "--data", data, "--grid-config", fuzz_dir / "grid.json", *header]
+        ))
 
 
 class TestBench:
@@ -839,6 +991,14 @@ class TestBench:
 
     def test_uci_without_data_is_usage_error(self, tmp_path):
         assert cli.main(["bench", "--protocol", "uci", "--splits", "2"]) == 2
+
+    def test_toy_n_below_2_is_usage_error(self, tmp_path, capsys):
+        # one toy row made a constant feature column, a data error (exit 3)
+        capsys.readouterr()
+        rc = cli.main(["bench", "--protocol", "toy", "--config", _cfg_file(tmp_path),
+                       "--splits", "1", "--toy-n", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: toy_n must be >= 2, got 1\n"
 
     def test_constant_training_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "const.csv"
@@ -894,6 +1054,14 @@ class TestGpBaseline:
         gc = tmp_path / "grid.json"
         gc.write_text(json.dumps({"lengthscale": [1.0]}))
         assert cli.main(["gp-baseline", "--data", data, "--grid-config", str(gc)]) == 2
+
+    def test_toy_n_below_2_is_usage_error(self, tmp_path, capsys):
+        # one toy row made a constant feature column, a data error (exit 3)
+        gc = tmp_path / "grid.json"
+        gc.write_text(json.dumps({"protocol": "toy", "toy_n": 1}))
+        capsys.readouterr()
+        assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 2
+        assert capsys.readouterr().err == "error: toy_n must be >= 2, got 1\n"
 
     def test_non_object_grid_config_is_data_error(self, tmp_path):
         gc = tmp_path / "grid.json"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vip import cli
 from vip.data import (
     Dataset,
-    Stats,
     apply_stats,
     compute_stats,
     destandardize_moments,
@@ -274,12 +273,6 @@ class TestStandardize:
         )
         # test-set columns are not expected to be centered
         assert abs(out.y.mean()) > 1e-6
-
-    def test_stats_round_trip_dict(self):
-        s = compute_stats(self._data(4))
-        s2 = Stats.from_dict(s.to_dict())
-        np.testing.assert_array_equal(s.feature_means, s2.feature_means)
-        assert s.target_std == s2.target_std
 
 
 class TestSplit:

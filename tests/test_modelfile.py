@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vip.data import standardize, synth_toy
+from vip.data import Dataset, compute_stats, standardize, synth_toy
 from vip.errors import ModelFileError
 from vip.inference import TrainConfig, train
 from vip.modelfile import (
@@ -16,6 +17,8 @@ from vip.modelfile import (
     model_to_dict,
     save_model,
 )
+from vip.numkit import Rng
+from vip.priors import init_prior, sample_functions
 
 
 def _small_model(seed=0, family="bnn"):
@@ -93,6 +96,54 @@ class TestRoundTrip:
         ):
             assert ka == kb
             np.testing.assert_array_equal(np.asarray(va), np.asarray(vb))
+
+
+def _carrying(prior):
+    """_small_model() with ``prior`` in place of its own, train.x as wide as
+    its inputs and no stats, so the model file stays consistent."""
+    m = _small_model()
+    return replace(m, prior=prior, train_x=np.zeros((m.train_x.shape[0], prior.input_dim)),
+                   stats=None)
+
+
+class TestBlocks:
+    # the prior and stats blocks, written and read only through the whole model
+    def test_prior_round_trip_bnn(self):
+        prior = init_prior("bnn", 2, (4,), "tanh", Rng(3, 0))
+        back = model_from_dict(model_to_dict(_carrying(prior))).prior
+        x = np.zeros((3, 2)) + [[0.1, -0.2]]
+        a = sample_functions(prior, x, 4, Rng(5, 5)).values
+        b = sample_functions(back, x, 4, Rng(5, 5)).values
+        np.testing.assert_array_equal(a, b)
+
+    def test_prior_round_trip_ns(self):
+        prior = init_prior("ns", 2, (3,), "relu", Rng(4, 0), noise_dim=2, noise_halfwidth=0.5)
+        back = model_from_dict(model_to_dict(_carrying(prior))).prior
+        x = np.zeros((3, 2))
+        np.testing.assert_array_equal(
+            sample_functions(prior, x, 4, Rng(6, 0)).values,
+            sample_functions(back, x, 4, Rng(6, 0)).values,
+        )
+
+    def test_unknown_prior_family(self):
+        d = model_to_dict(_small_model())
+        d["prior"]["family"] = "gp"
+        with pytest.raises(ModelFileError, match="unknown prior family 'gp'"):
+            model_from_dict(d)
+
+    def test_prior_layer_array_count_checked(self):
+        d = model_to_dict(_carrying(init_prior("bnn", 2, (4,), "tanh", Rng(0, 0))))
+        d["prior"]["bias_mean"].append([[0.0]])
+        with pytest.raises(ModelFileError):
+            model_from_dict(d)
+
+    def test_stats_round_trip(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((40, 1)) * 3 + 1, rng.standard_normal(40) * 5
+        s = compute_stats(Dataset(x, y))
+        s2 = model_from_dict(model_to_dict(replace(_small_model(), stats=s))).stats
+        np.testing.assert_array_equal(s.feature_means, s2.feature_means)
+        assert s.target_std == s2.target_std
 
 
 class TestRoundTripProperty:

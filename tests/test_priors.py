@@ -435,35 +435,6 @@ class TestGradientFlow:
         assert len(tape) == 0
 
 
-class TestSerialization:
-    def test_round_trip_bnn(self):
-        prior = toy_bnn(seed=3, sizes=(2, 4, 1))
-        back = priors.prior_from_dict(prior.to_dict())
-        x = np.zeros((3, 2)) + [[0.1, -0.2]]
-        a = sample_functions(prior, x, 4, Rng(5, 5)).values
-        b = sample_functions(back, x, 4, Rng(5, 5)).values
-        np.testing.assert_array_equal(a, b)
-
-    def test_round_trip_ns(self):
-        prior = init_prior("ns", 2, (3,), "relu", Rng(4, 0), noise_dim=2, noise_halfwidth=0.5)
-        back = priors.prior_from_dict(prior.to_dict())
-        x = np.zeros((3, 2))
-        np.testing.assert_array_equal(
-            sample_functions(prior, x, 4, Rng(6, 0)).values,
-            sample_functions(back, x, 4, Rng(6, 0)).values,
-        )
-
-    def test_unknown_family(self):
-        with pytest.raises(ParameterError):
-            priors.prior_from_dict({"family": "gp"})
-
-    def test_layer_array_count_checked(self):
-        d = toy_bnn(sizes=(2, 4, 1)).to_dict()
-        d["bias_mean"].append([[0.0]])
-        with pytest.raises(ParameterError):
-            priors.prior_from_dict(d)
-
-
 class TestPriorLayout:
     def test_param_names_in_layer_order(self):
         bnn = toy_bnn(sizes=(2, 4, 1))
@@ -486,3 +457,9 @@ class TestPriorLayout:
             Prior("bnn", (2, 3, 1), "tanh", params, noise_dim=1)
         with pytest.raises(ParameterError):
             Prior("bnn", (2, 3, 1), "tanh", params, noise_halfwidth=1.0)
+
+    def test_non_integer_layer_size_rejected(self):
+        # a layer size of 3.7 used to be read as 3
+        params = dict(toy_bnn(sizes=(2, 3, 1)).params)
+        with pytest.raises(ParameterError, match="prior.layer_sizes must be a list of integers"):
+            Prior("bnn", (2, 3.7, 1), "tanh", params)
