@@ -11,6 +11,18 @@ node index), and relu takes derivative 0 at exactly 0. ``sum`` and ``dot``
 are numpy sums; no VJP reads their forward value, so how those values round
 moves no gradient.
 
+``backward`` computes only the gradients a parameter needs. Each node
+records, as it is made, whether it depends on a requires-grad leaf. A node
+that does not (a constant, or an op on constants only) keeps no VJP, and
+``backward`` never reaches it. A unary op's VJP is ``vjp(g)``, kept only
+when its operand needs a gradient. A binary op's VJP is
+``vjp(g, need_a, need_b)``: it computes the product for each operand that
+needs a gradient and gives None for the other, and ``backward`` accumulates
+into those operands alone. A node that needs a gradient gets contributions
+only from nodes that need one too, so every accumulation keeps its operands
+and its order, and every gradient its bits. The parent lists stay complete,
+so an error names the same parameters either way.
+
 ``backward`` never writes into an array: a node's first gradient
 contribution is kept as it is when it is already C-ordered (a transposed
 view is copied to C order, so BLAS sees the same layout downstream), and
@@ -94,6 +106,8 @@ class Tape:
     def __init__(self):
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Callable | None] = []
+        # per node: does it depend on a requires-grad leaf?
+        self._needs_grad: list[bool] = []
         self._leaf_shapes: dict[int, tuple[int, int]] = {}
         self.leaf_ids: list[int] = []
         self.last_visited = 0
@@ -106,6 +120,7 @@ class Tape:
         v = Var(_coerce_value(value, "leaf"), self, len(self._parents))
         self._parents.append(())
         self._vjps.append(None)
+        self._needs_grad.append(requires_grad)
         if requires_grad:
             self.leaf_ids.append(v.nid)
             self._leaf_shapes[v.nid] = v.value.shape
@@ -148,40 +163,55 @@ def _record1(op: str, a: Var, value: np.ndarray, vjp, check: bool = True) -> Var
     """Record ``value`` as op(a); ``check=False`` for ops that keep finite values finite."""
     if check and not all_finite(value):
         _fail(f"{op}: produced a non-finite value", a)
-    a.tape._parents.append((a.nid,))
-    a.tape._vjps.append(vjp)
-    return Var(value, a.tape, len(a.tape._parents) - 1)
+    tape = a.tape
+    needs = tape._needs_grad[a.nid]
+    tape._parents.append((a.nid,))
+    tape._vjps.append(vjp if needs else None)
+    tape._needs_grad.append(needs)
+    return Var(value, tape, len(tape._parents) - 1)
 
 
 def _record2(op: str, a: Var, b: Var, value: np.ndarray, vjp) -> Var:
     """Record ``value`` as op(a, b), which must be finite."""
     if not all_finite(value):
         _fail(f"{op}: produced a non-finite value", a, b)
-    a.tape._parents.append((a.nid, b.nid))
-    a.tape._vjps.append(vjp)
-    return Var(value, a.tape, len(a.tape._parents) - 1)
+    tape = a.tape
+    needs = tape._needs_grad[a.nid] or tape._needs_grad[b.nid]
+    tape._parents.append((a.nid, b.nid))
+    tape._vjps.append(vjp if needs else None)
+    tape._needs_grad.append(needs)
+    return Var(value, tape, len(tape._parents) - 1)
 
 
 def add(a: Var, b: Var) -> Var:
     av, bv = _values("add", a, b)
-    return _record2("add", a, b, av + bv, lambda g: (g, g))
+    return _record2(
+        "add", a, b, av + bv, lambda g, na, nb: (g if na else None, g if nb else None)
+    )
 
 
 def sub(a: Var, b: Var) -> Var:
     av, bv = _values("sub", a, b)
-    return _record2("sub", a, b, av - bv, lambda g: (g, -g))
+    return _record2(
+        "sub", a, b, av - bv, lambda g, na, nb: (g if na else None, -g if nb else None)
+    )
 
 
 def mul(a: Var, b: Var) -> Var:
     av, bv = _values("mul", a, b)
-    return _record2("mul", a, b, av * bv, lambda g: (g * bv, g * av))
+    return _record2(
+        "mul", a, b, av * bv, lambda g, na, nb: (g * bv if na else None, g * av if nb else None)
+    )
 
 
 def matmul(a: Var, b: Var) -> Var:
     av, bv = _values("matmul", a, b, same_shape=False)
     if av.shape[1] != bv.shape[0]:
         raise DimensionError(f"matmul: inner dimensions {av.shape} x {bv.shape} do not match")
-    return _record2("matmul", a, b, av @ bv, lambda g: (g @ bv.T, av.T @ g))
+    return _record2(
+        "matmul", a, b, av @ bv,
+        lambda g, na, nb: (g @ bv.T if na else None, av.T @ g if nb else None),
+    )
 
 
 def transpose(a: Var) -> Var:
@@ -211,7 +241,8 @@ def broadcast_add_row(a: Var, row: Var) -> Var:
             f"broadcast_add_row: row shape {rv.shape} does not match matrix {av.shape}"
         )
     return _record2(
-        "broadcast_add_row", a, row, av + rv, lambda g: (g, g.sum(axis=0, keepdims=True))
+        "broadcast_add_row", a, row, av + rv,
+        lambda g, na, nb: (g if na else None, g.sum(axis=0, keepdims=True) if nb else None),
     )
 
 
@@ -224,7 +255,10 @@ def vsum(a: Var) -> Var:
 def dot(a: Var, b: Var) -> Var:
     av, bv = _values("dot", a, b)
     val = (av * bv).sum(keepdims=True)
-    return _record2("dot", a, b, val, lambda g: (g[0, 0] * bv, g[0, 0] * av))
+    return _record2(
+        "dot", a, b, val,
+        lambda g, na, nb: (g[0, 0] * bv if na else None, g[0, 0] * av if nb else None),
+    )
 
 
 def vexp(a: Var) -> Var:
@@ -241,7 +275,15 @@ def vlog(a: Var) -> Var:
 
 def vtanh(a: Var) -> Var:
     out = np.tanh(_value("tanh", a))
-    return _record1("tanh", a, out, lambda g: ((1.0 - out * out) * g,), check=False)
+
+    def vjp(g):
+        # (1 - out * out) * g, in one temporary
+        d = out * out
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return (d,)
+
+    return _record1("tanh", a, out, vjp, check=False)
 
 
 def relu(a: Var) -> Var:
@@ -276,8 +318,12 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss with respect to every requires-grad leaf.
 
     Returns {node id: gradient array}; leaves the loss does not depend on get
-    zeros. Nodes are visited once each, in descending index order, and
-    ``tape.last_visited`` records how many were touched.
+    zeros. The pass visits, once each and in descending index order, the
+    nodes the loss reaches through nodes that depend on a requires-grad
+    leaf, and computes only the products into such nodes. Constants and
+    nodes made from constants alone are never visited.
+    ``tape.last_visited`` counts the visited nodes, the loss and the
+    requires-grad leaves included.
 
     The pass consumes the tape: each non-leaf node's gradient and VJP are
     freed as soon as the VJP has run, and calling ``backward`` again on the
@@ -291,7 +337,8 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
     if tape.consumed:
         raise ContractError("backward: the tape was already consumed by a backward pass")
     tape.consumed = True
-    vjps = tape._vjps
+    vjps, parents, needs = tape._vjps, tape._parents, tape._needs_grad
+    contiguous = np.ascontiguousarray
     grads: list[np.ndarray | None] = [None] * len(tape)
     grads[loss.nid] = np.ones((1, 1))
     visited = 0
@@ -305,13 +352,22 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
             continue
         # past this node: its gradient and the forward values its VJP holds go
         grads[nid] = vjps[nid] = None
-        for pid, contrib in zip(tape._parents[nid], vjp(g)):
-            prev = grads[pid]
-            grads[pid] = np.ascontiguousarray(contrib) if prev is None else prev + contrib
+        # unrolled per arity: this loop runs once per node of every training step
+        pids = parents[nid]
+        if len(pids) == 1:
+            (a,), (ca,), cb = pids, vjp(g), None
+        else:
+            a, b = pids
+            ca, cb = vjp(g, needs[a], needs[b])
+        if ca is not None:
+            prev = grads[a]
+            grads[a] = contiguous(ca) if prev is None else prev + ca
+        if cb is not None:
+            prev = grads[b]
+            grads[b] = contiguous(cb) if prev is None else prev + cb
     tape.last_visited = visited
     out = {}
     for nid in tape.leaf_ids:
         g = grads[nid]
         out[nid] = g if g is not None else np.zeros(tape._leaf_shapes[nid])
     return out
-

@@ -9,6 +9,7 @@ prediction re-evaluates function draws jointly over train and test inputs.
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,6 +35,7 @@ _TOP = {"seed": 0, "sigma2": 0.1}
 _Q = {"mu": _VECTOR, "chol": _MATRIX}
 _TRAIN = {"x": _MATRIX, "y": _VECTOR}
 _STATS = {"feature_means": _VECTOR, "feature_stds": _VECTOR, "target_mean": 0.0, "target_std": 0.0}
+_CONFIG = {f.name: f.default for f in fields(TrainConfig)}
 
 
 def canonical_json(obj) -> str:
@@ -110,7 +112,10 @@ def model_from_dict(d: dict) -> TrainedModel:
         sigma2 = _check_sigma2(top["sigma2"])
         prior = _prior_from_dict(d["prior"])
         q = CoefficientPosterior(**_read(d["q"], "q.", _Q))
-        config = TrainConfig.from_dict(d["config"])
+        # typed here as well as in TrainConfig, so that the error names config.<key>
+        cfg = d["config"]
+        check_value_types({k: cfg[k] for k in _CONFIG if k in cfg}, _CONFIG, "config.")
+        config = TrainConfig.from_dict(cfg)
         stats = None if d.get("stats") is None else Stats(**_read(d["stats"], "stats.", _STATS))
         train = _read(d["train"], "train.", _TRAIN)
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError, DimensionError) as e:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import vip
 from vip import autodiff as ad
 from vip.errors import ContractError, DimensionError, NumericalError
-from vip.inference import SOFTPLUS_INV_ONE, energy_loss
+from vip.data import synth_toy
+from vip.inference import SOFTPLUS_INV_ONE, TrainConfig, energy_loss, train
 from vip.numkit import Rng
 from vip.priors import init_prior, kernel_normaliser, sample_functions
 
@@ -410,13 +411,98 @@ class TestBackwardFreesTheTape:
         np.testing.assert_allclose(g, 2.0 * (1.0 - np.tanh(1.0) ** 2))
 
     def test_spent_tape_keeps_only_its_index_lists(self):
-        loss, leaves = _training_loss("bnn", 0.5, "mle", 4, 30, 30, (5,), 0)
+        loss, leaves, _ = _training_loss("bnn", 0.5, "mle", 4, 30, 30, (5,), 0)
         tape = loss.tape
-        n = len(tape)
+        n, needed = len(tape), _needing_gradient(tape)
+        assert 0 < needed < n  # the eps, input and basis constants need none
         grads = ad.backward(loss)
-        assert len(tape) == n and tape.last_visited == n
+        assert len(tape) == n and tape.last_visited == needed
         assert all(v is None for v in tape._vjps)
         assert sorted(grads) == sorted(v.nid for v in leaves.values())
+
+
+def _needing_gradient(tape):
+    """How many nodes have a requires-grad leaf upstream (or are one), by walking the parents."""
+    upstream = [False] * len(tape)
+    for nid, parents in enumerate(tape._parents):
+        upstream[nid] = nid in tape.leaf_ids or any(upstream[p] for p in parents)
+    return sum(upstream)
+
+
+class TestBackwardSkipsConstants:
+    """No product into a node that depends on no requires-grad leaf is computed."""
+
+    def test_toy_step_visits_only_nodes_a_parameter_depends_on(self, monkeypatch):
+        # criterion 01's training step: bnn, S=20, N=300, tanh (10, 10), alpha 0,
+        # full batch, learned sigma2
+        seen = []
+        real = ad.backward
+
+        def spy(loss):
+            tape = loss.tape
+            grads = real(loss)
+            seen.append((len(tape), tape.last_visited, _needing_gradient(tape)))
+            return grads
+
+        monkeypatch.setattr(ad, "backward", spy)
+        toy = synth_toy(300, 1, noise="std")
+        train(toy.x, toy.y, TrainConfig(alpha=0.0, epochs=1))
+        assert seen == [(804, 634, 634)]
+
+    def test_matmul_never_forms_the_product_into_a_constant_left_operand(self):
+        rng = np.random.default_rng(3)
+        tape = ad.Tape()
+        x = tape.constant(rng.standard_normal((5, 3)))
+        w = tape.leaf(rng.standard_normal((3, 2)), requires_grad=True)
+        p = ad.matmul(x, w)
+        calls = []
+        vjp = tape._vjps[p.nid]
+
+        def probe(g, need_a, need_b):
+            out = vjp(g, need_a, need_b)
+            calls.append((need_a, need_b, out[0] is None, out[1] is None))
+            return out
+
+        tape._vjps[p.nid] = probe
+        g = ad.backward(ad.vsum(p))[w.nid]
+        assert calls == [(False, True, True, False)]
+        assert tape.last_visited == 3  # the sum, the product and w; never x
+        assert g.tobytes() == (x.value.T @ np.ones((5, 2))).tobytes()
+
+    def test_exp_of_a_fixed_log_sigma2_is_never_visited(self, monkeypatch):
+        made = []
+        real = ad.vexp
+
+        def spy(a):
+            out = real(a)
+            made.append((a.nid, out.nid))
+            return out
+
+        monkeypatch.setattr(ad, "vexp", spy)
+        loss, _, lo = _training_loss("bnn", 0.5, "mle", 4, 20, 20, (3,), 5, learn_sigma2=False)
+        (exp_nid,) = [out for a, out in made if a == lo.nid]
+        tape = loss.tape
+        assert tape._vjps[exp_nid] is None
+        reached = _nodes_given_a_gradient(tape)
+        ad.backward(loss)
+        assert exp_nid not in reached and lo.nid not in reached
+        assert tape.last_visited == len(reached | {loss.nid}) == _needing_gradient(tape)
+
+
+def _nodes_given_a_gradient(tape):
+    """The set, filled as ``backward`` runs, of the nodes a VJP gives a product to."""
+    reached = set()
+
+    def recording(nid, vjp):
+        def run(g, *needs):
+            out = vjp(g, *needs)
+            reached.update(p for p, c in zip(tape._parents[nid], out) if c is not None)
+            return out
+
+        return run
+
+    tape._vjps = [None if v is None else recording(k, v) for k, v in enumerate(tape._vjps)]
+    return reached
 
 
 _FINITE_EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e200,
@@ -556,7 +642,10 @@ def _copying_backward(loss, leaves):
     """The copy-then-add-in-place backward pass, kept as a test oracle.
 
     Each node's first contribution is copied and later ones are added into
-    that copy, in the same descending node order as ``ad.backward``.
+    that copy, in the same descending node order as ``ad.backward``. Every
+    recorded VJP is told that each of its operands needs a gradient, so the
+    products into constants are formed and accumulated too, as an unpruned
+    pass would.
     """
     tape = loss.tape
     grads = [None] * len(tape)
@@ -566,7 +655,9 @@ def _copying_backward(loss, leaves):
         vjp = tape._vjps[nid]
         if g is None or vjp is None:
             continue
-        for pid, contrib in zip(tape._parents[nid], vjp(g)):
+        parents = tape._parents[nid]
+        everything = () if len(parents) == 1 else (True, True)
+        for pid, contrib in zip(parents, vjp(g, *everything)):
             if grads[pid] is None:
                 grads[pid] = contrib.copy()
             else:
@@ -581,11 +672,12 @@ def _freeze_vjps(tape):
     """Make every array a VJP is given or returns read-only."""
 
     def frozen(vjp):
-        def run(g):
+        def run(g, *needs):
             g.setflags(write=False)
-            out = vjp(g)
+            out = vjp(g, *needs)
             for contrib in out:
-                contrib.setflags(write=False)
+                if contrib is not None:
+                    contrib.setflags(write=False)
             return out
 
         return run
@@ -593,8 +685,12 @@ def _freeze_vjps(tape):
     tape._vjps = [None if v is None else frozen(v) for v in tape._vjps]
 
 
-def _training_loss(family, alpha, estimator, s, n, mb, hidden, seed):
-    """One training step's tape, built as ``inference.train`` builds it."""
+def _training_loss(family, alpha, estimator, s, n, mb, hidden, seed, learn_sigma2=True):
+    """One training step's tape, built as ``inference.train`` builds it.
+
+    Returns the loss, the requires-grad leaves by name and the log_sigma2 Var
+    (a leaf when ``learn_sigma2``, a constant otherwise).
+    """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 2))
     y = rng.standard_normal(n)
@@ -603,7 +699,8 @@ def _training_loss(family, alpha, estimator, s, n, mb, hidden, seed):
     params["q_mu"] = 0.3 * rng.standard_normal((s, 1))
     params["q_tril"] = 0.3 * rng.standard_normal((s, s))
     params["q_diag"] = SOFTPLUS_INV_ONE + 0.3 * rng.standard_normal((s, 1))
-    params["log_sigma2"] = np.array([[math.log(0.2)]])
+    if learn_sigma2:
+        params["log_sigma2"] = np.array([[math.log(0.2)]])
     tape = ad.Tape()
     leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
     idx = rng.permutation(n)[:mb]
@@ -611,11 +708,11 @@ def _training_loss(family, alpha, estimator, s, n, mb, hidden, seed):
         prior, x[idx], s, Rng(seed, 2), tape=tape,
         params={k: leaves[k] for k in prior.params},
     )
+    lo = leaves["log_sigma2"] if learn_sigma2 else tape.constant(math.log(0.2))
     loss, _ = energy_loss(
-        tape, y[idx], draws, leaves, alpha, leaves["log_sigma2"], n,
-        *kernel_normaliser(s, estimator, 0.3),
+        tape, y[idx], draws, leaves, alpha, lo, n, *kernel_normaliser(s, estimator, 0.3),
     )
-    return loss, leaves
+    return loss, leaves, lo
 
 
 class TestBackwardMatchesCopyingOracle:
@@ -639,7 +736,7 @@ class TestBackwardMatchesCopyingOracle:
         self, family, alpha, estimator, s, n, batch, hidden, seed
     ):
         mb = max(1, round(batch * n))
-        loss, leaves = _training_loss(family, alpha, estimator, s, n, mb, hidden, seed)
+        loss, leaves, _ = _training_loss(family, alpha, estimator, s, n, mb, hidden, seed)
         _freeze_vjps(loss.tape)
         want = _copying_backward(loss, leaves)
         got = ad.backward(loss)

@@ -502,8 +502,9 @@ class TestPredictEval:
         assert f"model file field '{field}' must be a JSON object" in capsys.readouterr().err
 
 
-# Hand edits of a model file that each loaded and predicted at exit 0: a
-# value of the wrong JSON type, or a non-integer where an integer belongs.
+# Hand edits of a model file: a value of the wrong JSON type, or a
+# non-integer where an integer belongs. Each loaded and predicted at exit 0,
+# but for the config edits, which exited 3 naming the key without its block.
 # (model family, path, new value, the field the error names)
 _MODEL_TYPE_PROBES = [
     ("bnn", ["q", "mu", 0], "1", "q.mu"),
@@ -523,6 +524,8 @@ _MODEL_TYPE_PROBES = [
     ("ns", ["prior", "noise_dim"], "2", "prior.noise_dim"),
     ("ns", ["prior", "noise_halfwidth"], "1", "prior.noise_halfwidth"),
     ("ns", ["prior", "weights", 0, 0, 0], True, "prior.weights"),
+    ("ns", ["config", "noise_dim"], 2.5, "config.noise_dim"),
+    ("bnn", ["config", "num_draws"], "5", "config.num_draws"),
 ]
 
 
