@@ -69,25 +69,24 @@ class RbfKernel:
 
 
 def _train_chol(kff: np.ndarray, sigma2: float) -> np.ndarray:
-    """Lower factor of kff + (sigma2 + jitter) I.
+    """Lower factor of kff + (sigma2 + jitter) I, made in ``kff``'s memory.
 
-    The shifted diagonal is written into ``kff`` for the factorisation and
-    restored afterwards, so no shifted copy of ``kff`` is made and the
-    caller's matrix comes back byte-unchanged; ``dpotrf`` still writes the
-    factor into an N x N array of its own.
+    The shifted diagonal is written into ``kff``, which ``cholesky`` then
+    factors in place: no shifted copy and no second N x N array is made,
+    and ``kff`` is spent. A failed factorisation leaves ``kff``'s strict
+    lower triangle as it was, so the retry copies it back over the upper
+    triangle that ``cholesky`` reads and rewrites the diagonal.
     """
     n = kff.shape[0]
-    diag = kff.diagonal().copy()
-    shifted = diag + sigma2
+    shifted = kff.diagonal() + sigma2
+    kff.flat[:: n + 1] = shifted + _JITTER
     try:
-        kff.flat[:: n + 1] = shifted + _JITTER
-        try:
-            return cholesky(kff)
-        except NotPositiveDefiniteError:
-            kff.flat[:: n + 1] = shifted + _JITTER_RETRY
-            return cholesky(kff)
-    finally:
-        kff.flat[:: n + 1] = diag
+        return cholesky(kff)
+    except NotPositiveDefiniteError:
+        for i in range(n - 1):
+            kff[i, i + 1 :] = kff[i + 1 :, i]
+        kff.flat[:: n + 1] = shifted + _JITTER_RETRY
+        return cholesky(kff)
 
 
 # as in posterior_predict; a subnormal lengthscale**2 overflows to the exact identity Gram
@@ -105,7 +104,7 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
         raise ParameterError(f"{x.shape[0]} input rows vs {y.shape[0]} targets")
     x_star = as_matrix(x_star, "test inputs")
     sigma2 = _check_sigma2(sigma2)
-    # bit for bit the grid cell's sv * unit, freed before the test rows
+    # bit for bit the grid cell's sv * unit, factored in its own memory
     la = _train_chol(kernel.gram(x, x), sigma2)
     # K*^T, the transpose of a C-ordered Gram, is Fortran-ordered, so V
     # overwrites it in place. Solving for a in the same call would need a
@@ -121,9 +120,8 @@ def gp_predict(kernel: RbfKernel, x, y, sigma2: float, x_star) -> PredictiveDist
 def gp_log_marginal(kff, y, sigma2: float) -> float:
     """log N(y; 0, kff + sigma2 I), via the jittered Cholesky factor.
 
-    ``kff`` is the symmetric training Gram; its jittered diagonal is written
-    in place rather than into a shifted copy, and ``kff`` is returned to the
-    caller unchanged. The factor is a second N x N array.
+    ``kff`` is the exactly symmetric training Gram. The jittered factor is
+    made in its memory, so a caller that reads ``kff`` again passes a copy.
     """
     kff = np.asarray(kff, dtype=np.float64)
     y = as_vector(y, "targets")
@@ -171,4 +169,5 @@ def gp_fit_grid(x, y, lengthscales, signal_variances, sigma2s) -> GpFit:
                 lm = gp_log_marginal(kernel.signal_variance * unit, y, sig2)
                 if best is None or lm > best.log_marginal:
                     best = GpFit(kernel, sig2, lm)
+        del unit  # so the next lengthscale's Gram is not built beside this one
     return best

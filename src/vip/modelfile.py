@@ -115,7 +115,10 @@ def model_from_dict(d: dict) -> TrainedModel:
         # typed here as well as in TrainConfig, so that the error names config.<key>
         cfg = d["config"]
         check_value_types({k: cfg[k] for k in _CONFIG if k in cfg}, _CONFIG, "config.")
-        config = TrainConfig.from_dict(cfg)
+        try:
+            config = TrainConfig.from_dict(cfg)
+        except ParameterError as e:  # a range or unknown-key error names no block
+            raise ParameterError(f"config: {e}") from e
         stats = None if d.get("stats") is None else Stats(**_read(d["stats"], "stats.", _STATS))
         train = _read(d["train"], "train.", _TRAIN)
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError, DimensionError) as e:

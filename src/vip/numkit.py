@@ -182,19 +182,27 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix, made
+    in ``a``'s own memory.
 
-    LAPACK ``dpotrf`` on the lower triangle of a copy of ``a``; like
-    ``numpy.linalg.cholesky``, the upper triangle is never read, so the
-    caller builds the matrix symmetric. When ``dpotrf`` stops at a
-    non-positive pivot, ``info`` names it and the factor's diagonal holds
-    the offending value, so the error reports which pivot failed instead of
-    a bare library code. A NaN pivot, which ``dpotrf`` may pass through, is
-    reported the same way.
+    LAPACK ``dpotrf`` on the lower triangle of ``a.T``, i.e. on ``a``'s
+    upper triangle; the lower one is never read, so the caller builds the
+    matrix exactly symmetric and the factor has the bits of ``dpotrf`` on
+    ``a``. For a C-ordered ``a``, ``a.T`` is Fortran-ordered and is
+    factored without a copy: the factor returned is ``a.T``, so ``a`` is
+    spent and holds L^T. Any other layout, and a read-only ``a``, is
+    factored in a copy. A caller that reads ``a`` again passes a copy.
+
+    When ``dpotrf`` stops at a non-positive pivot, ``info`` names it and the
+    factor's diagonal holds the offending value, so the error reports which
+    pivot failed instead of a bare library code. A NaN pivot, which
+    ``dpotrf`` may pass through, is reported the same way. The factor's
+    upper triangle is zeroed only on success, so after a failure ``a``'s
+    strict lower triangle still holds the input.
 
     The input must be 2-D, finite and square, checked in that order.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.require(a, np.float64, "W")
     if a.ndim != 2:
         raise DimensionError(f"cholesky input must be 2-D, got ndim={a.ndim}")
     if not all_finite(a):
@@ -202,12 +210,14 @@ def cholesky(a) -> np.ndarray:
     n, m = a.shape
     if n != m:
         raise DimensionError(f"cholesky needs a square matrix, got {n}x{m}")
-    L, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+    L, info = scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=0, overwrite_a=1)
     if info == 0:
         bad = np.flatnonzero(~np.isfinite(np.diagonal(L)))
         info = int(bad[0]) + 1 if bad.size else 0
     if info > 0:
         raise NotPositiveDefiniteError(info - 1, float(L[info - 1, info - 1]))
+    for j in range(1, n):  # each a contiguous column of the Fortran-ordered L
+        L[:j, j] = 0.0
     return L
 
 

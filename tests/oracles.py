@@ -5,18 +5,21 @@ quantities the package computes batched on the tape (the alpha and ELBO
 data terms, the KL), a finite-difference gradient checker, the dense
 empirical kernel matrix that the rank-S feature route avoids forming, the
 shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops, ``Rng`` tracking
-its leftover words with an offset and its leftover normal as a float, and
+its leftover words with an offset and its leftover normal as a float,
 Adam updating each parameter group on its own, as ``adam_step`` did before
-it moved to one flat buffer.
+it moved to one flat buffer, and the Cholesky factor and GP log marginal as
+they were computed before ``numkit.cholesky`` factored in its input's memory.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from vip import autodiff as ad
-from vip.errors import ContractError, DimensionError, ParameterError
+from vip.baseline_gp import _JITTER, _JITTER_RETRY
+from vip.errors import ContractError, DimensionError, NotPositiveDefiniteError, ParameterError
 from vip.inference import ADAM_BETAS_EPS, LOG_2PI, CoefficientPosterior, _check_sigma2
 from vip.numkit import _GOLDEN, _MASK64, Rng, _mix64, as_vector
 from vip.priors import FunctionDraws, kernel_normaliser
@@ -236,3 +239,39 @@ def group_adam_step(params: dict, grads: dict, state: GroupAdamState, lr: float)
         state.v[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
         out[k] = p - lr * (state.m[k] / c1) / (np.sqrt(state.v[k] / c2) + eps)
     return out
+
+
+def copying_cholesky(a) -> np.ndarray:
+    """``numkit.cholesky`` less its input checks, as it was before it
+    factored in place: ``dpotrf`` on the lower triangle of a copy of ``a``,
+    which comes back unchanged."""
+    L, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+    if info == 0:
+        bad = np.flatnonzero(~np.isfinite(np.diagonal(L)))
+        info = int(bad[0]) + 1 if bad.size else 0
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1, float(L[info - 1, info - 1]))
+    return L
+
+
+def copying_gp_log_marginal(kff: np.ndarray, y: np.ndarray, sigma2: float) -> float:
+    """``baseline_gp.gp_log_marginal`` less its input checks, as it was before
+    the factor was made in ``kff``'s memory: the jittered diagonal is
+    written into ``kff``, factored by ``copying_cholesky`` (retried once at
+    the larger jitter) and restored, so ``kff`` comes back unchanged."""
+    n = kff.shape[0]
+    diag = kff.diagonal().copy()
+    shifted = diag + sigma2
+    try:
+        kff.flat[:: n + 1] = shifted + _JITTER
+        try:
+            la = copying_cholesky(kff)
+        except NotPositiveDefiniteError:
+            kff.flat[:: n + 1] = shifted + _JITTER_RETRY
+            la = copying_cholesky(kff)
+    finally:
+        kff.flat[:: n + 1] = diag
+    alpha = scipy.linalg.solve_triangular(la, y, lower=True, check_finite=False)
+    return float(
+        -0.5 * (alpha @ alpha) - np.sum(np.log(np.diag(la))) - 0.5 * n * LOG_2PI
+    )

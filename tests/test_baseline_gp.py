@@ -23,6 +23,8 @@ from vip.bench import (
 )
 from vip.errors import NotPositiveDefiniteError, ParameterError
 
+import oracles
+
 LOG_2PI = math.log(2 * math.pi)
 
 
@@ -37,7 +39,7 @@ def _per_cell_log_marginal(kernel, x, y, sigma2):
     diag = a.diagonal() + sigma2
     a.flat[:: n + 1] = diag + baseline_gp._JITTER
     try:
-        la = numkit.cholesky(a)
+        la = numkit.cholesky(a.copy())
     except NotPositiveDefiniteError:
         a.flat[:: n + 1] = diag + baseline_gp._JITTER_RETRY
         la = numkit.cholesky(a)
@@ -271,33 +273,44 @@ class TestLogMarginal:
                 base, abs=1e-10
             )
 
-    @pytest.mark.parametrize("failures", [0, 1, 2])
-    def test_leaves_kff_unchanged(self, failures):
-        # the jittered diagonal is written into kff for the factorisation,
-        # then restored, on the retry path and when the retry fails too
+    @pytest.mark.parametrize(
+        "lowest, failures", [(1.0, 0), (-2e-8, 1), (-1e-3, 2)], ids=["0", "1", "2"]
+    )
+    def test_retry_matches_the_copying_oracle(self, lowest, failures):
+        # an exactly symmetric kff whose lowest eigenvalue is ``lowest``: at
+        # sigma2 = 1e-9 its 1e-10-jittered factor fails for a negative one,
+        # and its 1e-6-jittered factor too at -1e-3. The factorisations are
+        # real; a spy only records each diagonal factored. Made in kff's
+        # memory, with the retry's matrix rebuilt from kff's lower triangle,
+        # the log marginal or pivot error is bitwise the copying one.
+        n, sigma2 = 200, 1e-9
         rng = np.random.default_rng(9)
-        x, y = rng.standard_normal((7, 2)), rng.standard_normal(7)
-        kff = RbfKernel(0.7, 1.3).gram(x, x)
-        before = kff.tobytes()
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        h = (q * np.r_[lowest / 2, 0.5 + rng.random(n - 1)]) @ q.T
+        kff, y = h + h.T, rng.standard_normal(n)
         calls = []
 
-        def flaky_cholesky(a):
+        def spy(a):
             calls.append(a.diagonal().copy())
-            if len(calls) <= failures:
-                raise NotPositiveDefiniteError(0, -1.0)
             return numkit.cholesky(a)
 
-        with mock.patch.object(baseline_gp, "cholesky", flaky_cholesky):
+        work = kff.copy()
+        with mock.patch.object(baseline_gp, "cholesky", spy):
             if failures == 2:
-                with pytest.raises(NotPositiveDefiniteError):
-                    gp_log_marginal(kff, y, 0.2)
+                with pytest.raises(NotPositiveDefiniteError) as got:
+                    gp_log_marginal(work, y, sigma2)
+                with pytest.raises(NotPositiveDefiniteError) as want:
+                    oracles.copying_gp_log_marginal(kff.copy(), y, sigma2)
+                assert got.value.pivot == want.value.pivot
+                assert got.value.value.hex() == want.value.value.hex()
             else:
-                gp_log_marginal(kff, y, 0.2)
-        assert kff.tobytes() == before
+                got = gp_log_marginal(work, y, sigma2)
+                assert got.hex() == oracles.copying_gp_log_marginal(kff.copy(), y, sigma2).hex()
+                assert not np.any(np.tril(work, -1))  # kff now holds the factor's transpose
         assert len(calls) == min(failures + 1, 2)
         jitters = [baseline_gp._JITTER, baseline_gp._JITTER_RETRY]
         for diag, jitter in zip(calls, jitters):
-            assert diag.tobytes() == ((np.diag(kff) + 0.2) + jitter).tobytes()
+            assert diag.tobytes() == ((np.diag(kff) + sigma2) + jitter).tobytes()
 
     def test_gram_must_match_targets(self):
         with pytest.raises(ParameterError):
@@ -416,9 +429,10 @@ class TestGridMatchesPerCellOracle:
         assert fit.log_marginal.hex() == want.log_marginal.hex()
 
 
-def test_grid_peak_memory_is_three_gram_arrays():
-    # one unit Gram, the scaled cell Gram and its Cholesky factor; a copy of
-    # the cell Gram inside gp_log_marginal would make it four
+def test_grid_peak_memory_is_two_gram_arrays():
+    # one unit Gram and the scaled cell Gram, factored in its own memory; a
+    # factor of its own, or the last lengthscale's Gram kept while the next
+    # one is built, would make it three
     n = 400
     rng = np.random.default_rng(10)
     x, y = rng.standard_normal((n, 2)), rng.standard_normal(n)
@@ -430,4 +444,4 @@ def test_grid_peak_memory_is_three_gram_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 3 * n * n * 8
+    assert peak <= 1.1 * 2 * n * n * 8

@@ -567,6 +567,24 @@ class TestModelFileTypes:
                 assert rc == 3 and len(err.splitlines()) == 1
                 assert err.startswith(f"error: malformed model file: {field} must be ")
 
+    # config values of the right type that TrainConfig rejects; each exited 3
+    # without naming the block
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_draws", 1, "num_draws must be >= 2, got 1"),
+        ("alpha", 2.0, "alpha must be in [0, 1], got 2.0"),
+        ("sigma2_mode", "nope", "unknown sigma2_mode 'nope'"),
+        ("bogus", 1, "unknown config keys: bogus"),
+    ])
+    def test_rejected_config_value_exits_3_naming_the_block(self, probe_dir, key, value,
+                                                            message):
+        d = json.loads((probe_dir / "bnn.json").read_text())
+        d["config"][key] = value
+        (probe_dir / "edited.json").write_text(json.dumps(d))
+        rc, err = _main_in_process(["predict", "--model", probe_dir / "edited.json",
+                                    "--data", probe_dir / "data.csv",
+                                    "--out", probe_dir / "p.csv"])
+        assert (rc, err) == (3, f"error: malformed model file: config: {message}\n")
+
 
 def _trained(tmp_path):
     """A 10-row data file and a model trained on it with the tiny config."""

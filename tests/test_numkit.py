@@ -45,7 +45,7 @@ class TestCholesky:
             n = int(rng.integers(1, 30))
             m = rng.standard_normal((n, n))
             a = m @ m.T + n * np.eye(n)
-            L = cholesky(a)
+            L = cholesky(a.copy())
             assert np.all(np.diag(L) > 0)
             np.testing.assert_allclose(L @ L.T, a, rtol=0, atol=1e-10 * np.abs(a).max())
 
@@ -79,7 +79,7 @@ class TestCholeskyProperties:
     )
     def test_matches_lapack_reference(self, n, seed, cond_shift, scale):
         a = scale * _spd(np.random.default_rng(seed), n, cond_shift)
-        L = cholesky(a)
+        L = cholesky(a.copy())
         assert np.array_equal(L, np.tril(L))
         ref = scipy.linalg.cholesky(a, lower=True)
         assert np.max(np.abs(L - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -103,12 +103,64 @@ class TestCholeskyProperties:
         b = a[p, :p]
         a[p, p] = b @ np.linalg.solve(a[:p, :p], b) - c if p else -c
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky(a)
+            cholesky(a.copy())
         tol = 1e-9 * max(1.0, abs(a[p, p]))
         assert exc.value.pivot == p
         assert exc.value.value == pytest.approx(-c, abs=tol)
         _, (loop_pivot, loop_value) = _column_cholesky(a)
         assert loop_pivot == p and loop_value == pytest.approx(exc.value.value, abs=tol)
+
+
+def _factor_outcome(fn, a):
+    """The factor's bytes, or the failed pivot and its value's bytes."""
+    try:
+        return np.ascontiguousarray(fn(a)).tobytes()
+    except NotPositiveDefiniteError as e:
+        return e.pivot, np.float64(e.value).tobytes()
+
+
+class TestCholeskyMatchesCopyingLapack:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        shift=st.floats(-1.0, 3.0),
+        layout=st.sampled_from(["C", "F", "strided", "reversed", "read-only"]),
+    )
+    @example(n=60, seed=0, shift=1.0, layout="C")
+    @example(n=60, seed=1, shift=-0.5, layout="C")
+    @example(n=1, seed=2, shift=-1.0, layout="F")
+    @example(n=40, seed=3, shift=1.0, layout="read-only")
+    def test_same_factor_and_pivot_error(self, n, seed, shift, layout):
+        # an exactly symmetric matrix, positive definite or not by the shift;
+        # the factor made in place is bitwise the one a copying dpotrf makes
+        # from the lower triangle, and so is the failed pivot
+        m = np.random.default_rng(seed).standard_normal((n, n))
+        g = m @ m.T / n
+        a = g + g.T + shift * np.eye(n)
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            big = np.zeros((2 * n, 2 * n))
+            big[::2, ::2] = a
+            a = big[::2, ::2]
+        elif layout == "reversed":
+            a = a[::-1, ::-1]
+        elif layout == "read-only":
+            a.flags.writeable = False
+        before, in_place = a.copy(), a.flags.c_contiguous and a.flags.writeable
+        want = _factor_outcome(oracles.copying_cholesky, before.copy())
+        assert _factor_outcome(cholesky, a) == want
+        if in_place:
+            # factored in a's memory, or on failure a's strict lower
+            # triangle is the input still; any other layout, and a
+            # read-only a, is copied
+            if isinstance(want, bytes):
+                assert np.array_equal(a.T, np.frombuffer(want).reshape(n, n))
+            else:
+                assert np.array_equal(np.tril(a, -1), np.tril(before, -1))
+        else:
+            assert a.tobytes() == before.tobytes()
 
 
 def _reference_input_checks(a):
@@ -182,24 +234,24 @@ class TestCholeskyInputChecks:
     @given(
         n=st.integers(0, 300),
         seed=st.integers(0, 2**32 - 1),
-        upper=st.floats(-1e300, 1e300),
+        lower=st.floats(-1e300, 1e300),
         special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
-        lower=st.booleans(),
+        upper=st.booleans(),
     )
-    def test_upper_triangle_is_not_read(self, n, seed, upper, special, lower):
-        # like LAPACK, the factor comes from the lower triangle alone: any
-        # finite values above the diagonal give the same bits; a NaN or inf
-        # in either triangle is still rejected
+    def test_lower_triangle_is_not_read(self, n, seed, lower, special, upper):
+        # like LAPACK on a.T, the factor comes from the upper triangle alone:
+        # any finite values below the diagonal give the same bits; a NaN or
+        # inf in either triangle is still rejected
         rng = np.random.default_rng(seed)
         a = _spd(rng, n, 1.0)
         b = a.copy()
-        rows, cols = np.triu_indices(n, 1)
-        b[rows, cols] = upper * rng.standard_normal(rows.size)
+        rows, cols = np.tril_indices(n, -1)
+        b[rows, cols] = lower * rng.standard_normal(rows.size)
         if special is None or n < 2:
             assert np.array_equal(cholesky(b), cholesky(a))
             return
         i, j = sorted(rng.choice(n, size=2, replace=False))
-        b[(j, i) if lower else (i, j)] = special
+        b[(i, j) if upper else (j, i)] = special
         assert _check_outcome(cholesky, b) == self.NON_FINITE
 
 

@@ -45,8 +45,8 @@ def test_tracer_installs_and_uninstalls_against_the_package(perfbench):
     assert vip.numkit.Rng.standard_normal is normal
 
 
-def _traced(tracing, workloads, run):
-    tracer = tracing.Tracer(workloads.Reference())
+def _traced(tracing, workloads, run, lapack_reference=False):
+    tracer = tracing.Tracer(workloads.Reference(), lapack_reference)
     try:
         tracer.install()
         run()
@@ -81,6 +81,22 @@ def test_gp_baseline_split_records_its_spans(perfbench):
     tracer = _traced(
         tracing, workloads, lambda: vip.bench.gp_baseline_protocol("toy", splits=1, toy_n=60)
     )
+    assert tracer.problems("gp-baseline") == []
+
+
+def test_lapack_reference_accepts_what_each_gp_cholesky_leaves(perfbench):
+    # the traced gp-baseline run re-factors each matrix with LAPACK after
+    # numkit.cholesky has returned, so a factor made in the matrix's memory
+    # must leave a lower triangle that LAPACK still factors: any call that
+    # raised would end the split here
+    tracing, workloads = perfbench
+    tracer = _traced(
+        tracing, workloads, lambda: vip.bench.gp_baseline_protocol("toy", splits=1, toy_n=60),
+        lapack_reference=True,
+    )
+    assert tracer.counts["numkit.cholesky"] == 46
+    assert tracer.counts["numkit.cholesky_failed"] == 0
+    assert tracer.ms["numkit.cholesky_lapack"] > 0.0
     assert tracer.problems("gp-baseline") == []
 
 

@@ -96,7 +96,7 @@ class TestExactCoefficientPosterior:
         sigma2 = 10.0**log10_sigma2
         a = b.T @ b + sigma2 * np.eye(s)
         try:
-            cholesky(a)
+            cholesky(a.copy())
         except NotPositiveDefiniteError:
             return
         q = exact_coefficient_posterior(b, y, sigma2)
