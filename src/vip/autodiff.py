@@ -36,18 +36,30 @@ captured, are dropped, so the pass never holds a gradient for every node and
 a spent tape keeps only its index lists. A second ``backward`` on the same
 tape raises :class:`ContractError`.
 
-Every tape value is finite. Leaves and constants are checked as they are
-recorded, and so is the output of each op that can turn finite operands into
-a NaN or inf: ``add``, ``sub``, ``mul``, ``matmul``, ``scale``,
-``broadcast_add_row`` and ``exp`` can overflow, and ``sum`` and ``dot``
-check their 1x1 result (a sum whose finite terms overflow raises the same
-error). The other ops need no check, because their operands are already
-finite: ``transpose`` and ``reshape`` move values, ``tanh`` lies in [-1, 1],
-``relu`` keeps a value or gives 0, ``softplus`` of a finite value is finite,
-and ``log`` rejects an operand <= 0 and is finite above it. So the op that
-first makes a non-finite value is the one that raises. A tape op's
-:class:`NumericalError` carries in ``leaf_ids`` the requires-grad leaves its
-operands depend on, so a caller can name the parameters involved.
+A tape is eager (the default) or lazy. On an eager tape every value is
+finite. Leaves and constants are checked as they are recorded, and so is
+the output of each op that can turn finite operands into a NaN or inf:
+``add``, ``sub``, ``mul``, ``matmul``, ``scale``, ``broadcast_add_row`` and
+``exp`` can overflow, and ``sum`` and ``dot`` check their 1x1 result (a sum
+whose finite terms overflow raises the same error). The other ops need no
+check, because their operands are already finite: ``transpose`` and
+``reshape`` move values, ``tanh`` lies in [-1, 1], ``relu`` keeps a value
+or gives 0, ``softplus`` of a finite value is finite, and ``log`` rejects an
+operand <= 0 and is finite above it. So the op that first makes a non-finite
+value is the one that raises. A tape op's :class:`NumericalError` carries in
+``leaf_ids`` the requires-grad leaves its operands depend on, so a caller
+can name the parameters involved.
+
+A lazy tape (``Tape(lazy=True)``) checks only requires-grad leaves and the
+places where a non-finite value can vanish; its caller keeps the constants
+it records finite. Every other op carries a NaN or
+inf into its output, so it reaches the loss, which the caller checks. Four
+ops can turn one finite: ``exp`` (-inf to 0), ``tanh`` (+-inf to +-1),
+``relu`` (NaN and -inf to 0) and ``softplus`` (-inf to 0). Each checks its
+operand unless that operand is a leaf; ``log`` rejects a non-positive operand
+on either kind of tape. A lazy tape's error tells only that the pass went
+non-finite: a caller that wants the failing op named reruns the same
+computation on an eager tape, as ``inference.train`` does.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ def _fail(message: str, *operands: Var):
     raise err
 
 
-def _coerce_value(value, where: str) -> np.ndarray:
+def _coerce_value(value, where: str, check: bool = True) -> np.ndarray:
     if type(value) is not np.ndarray or value.dtype != np.float64 or value.ndim != 2:
         value = np.asarray(value, dtype=np.float64)
         if value.ndim == 0:
@@ -95,15 +107,19 @@ def _coerce_value(value, where: str) -> np.ndarray:
             raise DimensionError(
                 f"{where}: values must be 2-D (scalars as 1x1), got ndim={value.ndim}"
             )
-    if not all_finite(value):
+    if check and not all_finite(value):
         _fail(f"{where}: non-finite value")
     return value
 
 
 class Tape:
-    """Append-only record of the computation. One graph, one backward pass."""
+    """Append-only record of the computation. One graph, one backward pass.
 
-    def __init__(self):
+    ``lazy`` selects which values are checked for finiteness (module docstring).
+    """
+
+    def __init__(self, lazy: bool = False):
+        self.lazy = lazy
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list[Callable | None] = []
         # per node: does it depend on a requires-grad leaf?
@@ -117,7 +133,8 @@ class Tape:
         return len(self._parents)
 
     def leaf(self, value, requires_grad: bool = False) -> Var:
-        v = Var(_coerce_value(value, "leaf"), self, len(self._parents))
+        check = requires_grad or not self.lazy
+        v = Var(_coerce_value(value, "leaf", check), self, len(self._parents))
         self._parents.append(())
         self._vjps.append(None)
         self._needs_grad.append(requires_grad)
@@ -147,6 +164,16 @@ def _value(op: str, a: Var) -> np.ndarray:
     return a.value
 
 
+def _operand(op: str, a: Var) -> np.ndarray:
+    """``_value`` of an op that can turn a non-finite operand finite; a lazy
+    tape checks that operand here, unless it is a leaf."""
+    av = _value(op, a)
+    tape = a.tape
+    if tape.lazy and tape._parents[a.nid] and not all_finite(av):
+        _fail(f"{op}: non-finite operand", a)
+    return av
+
+
 def _values(op: str, a: Var, b: Var, same_shape: bool = True):
     """Both operands' values, checked to be Vars of one tape (of one shape, if ``same_shape``)."""
     if type(a) is not Var or type(b) is not Var:
@@ -161,9 +188,9 @@ def _values(op: str, a: Var, b: Var, same_shape: bool = True):
 
 def _record1(op: str, a: Var, value: np.ndarray, vjp, check: bool = True) -> Var:
     """Record ``value`` as op(a); ``check=False`` for ops that keep finite values finite."""
-    if check and not all_finite(value):
-        _fail(f"{op}: produced a non-finite value", a)
     tape = a.tape
+    if check and not tape.lazy and not all_finite(value):
+        _fail(f"{op}: produced a non-finite value", a)
     needs = tape._needs_grad[a.nid]
     tape._parents.append((a.nid,))
     tape._vjps.append(vjp if needs else None)
@@ -172,10 +199,10 @@ def _record1(op: str, a: Var, value: np.ndarray, vjp, check: bool = True) -> Var
 
 
 def _record2(op: str, a: Var, b: Var, value: np.ndarray, vjp) -> Var:
-    """Record ``value`` as op(a, b), which must be finite."""
-    if not all_finite(value):
-        _fail(f"{op}: produced a non-finite value", a, b)
+    """Record ``value`` as op(a, b), which must be finite on an eager tape."""
     tape = a.tape
+    if not tape.lazy and not all_finite(value):
+        _fail(f"{op}: produced a non-finite value", a, b)
     needs = tape._needs_grad[a.nid] or tape._needs_grad[b.nid]
     tape._parents.append((a.nid, b.nid))
     tape._vjps.append(vjp if needs else None)
@@ -262,7 +289,7 @@ def dot(a: Var, b: Var) -> Var:
 
 
 def vexp(a: Var) -> Var:
-    out = np.exp(_value("exp", a))
+    out = np.exp(_operand("exp", a))
     return _record1("exp", a, out, lambda g: (out * g,))
 
 
@@ -274,7 +301,7 @@ def vlog(a: Var) -> Var:
 
 
 def vtanh(a: Var) -> Var:
-    out = np.tanh(_value("tanh", a))
+    out = np.tanh(_operand("tanh", a))
 
     def vjp(g):
         # (1 - out * out) * g, in one temporary
@@ -287,7 +314,7 @@ def vtanh(a: Var) -> Var:
 
 
 def relu(a: Var) -> Var:
-    av = _value("relu", a)
+    av = _operand("relu", a)
     mask = av > 0.0
     return _record1(
         "relu", a, np.where(mask, av, 0.0), lambda g: (np.where(mask, g, 0.0),), check=False
@@ -304,7 +331,7 @@ def _sigmoid(v: float) -> float:
 
 
 def softplus(a: Var) -> Var:
-    av = _value("softplus", a)
+    av = _operand("softplus", a)
     out = np.logaddexp(0.0, av)
 
     def vjp(g):

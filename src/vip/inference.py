@@ -350,6 +350,50 @@ class TrainedModel:
     final_params: dict = field(default=None, repr=False)
 
 
+def _pass(lazy: bool, prior, params: dict, x, y, n_total: int, config: TrainConfig, rng: Rng):
+    """One step's loss, gradients and function draws at ``params`` on the
+    batch (x, y), recorded on a lazy or an eager tape.
+
+    Either pass returns only a finite loss: a lazy tape lets a non-finite
+    value reach the loss, so its loss is checked here. A NumericalError
+    names the parameters the failing op read.
+    """
+    denom, ridge = kernel_normaliser(config.num_draws, config.estimator, config.psi)
+    tape = ad.Tape(lazy=lazy)
+    leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
+    try:
+        draws = sample_functions(prior, x, config.num_draws, rng, tape=tape,
+                                 params={k: leaves[k] for k in prior.params})
+        if "log_sigma2" in leaves:
+            lo = leaves["log_sigma2"]
+        else:
+            lo = tape.constant(math.log(config.sigma2))
+        loss, _ = energy_loss(tape, y, draws, leaves, config.alpha, lo, n_total, denom, ridge)
+        if lazy and not all_finite(loss.value):
+            raise NumericalError("loss: non-finite value")
+    except NumericalError as err:
+        names = [k for k, v in leaves.items() if v.nid in err.leaf_ids]
+        involved = f" (parameters: {', '.join(names)})" if names else ""
+        raise NumericalError(f"{err}{involved}") from err
+    grads = ad.backward(loss)
+    return float(loss.value[0, 0]), {k: grads[v.nid] for k, v in leaves.items()}, draws
+
+
+def _step(prior, params: dict, x, y, n_total: int, config: TrainConfig, rng: Rng):
+    """One training step's loss, gradients and draws: a lazy pass, replayed
+    once on an eager tape if it fails. ``rng`` is put back where the lazy
+    pass found it, so the replay draws the same functions and names the op
+    that made the first non-finite value; should the replay succeed, its
+    result stands."""
+    snapshot = rng.snapshot()
+    try:
+        return _pass(True, prior, params, x, y, n_total, config, rng)
+    except NumericalError:
+        pass
+    rng.restore(snapshot)
+    return _pass(False, prior, params, x, y, n_total, config, rng)
+
+
 # every non-finite value a step meets or makes is reported by name;
 # numpy's warnings would only precede that error
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -357,10 +401,17 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     """Fit prior parameters and q(a) on (x, y); see the module docstring.
 
     x and y are expected on the scale training should happen at (the caller
-    standardizes); ``stats`` is carried through to the model untouched. A
-    NumericalError names the epoch and batch of the step that failed: a tape
-    op's names the parameters it read, and an update the model cannot read
-    (see ``_check_update``) names every group it left out of range.
+    standardizes); ``stats`` is carried through to the model untouched.
+
+    Each step is recorded on a lazy tape, which checks finiteness only
+    where a non-finite value could vanish, and its loss (``autodiff``). If
+    that pass fails, the step reruns once on an eager tape, from the same
+    parameters and draws, and the eager pass raises. So a NumericalError
+    names the epoch and batch of the step that failed, and a tape op's
+    names the op that made the first non-finite value and the parameters it
+    read. The Adam update follows the accepted pass, and an update the model
+    cannot read (see ``_check_update``) names every group it left out of
+    range.
     """
     x = as_matrix(x, "inputs")
     y = as_vector(y, "targets")
@@ -386,15 +437,13 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     params["q_tril"] = np.zeros((s, s))
     params["q_diag"] = np.full((s, 1), SOFTPLUS_INV_ONE)
     learn_sigma = config.sigma2_mode == "learned"
-    log_sigma2 = math.log(config.sigma2)
     if learn_sigma:
-        params["log_sigma2"] = np.array([[log_sigma2]])
+        params["log_sigma2"] = np.array([[math.log(config.sigma2)]])
 
     state = AdamState.zeros(params)
     rng_draws = Rng(config.seed, STREAM_DRAWS)
     rng_shuffle = Rng(config.seed, STREAM_SHUFFLE)
     mb = min(config.batch_size or n, n)
-    denom, ridge = kernel_normaliser(s, config.estimator, config.psi)
     trace = []
 
     for epoch in range(config.epochs):
@@ -402,24 +451,18 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
         epoch_losses = []
         for start in range(0, n, mb):
             idx = perm[start : start + mb]
-            tape = ad.Tape()
-            leaves = {k: tape.leaf(a, requires_grad=True) for k, a in params.items()}
             try:
-                draws = sample_functions(prior, x[idx], s, rng_draws, tape=tape,
-                                         params={k: leaves[k] for k in prior.params})
-                lo = leaves["log_sigma2"] if learn_sigma else tape.constant(log_sigma2)
-                loss, _ = energy_loss(
-                    tape, y[idx], draws, leaves, config.alpha, lo, n, denom, ridge
-                )
-                epoch_losses.append(float(loss.value[0, 0]))
-                grads = ad.backward(loss)
-                grads = {k: grads[v.nid] for k, v in leaves.items()}
+                # ``draws`` is not read but held until the next step has drawn:
+                # freed with the rest of its step, it leaves a free block at
+                # the heap top that glibc returns to the system and the next
+                # step faults back in (about 200 page faults and a tenth of a
+                # criterion-01 step, measured)
+                loss, grads, draws = _step(prior, params, x[idx], y[idx], n, config, rng_draws)
+                epoch_losses.append(loss)
                 params = adam_step(params, grads, state, config.learning_rate)
                 _check_update(params)
             except NumericalError as err:
-                names = [k for k, v in leaves.items() if v.nid in err.leaf_ids]
-                involved = f" (parameters: {', '.join(names)})" if names else ""
-                raise NumericalError(f"epoch {epoch}, batch at {start}: {err}{involved}") from err
+                raise NumericalError(f"epoch {epoch}, batch at {start}: {err}") from err
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))
         if callback is not None:
             callback(epoch, trace[-1])

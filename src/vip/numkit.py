@@ -64,6 +64,10 @@ class Rng:
     has made but not handed out as one array each: ``_words``, raw words
     from the last lane step, and ``_spare``, the 0 or 1 Box-Muller output
     left by an odd normal request, which the next normal request starts with.
+
+    ``_step`` advances ``_state`` in place, but ``_words`` and ``_spare``
+    are only ever replaced by new arrays, never written. So a snapshot
+    copies the lane states and keeps references to the other two.
     """
 
     LANES = 256
@@ -78,6 +82,15 @@ class Rng:
         )
         self._words = np.empty(0, dtype=np.uint64)
         self._spare = np.empty(0)
+
+    def snapshot(self) -> tuple:
+        """The stream's position, for ``restore``."""
+        return self._state.copy(), self._words, self._spare
+
+    def restore(self, snapshot: tuple) -> None:
+        """Return to ``snapshot``'s position; the snapshot can be restored again."""
+        state, self._words, self._spare = snapshot
+        self._state[...] = state
 
     def _step(self, nsteps: int) -> np.ndarray:
         """Advance all lanes ``nsteps`` times; returns nsteps*LANES raw words."""

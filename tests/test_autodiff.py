@@ -607,6 +607,36 @@ class TestUncheckedOpsStayFinite:
         assert np.isfinite(out.value).all()
 
 
+class TestLazyTape:
+    """A lazy tape checks requires-grad leaves and, where it is not a leaf,
+    the operand of each op that can turn a non-finite value finite."""
+
+    VANISHING = {"exp": ad.vexp, "tanh": ad.vtanh, "relu": ad.relu, "softplus": ad.softplus}
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", list(VANISHING))
+    def test_non_finite_operand_is_caught_before_it_can_vanish(self, name, bad):
+        tape = ad.Tape(lazy=True)
+        x = tape.leaf(np.array([[1.0, 2.0]]), requires_grad=True)
+        a = ad.mul(x, tape.constant(np.array([[bad, 1.0]])))
+        with pytest.raises(NumericalError) as exc:
+            self.VANISHING[name](a)
+        assert str(exc.value) == f"{name}: non-finite operand"
+        assert exc.value.leaf_ids == (x.nid,)
+
+    def test_outputs_constants_and_leaf_operands_go_unchecked(self):
+        tape = ad.Tape(lazy=True)
+        big = tape.leaf(np.array([[1e200, 1.0]]), requires_grad=True)
+        with np.errstate(over="ignore"):
+            assert np.isinf(ad.mul(big, big).value[0, 0])
+            assert np.isinf(ad.vsum(ad.scale(big, 1e200)).value[0, 0])
+        # a constant's -inf vanishes: a lazy tape's caller keeps constants finite
+        assert ad.vexp(tape.constant(np.array([[-np.inf]]))).value[0, 0] == 0.0
+        with pytest.raises(NumericalError) as exc:
+            tape.leaf(np.array([[np.nan]]), requires_grad=True)
+        assert str(exc.value) == "leaf: non-finite value"
+
+
 class TestFailureNamesLeaves:
     """A raising tape op carries the requires-grad leaves upstream of it."""
 
