@@ -19,6 +19,11 @@ from .predict import nll_rmse, posterior_predict
 
 # offset keeping per-split seeds clear of the fixed per-purpose streams
 SPLIT_STREAM_BASE = 100
+PROTOCOLS = ("toy", "uci", "interp")
+# every protocol's options with their defaults: the split schedule and how a
+# split is made (uci reads train_frac, interp the segments, toy toy_n and toy_noise)
+SPLIT_OPTIONS = {"splits": 5, "seed": 0, "train_frac": 0.9, "n_segments": 5,
+                 "segment_len": 20, "toy_n": 300, "toy_noise": "std"}
 # share of the training rows the noise grid search holds out for validation
 GRID_VAL_FRAC = 0.2
 
@@ -54,35 +59,46 @@ def _mean_se(values):
     return mean, se
 
 
-def _split_for(protocol, data, k_seed, train_frac, n_segments, segment_len,
-               toy_n, toy_noise):
+def needs_data(protocol) -> bool:
+    """Whether ``protocol`` runs on a given dataset; the toy protocol makes its own."""
+    if protocol not in PROTOCOLS:
+        raise ParameterError(f"unknown protocol {protocol!r}")
+    return protocol != "toy"
+
+
+def _split_for(protocol, data, k_seed, opts):
     if protocol == "toy":
-        return datamod.synth_toy(toy_n, k_seed, noise=toy_noise), datamod.toy_grid(1000)
+        train = datamod.synth_toy(opts["toy_n"], k_seed, noise=opts["toy_noise"])
+        return train, datamod.toy_grid(1000)
     if protocol == "uci":
-        return datamod.split(data, train_frac, k_seed)
-    return datamod.interp_split(data, n_segments, segment_len, k_seed)
+        return datamod.split(data, opts["train_frac"], k_seed)
+    return datamod.interp_split(data, opts["n_segments"], opts["segment_len"], k_seed)
 
 
-def _repeated_splits(protocol, data, splits, seed, fit_predict, head=None, **split_opts) -> dict:
+def _repeated_splits(protocol, data, fit_predict, options, head=None) -> dict:
     """Run ``fit_predict`` on every split and summarize on the original scale.
 
+    ``options`` override ``SPLIT_OPTIONS``' defaults by name.
     ``fit_predict(train, test_x, split_seed)`` gets the standardized training
     set and test inputs and returns (predictive distribution, extra per-split
     fields). ``head`` adds report fields after ``protocol``.
     """
-    if protocol not in ("toy", "uci", "interp"):
-        raise ParameterError(f"unknown protocol {protocol!r}")
-    if protocol != "toy" and data is None:
+    unknown = sorted(set(options) - set(SPLIT_OPTIONS))
+    if unknown:
+        raise ParameterError(f"unknown protocol options: {', '.join(unknown)}")
+    opts = {**SPLIT_OPTIONS, **options}
+    splits, seed = opts["splits"], opts["seed"]
+    if needs_data(protocol) and data is None:
         raise ParameterError(f"{protocol} protocol needs a dataset")
     if splits < 1:
         raise ParameterError("splits must be >= 1")
-    if protocol == "toy" and split_opts["toy_n"] < 2:
+    if protocol == "toy" and opts["toy_n"] < 2:
         # one row has a constant feature column, which standardising rejects
-        raise ParameterError(f"toy_n must be >= 2, got {split_opts['toy_n']}")
+        raise ParameterError(f"toy_n must be >= 2, got {opts['toy_n']}")
     per = []
     for k in range(splits):
         sk = derive_seed(seed, SPLIT_STREAM_BASE + k)
-        raw_tr, raw_te = _split_for(protocol, data, sk, **split_opts)
+        raw_tr, raw_te = _split_for(protocol, data, sk, opts)
         try:
             stats = datamod.compute_stats(raw_tr)
         except ParseError as e:
@@ -108,24 +124,13 @@ def _repeated_splits(protocol, data, splits, seed, fit_predict, head=None, **spl
     }
 
 
-def run_protocol(
-    protocol: str,
-    cfg: TrainConfig,
-    data: datamod.Dataset = None,
-    splits: int = 5,
-    seed: int = 0,
-    train_frac: float = 0.9,
-    n_segments: int = 5,
-    segment_len: int = 20,
-    toy_n: int = 300,
-    toy_noise: str = "std",
-) -> dict:
+def run_protocol(protocol: str, cfg: TrainConfig, data: datamod.Dataset = None, **options) -> dict:
     """Train and evaluate over repeated splits; metrics on the original scale.
 
     toy: fresh synthetic training draw per split, scored on the noiseless
     1000-point grid.  uci: random train/test splits.  interp: contiguous
     segments held out.  sigma2_mode 'grid' in cfg routes each split through
-    grid_search_sigma2.
+    grid_search_sigma2.  ``options`` are ``SPLIT_OPTIONS`` by name.
     """
 
     def fit_predict(tr, te_x, sk):
@@ -136,31 +141,25 @@ def run_protocol(
             model = train(tr.x, tr.y, cfg_k, stats=tr.stats)
         return posterior_predict(model, te_x), {"sigma2": float(model.sigma2)}
 
-    return _repeated_splits(
-        protocol, data, splits, seed, fit_predict,
-        train_frac=train_frac, n_segments=n_segments, segment_len=segment_len,
-        toy_n=toy_n, toy_noise=toy_noise,
-    )
+    return _repeated_splits(protocol, data, fit_predict, options)
 
 
 DEFAULT_GP_LENGTHSCALES = (0.3, 1.0, 3.0)
 DEFAULT_GP_SIGNAL_VARIANCES = (0.5, 1.0, 2.0)
 DEFAULT_GP_SIGMA2S = (0.01, 0.05, 0.1, 0.5, 1.0)
+# gp-baseline's grid-config keys and their defaults
+GRID_CONFIG = {"protocol": "uci", "lengthscales": DEFAULT_GP_LENGTHSCALES,
+               "signal_variances": DEFAULT_GP_SIGNAL_VARIANCES, "sigma2s": DEFAULT_GP_SIGMA2S,
+               **SPLIT_OPTIONS}
 
 
 def gp_baseline_protocol(
-    protocol: str = "uci",
+    protocol: str = GRID_CONFIG["protocol"],
     data: datamod.Dataset = None,
     lengthscales=DEFAULT_GP_LENGTHSCALES,
     signal_variances=DEFAULT_GP_SIGNAL_VARIANCES,
     sigma2s=DEFAULT_GP_SIGMA2S,
-    splits: int = 5,
-    seed: int = 0,
-    train_frac: float = 0.9,
-    n_segments: int = 5,
-    segment_len: int = 20,
-    toy_n: int = 300,
-    toy_noise: str = "std",
+    **options,
 ) -> dict:
     """Same split schedule as run_protocol, with an exact squared-exponential
     GP fit by marginal-likelihood grid search as the model."""
@@ -175,8 +174,4 @@ def gp_baseline_protocol(
             "log_marginal": fit.log_marginal,
         }
 
-    return _repeated_splits(
-        protocol, data, splits, seed, fit_predict, head={"model": "gp_rbf_baseline"},
-        train_frac=train_frac, n_segments=n_segments, segment_len=segment_len,
-        toy_n=toy_n, toy_noise=toy_noise,
-    )
+    return _repeated_splits(protocol, data, fit_predict, options, head={"model": "gp_rbf_baseline"})

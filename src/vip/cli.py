@@ -6,8 +6,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
 
 import argparse
-import inspect
-import json
 import sys
 from dataclasses import replace
 
@@ -24,17 +22,13 @@ from .errors import (
     ParseError,
 )
 from .inference import TrainConfig, train
-from .modelfile import canonical_json, load_model, save_model
+from .modelfile import canonical_json, load_model, read_json, save_model
 from .numkit import check_value_types
 from .predict import gaussian_nll_rmse, posterior_predict
 
 
 def _load_json_object(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except ValueError as e:  # bad JSON or bytes that are not UTF-8
-            raise ParseError(f"{path}: not valid UTF-8 JSON ({e})") from e
+    d = read_json(path, ParseError)
     if not isinstance(d, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     return d
@@ -146,8 +140,8 @@ def _cmd_eval(args) -> int:
 
 
 def _protocol_data(protocol, args):
-    """The ``--data`` table a protocol runs on; the toy protocol makes its own."""
-    if protocol == "toy":
+    """The ``--data`` table a protocol runs on, or None for one that makes its own."""
+    if not benchmod.needs_data(protocol):
         return None
     if args.data is None:
         raise ParameterError(f"--data is required for the {protocol} protocol")
@@ -157,38 +151,22 @@ def _protocol_data(protocol, args):
 def _cmd_bench(args) -> int:
     cfg = _load_config(args.config)
     report = benchmod.run_protocol(
-        args.protocol,
-        cfg,
-        data=_protocol_data(args.protocol, args),
-        splits=args.splits,
-        seed=args.seed,
-        train_frac=args.train_frac,
-        n_segments=args.segments,
-        segment_len=args.segment_len,
-        toy_n=args.toy_n,
-        toy_noise=args.toy_noise,
+        args.protocol, cfg, data=_protocol_data(args.protocol, args),
+        **{name: getattr(args, name) for name in benchmod.SPLIT_OPTIONS},
     )
     _emit(report)
     return 0
-
-
-# grid-config keys and their defaults: gp_baseline_protocol's own keyword arguments
-_GRID_DEFAULTS = {
-    name: p.default
-    for name, p in inspect.signature(benchmod.gp_baseline_protocol).parameters.items()
-    if name != "data"
-}
 
 
 def _cmd_gp_baseline(args) -> int:
     opts = {}
     if args.grid_config is not None:
         opts = _load_json_object(args.grid_config)
-        unknown = sorted(set(opts) - set(_GRID_DEFAULTS))
+        unknown = sorted(set(opts) - set(benchmod.GRID_CONFIG))
         if unknown:
             raise ParameterError(f"unknown grid-config keys: {', '.join(unknown)}")
-        check_value_types(opts, _GRID_DEFAULTS)
-    protocol = opts.pop("protocol", "uci")
+        check_value_types(opts, benchmod.GRID_CONFIG)
+    protocol = opts.pop("protocol", benchmod.GRID_CONFIG["protocol"])
     report = benchmod.gp_baseline_protocol(
         protocol, data=_protocol_data(protocol, args), **opts
     )
@@ -207,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["toy"], default="toy")
     sp.add_argument("--n", type=int, default=300)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--noise", choices=["var", "std", "none"], default="var")
+    sp.add_argument("--noise", choices=datamod.NOISE_SCALES, default="var")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_synth)
 
@@ -234,16 +212,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.set_defaults(func=_cmd_eval)
 
     bp = sub.add_parser("bench", help="run a repeated-split benchmark protocol")
-    bp.add_argument("--protocol", choices=["toy", "uci", "interp"], required=True)
+    bp.add_argument("--protocol", choices=benchmod.PROTOCOLS, required=True)
     bp.add_argument("--data", default=None)
     bp.add_argument("--config", default=None)
-    bp.add_argument("--splits", type=int, default=5)
-    bp.add_argument("--seed", type=int, default=0)
-    bp.add_argument("--train-frac", type=float, default=0.9)
-    bp.add_argument("--segments", type=int, default=5)
-    bp.add_argument("--segment-len", type=int, default=20)
-    bp.add_argument("--toy-n", type=int, default=300)
-    bp.add_argument("--toy-noise", choices=["var", "std", "none"], default="std")
+    opt = benchmod.SPLIT_OPTIONS
+    bp.add_argument("--splits", type=int, default=opt["splits"])
+    bp.add_argument("--seed", type=int, default=opt["seed"])
+    bp.add_argument("--train-frac", type=float, default=opt["train_frac"])
+    bp.add_argument("--segments", type=int, dest="n_segments", default=opt["n_segments"])
+    bp.add_argument("--segment-len", type=int, default=opt["segment_len"])
+    bp.add_argument("--toy-n", type=int, default=opt["toy_n"])
+    bp.add_argument("--toy-noise", choices=datamod.NOISE_SCALES, default=opt["toy_noise"])
     bp.add_argument("--has-header", action="store_true")
     bp.set_defaults(func=_cmd_bench)
 

@@ -264,6 +264,10 @@ def toy_fn(x: np.ndarray) -> np.ndarray:
     return np.cos(5.0 * x) / (np.abs(x) + 1.0)
 
 
+# synth_toy's noise modes: the standard deviation each gives the 0.1 noise level
+NOISE_SCALES = {"var": math.sqrt(0.1), "std": 0.1, "none": 0.0}
+
+
 def synth_toy(n: int, seed: int, noise: str = "var") -> Dataset:
     """n rows of x ~ N(0,1) with y = toy_fn(x) plus Gaussian noise.
 
@@ -273,13 +277,12 @@ def synth_toy(n: int, seed: int, noise: str = "var") -> Dataset:
     """
     if n < 1:
         raise ParameterError("n must be positive")
-    scales = {"var": math.sqrt(0.1), "std": 0.1, "none": 0.0}
-    if noise not in scales:
+    if noise not in NOISE_SCALES:
         raise ParameterError(f"unknown noise mode {noise!r}")
     rng = Rng(seed, STREAM_DATA)
     x = rng.standard_normal(n)
     eps = rng.standard_normal(n)
-    y = toy_fn(x) + scales[noise] * eps
+    y = toy_fn(x) + NOISE_SCALES[noise] * eps
     return Dataset(x.reshape(n, 1), y)
 
 

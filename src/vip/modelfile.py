@@ -43,6 +43,25 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def read_json(path, error):
+    """The JSON value in the file at ``path``. Bad JSON, bytes that are not
+    UTF-8 and a key repeated within one object raise ``error`` naming the file."""
+
+    def unique_keys(pairs):
+        d = {}
+        for key, value in pairs:
+            if key in d:  # json.load would keep the last value and drop this one
+                raise error(f"{path}: key {key!r} appears twice in one object")
+            d[key] = value
+        return d
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except ValueError as e:  # bad JSON or bytes that are not UTF-8
+            raise error(f"{path}: not valid UTF-8 JSON ({e})") from e
+
+
 def model_to_dict(model: TrainedModel) -> dict:
     p = model.prior
     prior = {"family": p.family, "layer_sizes": list(p.layer_sizes), "activation": p.activation}
@@ -92,6 +111,26 @@ def _check_stats(stats: Stats, input_dim: int) -> None:
         raise ModelFileError("stats.target_std must be positive and finite")
 
 
+def _check_agreement(config: TrainConfig, prior: Prior, seed: int) -> None:
+    """The config block restates the prior's settings and the file's seed;
+    each copy must agree. A bnn prior has no noise settings, so its config's go unread."""
+    sizes = list(prior.layer_sizes)
+    rules = [("prior_family", "prior.family", prior.family, prior.family),
+             ("hidden", "prior.layer_sizes", sizes, sizes[1:-1]),
+             ("activation", "prior.activation", prior.activation, prior.activation),
+             ("seed", "seed", seed, seed)]
+    if prior.family == "ns":
+        rules += [(k, f"prior.{k}", getattr(prior, k), getattr(prior, k))
+                  for k in ("noise_dim", "noise_halfwidth")]
+    for key, other, shown, expected in rules:
+        value = getattr(config, key)
+        value = list(value) if isinstance(value, tuple) else value
+        if value != expected:
+            raise ModelFileError(
+                f"malformed model file: config.{key} {value!r} disagrees with {other} {shown!r}"
+            )
+
+
 def model_from_dict(d: dict) -> TrainedModel:
     if not isinstance(d, dict):
         raise ModelFileError("model file must contain a JSON object")
@@ -119,6 +158,7 @@ def model_from_dict(d: dict) -> TrainedModel:
             config = TrainConfig.from_dict(cfg)
         except ParameterError as e:  # a range or unknown-key error names no block
             raise ParameterError(f"config: {e}") from e
+        _check_agreement(config, prior, top["seed"])
         stats = None if d.get("stats") is None else Stats(**_read(d["stats"], "stats.", _STATS))
         train = _read(d["train"], "train.", _TRAIN)
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError, DimensionError) as e:
@@ -156,9 +196,4 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def load_model(path: str) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except ValueError as e:  # bad JSON or bytes that are not UTF-8
-            raise ModelFileError(f"{path}: not valid UTF-8 JSON ({e})") from e
-    return model_from_dict(d)
+    return model_from_dict(read_json(path, ModelFileError))

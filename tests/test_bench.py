@@ -158,6 +158,16 @@ class TestRunProtocol:
         with pytest.raises(ParameterError):
             run_protocol("toy", cfg, splits=0)
 
+    @pytest.mark.parametrize("run", [
+        lambda **kw: run_protocol("toy", TrainConfig(**TINY), **kw),
+        lambda **kw: gp_baseline_protocol("toy", **kw),
+    ], ids=["run_protocol", "gp_baseline_protocol"])
+    def test_misspelt_option_is_named(self, run):
+        # the options are read from a table by name, so an unknown one must
+        # fail rather than fall through to its default
+        with pytest.raises(ParameterError, match="^unknown protocol options: toy_m$"):
+            run(toy_m=3)
+
     def test_metrics_reported_on_original_scale(self):
         # targets shifted far from zero: standardized-scale rmse would be
         # near 1, original-scale rmse near the raw residual size

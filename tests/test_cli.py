@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vip
+import vip.bench as bench
 import vip.cli as cli
 from vip.errors import NumericalError
 from vip.inference import TrainConfig
@@ -585,6 +587,38 @@ class TestModelFileTypes:
                                     "--out", probe_dir / "p.csv"])
         assert (rc, err) == (3, f"error: malformed model file: config: {message}\n")
 
+    # the config block restates the network and the seed the other blocks
+    # hold; each edit alone loaded at exit 0, and prediction ignored it
+    @pytest.mark.parametrize("family, key, value, other", [
+        ("bnn", "activation", "sigmoid", "prior.activation 'tanh'"),
+        ("bnn", "hidden", [0], "prior.layer_sizes [1, 3, 1]"),
+        ("bnn", "hidden", [], "prior.layer_sizes [1, 3, 1]"),
+        ("bnn", "hidden", [7, 7], "prior.layer_sizes [1, 3, 1]"),
+        ("bnn", "prior_family", "ns", "prior.family 'bnn'"),
+        ("bnn", "seed", 99, "seed 0"),
+        ("ns", "noise_dim", 5, "prior.noise_dim 2"),
+        ("ns", "noise_halfwidth", 2.0, "prior.noise_halfwidth 1.0"),
+        ("ns", "prior_family", "bnn", "prior.family 'ns'"),
+        ("ns", "activation", "relu", "prior.activation 'tanh'"),
+        # a bnn prior has no noise settings, so its config's are not compared
+        ("bnn", "noise_dim", 5, None),
+        ("bnn", "noise_halfwidth", 2.0, None),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, (list, float, int)) else str(v))
+    def test_config_that_disagrees_with_the_file_exits_3_naming_both(
+        self, probe_dir, family, key, value, other
+    ):
+        d = json.loads((probe_dir / f"{family}.json").read_text())
+        d["config"][key] = value
+        (probe_dir / "edited.json").write_text(json.dumps(d))
+        rc, err = _main_in_process(["predict", "--model", probe_dir / "edited.json",
+                                    "--data", probe_dir / "data.csv",
+                                    "--out", probe_dir / "p.csv"])
+        if other is None:
+            assert (rc, err) == (0, "")
+        else:
+            assert (rc, err) == (3, f"error: malformed model file: config.{key} "
+                                    f"{value!r} disagrees with {other}\n")
+
 
 def _trained(tmp_path):
     """A 10-row data file and a model trained on it with the tiny config."""
@@ -635,6 +669,31 @@ class TestUnreadableInput:
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and "field limit" in err and "row 2" in err
+
+
+class TestRepeatedJsonKey:
+    # json.load keeps the last value of a repeated key, so each of these
+    # files was read at exit 0 with one of its values dropped
+    @pytest.mark.parametrize("entry, text, key", [
+        ("train --config", '{"epochs": 2, "num_draws": 4, "hidden": [3], "epochs": 1}', "epochs"),
+        ("gp-baseline --grid-config", '{"protocol": "toy", "toy_n": 30, "splits": 1, "splits": 2}',
+         "splits"),
+        # the first "sigma2" of a model file is config.sigma2, in a nested object
+        ("predict --model", None, "sigma2"),
+    ], ids=["train --config", "gp-baseline --grid-config", "predict --model"])
+    def test_repeated_key_is_data_error_naming_the_file_and_key(self, tmp_path, capsys,
+                                                                entry, text, key):
+        bad = tmp_path / "repeated.json"
+        argv = _argv_reading(entry, str(bad), tmp_path)
+        if text is None:
+            text = (tmp_path / "m.json").read_text()
+            text = text.replace('"sigma2":', '"sigma2": 0.5, "sigma2":', 1)
+        bad.write_text(text)
+        capsys.readouterr()
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}: key {key!r} appears twice in one object\n"
+        )
 
 
 def _write_csv_per_cell(path, header, rows):
@@ -1054,6 +1113,30 @@ class TestBench:
         assert len(rep["per_split"]) == 2
 
 
+def _subparser(name):
+    return next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[name]
+
+
+class TestProtocolTables:
+    """vip.bench declares the protocols, their options and their defaults;
+    the command line reads them from there."""
+
+    def test_bench_flags_are_the_split_options(self):
+        actions = {a.dest: a for a in _subparser("bench")._actions}
+        options = {dest: a.default for dest, a in actions.items()
+                   if dest not in ("help", "protocol", "data", "config", "has_header")}
+        assert options == bench.SPLIT_OPTIONS
+        assert tuple(actions["protocol"].choices) == bench.PROTOCOLS
+
+    def test_grid_config_is_the_gp_grids_and_the_split_options(self):
+        assert bench.GRID_CONFIG == {
+            "protocol": "uci", "lengthscales": bench.DEFAULT_GP_LENGTHSCALES,
+            "signal_variances": bench.DEFAULT_GP_SIGNAL_VARIANCES,
+            "sigma2s": bench.DEFAULT_GP_SIGMA2S, **bench.SPLIT_OPTIONS,
+        }
+
+
 class TestGpBaseline:
     def test_runs_with_grid_config(self, tmp_path, capsys):
         data = _synth(tmp_path, n=50)
@@ -1083,6 +1166,14 @@ class TestGpBaseline:
         capsys.readouterr()
         assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 2
         assert capsys.readouterr().err == "error: toy_n must be >= 2, got 1\n"
+
+    def test_unknown_protocol_is_named_before_data_is_asked_for(self, tmp_path, capsys):
+        # this exited 2 asking for --data for the foo protocol
+        gc = tmp_path / "grid.json"
+        gc.write_text(json.dumps({"protocol": "foo"}))
+        capsys.readouterr()
+        assert cli.main(["gp-baseline", "--grid-config", str(gc)]) == 2
+        assert capsys.readouterr().err == "error: unknown protocol 'foo'\n"
 
     def test_non_object_grid_config_is_data_error(self, tmp_path):
         gc = tmp_path / "grid.json"

@@ -789,6 +789,22 @@ class TestTrain:
         assert peak <= 21e6
 
     @pytest.mark.parametrize("family", ["bnn", "ns"])
+    def test_step_peak_memory_doubles_at_most_with_n(self, family):
+        # full-batch steps at S=20 peak at 1.90-1.99x their N=1000 peak at
+        # N=2000; one N x N array in the step would take the ratio past 3
+        peaks = []
+        for n in (1000, 2000):
+            ds = standardize(synth_toy(n, 0, "std"))
+            cfg = TrainConfig(prior_family=family, num_draws=20, epochs=2, seed=1)
+            tracemalloc.start()
+            try:
+                train(ds.x, ds.y, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.2 * peaks[0]
+
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
     def test_step_tape_size_does_not_depend_on_n(self, family, monkeypatch):
         # a step records a fixed graph over whole-batch arrays; a route that
         # recorded per point, or per pair of points, would grow with N

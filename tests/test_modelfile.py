@@ -99,11 +99,16 @@ class TestRoundTrip:
 
 
 def _carrying(prior):
-    """_small_model() with ``prior`` in place of its own, train.x as wide as
-    its inputs and no stats, so the model file stays consistent."""
+    """_small_model() with ``prior`` in place of its own, a config that
+    restates it, train.x as wide as its inputs and no stats, so the model
+    file stays consistent."""
     m = _small_model()
-    return replace(m, prior=prior, train_x=np.zeros((m.train_x.shape[0], prior.input_dim)),
-                   stats=None)
+    config = replace(m.config, prior_family=prior.family, hidden=prior.layer_sizes[1:-1],
+                     activation=prior.activation)
+    if prior.family == "ns":
+        config = replace(config, noise_dim=prior.noise_dim, noise_halfwidth=prior.noise_halfwidth)
+    return replace(m, prior=prior, config=config, stats=None,
+                   train_x=np.zeros((m.train_x.shape[0], prior.input_dim)))
 
 
 class TestBlocks:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from vip import autodiff as ad
 from vip import predict as pr
+from vip.data import standardize, synth_toy
 from vip.errors import DimensionError, NotPositiveDefiniteError, NumericalError, ParameterError
 from vip.inference import (
     SOFTPLUS_INV_ONE,
@@ -496,6 +498,23 @@ class TestPosteriorPredict:
             for field in ("mean", "var_y"):
                 want = getattr(together, field)[i]
                 assert getattr(alone, field)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
+    def test_exact_peak_memory_doubles_at_most_with_n(self, family):
+        # 1,000 rows from an S=20 model peak at 1.40-1.50x their N=1000 peak
+        # with N=2000 training points; an N x N array would take it past 3
+        xt = np.linspace(-3.0, 3.0, 1000).reshape(-1, 1)
+        peaks = []
+        for n in (1000, 2000):
+            ds = standardize(synth_toy(n, 0, "std"))
+            model = train(ds.x, ds.y, TrainConfig(prior_family=family, num_draws=20, epochs=0))
+            tracemalloc.start()
+            try:
+                posterior_predict(model, xt, mode="exact")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.2 * peaks[0]
 
     def test_bad_mode(self):
         model, x, y = small_model()

@@ -45,7 +45,8 @@ from pathlib import Path  # noqa: E402
 TRAIN_BASE = {"epochs": 25, "num_draws": 8, "hidden": [10, 10], "noise_dim": 3, "seed": 7}
 BENCH_BASE = {"epochs": 40, "num_draws": 10, "hidden": [10, 10], "sigma2_mode": "fixed"}
 
-# name, config (or None), argv after the config; each exits non-zero
+# name, config (or None; a string is written as it is), argv after the
+# config, which gp-baseline reads by --grid-config; each exits non-zero
 FAILING = [
     ("diverging-bnn-update", {"learning_rate": 1000.0, "epochs": 3},
      ["train", "--data", "toy300.csv"]),
@@ -62,6 +63,12 @@ FAILING = [
      ["predict", "--model", "absent.json", "--data", "rows.csv", "--out", "p.csv"]),
     ("eval-row-mismatch", None, ["eval", "--pred", "short.csv", "--data", "rows.csv"]),
     ("bench-uci-without-data", None, ["bench", "--protocol", "uci"]),
+    ("gp-baseline-unknown-protocol", {"protocol": "foo"}, ["gp-baseline"]),
+    ("repeated-config-key", '{"epochs": 1, "num_draws": 4, "epochs": 2}',
+     ["train", "--data", "train.csv"]),
+    # the first training config's model file, with config.hidden edited
+    ("config-disagrees-with-prior", None,
+     ["predict", "--model", "disagree.model.json", "--data", "rows.csv", "--out", "p.csv"]),
 ]
 
 
@@ -93,7 +100,7 @@ class _Runner:
 
 def _config(name, cfg) -> str:
     path = f"{name}.config.json"
-    Path(path).write_text(json.dumps(cfg, sort_keys=True))
+    Path(path).write_text(cfg if isinstance(cfg, str) else json.dumps(cfg, sort_keys=True))
     return path
 
 
@@ -153,9 +160,13 @@ def _run_commands(r: _Runner, configs) -> None:
 
     Path("bad.csv").write_text("0.5,1.0\n0.25,abc\n")
     Path("short.csv").write_text("x1,mean,var_y\n0.0,0.0,1.0\n")
+    model = json.loads(Path(f"{next(_train_configs())[0]}.model.json").read_text())
+    model["config"]["hidden"] = [7, 7]
+    Path("disagree.model.json").write_text(json.dumps(model))
     for name, cfg, argv in FAILING:
         if cfg is not None:
-            argv = argv + ["--config", _config(name, cfg)]
+            flag = "--grid-config" if argv[0] == "gp-baseline" else "--config"
+            argv = argv + [flag, _config(name, cfg)]
         if argv[0] == "train":
             argv = argv + ["--model-out", f"{name}.model.json"]
         r.run(f"fail-{name}", argv)
