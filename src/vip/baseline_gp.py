@@ -25,6 +25,8 @@ from .predict import PredictiveDistribution, _finish
 
 _JITTER = 1e-10
 _JITTER_RETRY = 1e-6
+# entries per block of rows in which ``RbfKernel.gram`` finishes its result
+_GRAM_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,10 @@ class RbfKernel:
             )
 
     def gram(self, xa, xb) -> np.ndarray:
-        """K(xa, xb). ``gram(x, x)`` converts x once and takes x @ x.T, which
-        numpy runs as a symmetric rank-k update, so it is exactly symmetric."""
+        """K(xa, xb), built in the one array it returns. ``gram(x, x)``
+        converts x once and takes x @ x.T, which numpy runs as a symmetric
+        rank-k update; every entry then goes through the same elementwise
+        ops, so it is exactly symmetric."""
         same = xb is xa
         xa = np.ascontiguousarray(as_matrix(xa, "kernel inputs"))
         xb = xa if same else as_matrix(xb, "kernel inputs")
@@ -54,17 +58,21 @@ class RbfKernel:
             raise ParameterError(
                 f"kernel inputs disagree on dimension: {xa.shape[1]} vs {xb.shape[1]}"
             )
-        # p before k, so that p, once freed, lies below k and the next N x N
-        # array reuses its pages instead of faulting in fresh ones
-        p = xa @ xb.T
-        p *= 2.0
-        k = np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :]
-        k -= p
-        np.maximum(k, 0.0, out=k)
-        k *= -0.5
-        k /= self.lengthscale**2
-        np.exp(k, out=k)
-        k *= self.signal_variance
+        k = xa @ xb.T
+        sa = np.sum(xa * xa, axis=1)[:, None]
+        sb = np.sum(xb * xb, axis=1)[None, :]
+        # k holds xa xb^T until each block of rows is doubled and replaced
+        # by its kernel values, so only a block-sized (sa + sb) sits beside it
+        rows = max(1, _GRAM_BLOCK // max(1, k.shape[1]))
+        for i in range(0, k.shape[0], rows):
+            blk = k[i : i + rows]
+            blk *= 2.0
+            np.subtract(sa[i : i + rows] + sb, blk, out=blk)
+            np.maximum(blk, 0.0, out=blk)
+            blk *= -0.5
+            blk /= self.lengthscale**2
+            np.exp(blk, out=blk)
+            blk *= self.signal_variance
         return k
 
 

@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .numkit import (
     STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, all_finite, as_matrix, as_vector,
-    check_value_types,
+    check_value_types, sum_of_squares,
 )
 from .priors import (
     FunctionDraws,
@@ -237,11 +237,15 @@ def _check_update(params: dict) -> None:
     """Reject an update that leaves a group where the model cannot read it:
     each group finite, exp of a BNN log-scale below inf (underflow to 0
     passes), and math.exp(log_sigma2) and softplus(q_diag) in (0, inf). The
-    error gives the first offending value and names every offending group."""
-    bad = []
+    error gives the first offending value and names every offending group.
+    Failing those, it rejects every group whose sum of squares overflows: a
+    group finite and in range but so large that the next step's products
+    overflow. One BLAS dot per group answers on the success path."""
+    bad, huge = [], []
     for name, a in params.items():
         what, value, low = name, a, -math.inf
-        if not all_finite(a):
+        squares = sum_of_squares(a)
+        if not (math.isfinite(squares) or all_finite(a)):
             pass
         elif name == "log_sigma2":
             try:
@@ -252,12 +256,15 @@ def _check_update(params: dict) -> None:
             what, value, low = "softplus(q_diag)", np.logaddexp(0.0, a), 0.0
         elif name.startswith(("w_log_scale_", "b_log_scale_")):
             what, value = f"exp({name})", np.exp(a)
-        else:
+        elif math.isfinite(squares):
             continue
         value = np.ravel(value)
         out = value[~((low < value) & (value < math.inf))]
         if out.size:
             bad.append((name, f"{name} out of range: {what} = {float(out[0])!r}"))
+        elif not math.isfinite(squares):
+            huge.append((name, f"{name} out of range: sum({name}**2) = {squares!r}"))
+    bad = bad or huge
     if bad:
         names = ", ".join(name for name, _ in bad)
         raise NumericalError(f"the Adam update took {bad[0][1]} (parameters: {names})")

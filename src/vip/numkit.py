@@ -173,6 +173,13 @@ def all_finite(a: np.ndarray) -> bool:
     return not math.isnan(ddot(a.ravel(), _ZEROS))
 
 
+def sum_of_squares(a: np.ndarray) -> float:
+    """The sum of a_i ** 2 by one BLAS dot of ``a`` with itself: inf once it
+    overflows, so also for a finite ``a`` whose norm exceeds a double's
+    range, and inf or NaN for an ``a`` with a non-finite entry. 0 when empty."""
+    return ddot(a.ravel(), a.ravel()) if a.size else 0.0
+
+
 def check_finite(a: np.ndarray, name: str = "array") -> np.ndarray:
     if not all_finite(a):
         raise NumericalError(f"{name} contains non-finite entries")

@@ -7,8 +7,9 @@ empirical kernel matrix that the rank-S feature route avoids forming, the
 shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops, ``Rng`` tracking
 its leftover words with an offset and its leftover normal as a float,
 Adam updating each parameter group on its own, as ``adam_step`` did before
-it moved to one flat buffer, and the Cholesky factor and GP log marginal as
-they were computed before ``numkit.cholesky`` factored in its input's memory.
+it moved to one flat buffer, the Cholesky factor and GP log marginal as
+they were computed before ``numkit.cholesky`` factored in its input's memory,
+and the RBF Gram as it was built before it was finished in its own memory.
 """
 
 import math
@@ -21,7 +22,7 @@ from vip import autodiff as ad
 from vip.baseline_gp import _JITTER, _JITTER_RETRY
 from vip.errors import ContractError, DimensionError, NotPositiveDefiniteError, ParameterError
 from vip.inference import ADAM_BETAS_EPS, LOG_2PI, CoefficientPosterior, _check_sigma2
-from vip.numkit import _GOLDEN, _MASK64, Rng, _mix64, as_vector
+from vip.numkit import _GOLDEN, _MASK64, Rng, _mix64, as_matrix, as_vector
 from vip.priors import FunctionDraws, kernel_normaliser
 
 
@@ -275,3 +276,22 @@ def copying_gp_log_marginal(kff: np.ndarray, y: np.ndarray, sigma2: float) -> fl
     return float(
         -0.5 * (alpha @ alpha) - np.sum(np.log(np.diag(la))) - 0.5 * n * LOG_2PI
     )
+
+
+def two_array_gram(kernel, xa, xb) -> np.ndarray:
+    """``RbfKernel.gram`` less its dimension check, as it was before it built
+    its result in its own memory: the doubled product and the full
+    (sa + sb) - 2p each take an N x M array of their own."""
+    same = xb is xa
+    xa = np.ascontiguousarray(as_matrix(xa, "kernel inputs"))
+    xb = xa if same else as_matrix(xb, "kernel inputs")
+    p = xa @ xb.T
+    p *= 2.0
+    k = np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :]
+    k -= p
+    np.maximum(k, 0.0, out=k)
+    k *= -0.5
+    k /= kernel.lengthscale**2
+    np.exp(k, out=k)
+    k *= kernel.signal_variance
+    return k

@@ -106,6 +106,53 @@ class TestKernel:
         g = RbfKernel(ls, sv).gram(x, x)
         assert np.array_equal(g, g.T)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 300), st.sampled_from([64, 65, 66, 131])),
+        m=st.one_of(st.integers(1, 1200), st.just(1000)),
+        d=st.integers(1, 13),
+        same=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        ls=st.one_of(st.floats(0.1, 5.0), st.just(1e-160)),
+        sv=st.floats(0.05, 5.0),
+    )
+    # at M = 1000 a block is 65 rows; a same-input Gram of 300 rows is
+    # two blocks; 1e-160 ** 2 is subnormal
+    @example(n=64, m=1000, d=1, same=False, seed=0, ls=1.0, sv=1.0)
+    @example(n=65, m=1000, d=2, same=False, seed=1, ls=1.0, sv=1.0)
+    @example(n=66, m=1000, d=3, same=False, seed=2, ls=0.5, sv=2.0)
+    @example(n=131, m=1000, d=13, same=False, seed=3, ls=2.0, sv=0.3)
+    @example(n=300, m=1, d=5, same=True, seed=4, ls=0.7, sv=1.3)
+    @example(n=66, m=1000, d=8, same=False, seed=5, ls=1e-160, sv=1.0)
+    def test_gram_is_bitwise_the_two_array_oracle(self, n, d, m, same, seed, ls, sv):
+        # built in its own memory, block by block, the Gram keeps the bits of
+        # the product and outer sum it made as two whole arrays
+        rng = np.random.default_rng(seed)
+        xa = rng.standard_normal((n, d))
+        xb = xa if same else rng.standard_normal((m, d))
+        kernel = RbfKernel(ls, sv)
+        with np.errstate(over="ignore"):
+            g = kernel.gram(xa, xb)
+            want = oracles.two_array_gram(kernel, xa, xb)
+        assert g.tobytes() == want.tobytes()
+        if same:
+            assert np.array_equal(g, g.T)
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_gram_peak_memory_is_one_array(self, same):
+        # the Gram is the one N x M array; the two-array oracle peaks at 2x
+        n = m = 1000
+        rng = np.random.default_rng(13)
+        xa = rng.standard_normal((n, 3))
+        xb = xa if same else rng.standard_normal((m, 3))
+        tracemalloc.start()
+        try:
+            RbfKernel(0.8, 1.2).gram(xa, xb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * m * 8
+
 
 class TestTrainMatrix:
     @staticmethod
@@ -227,6 +274,21 @@ class TestGpPredict:
             gp_log_marginal(0.7 * RbfKernel(0.9, 1.0).gram(x, x), y, 0.1)
         assert len(seen) == 2
         assert seen[0].tobytes() == seen[1].tobytes()
+
+    def test_peak_memory_is_two_gram_arrays(self):
+        # the training factor and K*, each N x N on a grid as large as the
+        # training set; a Gram built beside a second array would make three
+        n = 1000
+        rng = np.random.default_rng(14)
+        x, y = rng.standard_normal((n, 1)), rng.standard_normal(n)
+        grid = np.linspace(-3.0, 3.0, n)[:, None]
+        tracemalloc.start()
+        try:
+            gp_predict(RbfKernel(0.9, 0.7), x, y, 0.1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 * n * n * 8
 
 
 class TestLogMarginal:

@@ -1259,14 +1259,20 @@ class TestNoNumpyWarningsOnStderr:
         )
 
     def test_predict_from_an_overflowing_model(self, tmp_path):
-        # one step at lr 1e300 leaves finite ns weights whose draws overflow
+        # finite ns weights of about 1e300, whose draws overflow; training
+        # rejects an update that makes them, so the model file is edited
         data = str(tmp_path / "toy.csv")
         assert cli.main(["synth", "--n", "300", "--seed", "0", "--noise", "std",
                          "--out", data]) == 0
-        cfg = _cfg_file(tmp_path, {"epochs": 1, "num_draws": 5, "learning_rate": 1e300,
-                                   "hidden": [10, 10], "prior_family": "ns"})
+        cfg = _cfg_file(tmp_path, {"epochs": 1, "num_draws": 5, "hidden": [10, 10],
+                                   "prior_family": "ns"})
+        model = tmp_path / "m.json"
         assert cli.main(["train", "--data", data, "--config", cfg,
-                         "--model-out", str(tmp_path / "m.json")]) == 0
+                         "--model-out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        for block in ("weights", "biases"):
+            doc["prior"][block] = [np.copysign(1e300, a).tolist() for a in doc["prior"][block]]
+        model.write_text(json.dumps(doc))
         proc = _cli_process("predict", "--model", "m.json", "--data", "toy.csv",
                             "--out", "p.csv", cwd=tmp_path)
         assert proc.returncode == 4
@@ -1405,6 +1411,29 @@ class TestExitCodes:
         assert cli.main(argv) == 4
         assert capsys.readouterr().err == (
             f"error: epoch 0, batch at 0: the Adam update took {failure}\n"
+        )
+        assert not model.exists()
+
+    # epoch 0's update moved every group by about 1e300, finite and in
+    # range: two epochs failed in epoch 1's forward pass naming q_mu alone,
+    # and one epoch saved, at exit 0, a model both prediction routes reject
+    @pytest.mark.parametrize("epochs", [2, 1])
+    def test_finite_update_too_large_to_square_exits_4_at_its_step(
+        self, tmp_path, capsys, epochs
+    ):
+        data, model = str(tmp_path / "toy.csv"), tmp_path / "m.json"
+        assert cli.main(["synth", "--n", "300", "--seed", "0", "--noise", "std",
+                         "--out", data]) == 0
+        cfg = _cfg_file(tmp_path, {"epochs": epochs, "num_draws": 5, "learning_rate": 1e300,
+                                   "hidden": [10, 10], "prior_family": "ns",
+                                   "sigma2_mode": "fixed"})
+        capsys.readouterr()
+        argv = ["train", "--data", data, "--config", cfg, "--model-out", str(model)]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: epoch 0, batch at 0: the Adam update took w_0 out of range: "
+            "sum(w_0**2) = inf (parameters: w_0, b_0, w_1, b_1, w_2, b_2, q_mu, q_tril, "
+            "q_diag)\n"
         )
         assert not model.exists()
 

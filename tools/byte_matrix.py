@@ -17,6 +17,9 @@ path a command prints is the same relative path on both sides. It covers:
   the ``vip eval`` report of each CSV;
 - ``vip bench`` toy, uci and interp reports;
 - ``vip gp-baseline`` at N=80 and N=1000;
+- on a fixed CSV of 1,000 rows with three input columns, ``vip gp-baseline``
+  (uci, 2 splits) and one train, exact predict and eval, so multi-column
+  Grams and first layers are covered;
 - the exit code, stdout and stderr of a fixed list of failing invocations.
 
 ``--configs K`` runs only the first K training configs and nothing else,
@@ -38,6 +41,7 @@ import hashlib  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -50,7 +54,8 @@ BENCH_BASE = {"epochs": 40, "num_draws": 10, "hidden": [10, 10], "sigma2_mode": 
 FAILING = [
     ("diverging-bnn-update", {"learning_rate": 1000.0, "epochs": 3},
      ["train", "--data", "toy300.csv"]),
-    # q_mu reaches about 1e300 in epoch 0; epoch 1's forward pass overflows
+    # epoch 0's update moves every group by about 1e300: finite, but its
+    # sum of squares overflows
     ("diverging-ns-forward",
      {"epochs": 2, "num_draws": 5, "learning_rate": 1e300, "hidden": [10, 10],
       "prior_family": "ns", "sigma2_mode": "fixed"},
@@ -102,6 +107,13 @@ def _config(name, cfg) -> str:
     path = f"{name}.config.json"
     Path(path).write_text(cfg if isinstance(cfg, str) else json.dumps(cfg, sort_keys=True))
     return path
+
+
+def _d3_row(i: int) -> list:
+    """Row i of the three-column CSV: smooth inputs in [-2, 2] and a target
+    that reads all three."""
+    x = [2.0 * math.sin(0.37 * (i + 1) * (j + 1) + j) for j in range(3)]
+    return x + [math.sin(x[0]) + 0.5 * x[1] * x[2] + 0.1 * math.cos(7.0 * i)]
 
 
 def _train_configs():
@@ -157,6 +169,15 @@ def _run_commands(r: _Runner, configs) -> None:
     grid = _config("grid", {"splits": 2})
     for name, csv in (("gp-baseline-80", "train.csv"), ("gp-baseline-1000", "gp.csv")):
         r.run(name, ["gp-baseline", "--data", csv, "--grid-config", grid])
+
+    Path("d3.csv").write_text("".join(",".join(map(repr, _d3_row(i))) + "\n"
+                                      for i in range(1000)))
+    r.run("gp-baseline-d3", ["gp-baseline", "--data", "d3.csv", "--grid-config", grid])
+    r.run("train-d3", ["train", "--data", "d3.csv", "--config", _config("d3", TRAIN_BASE),
+                       "--model-out", "d3.model.json"], ["d3.model.json"])
+    r.run("predict-d3", ["predict", "--model", "d3.model.json", "--data", "d3.csv",
+                         "--coeff", "exact", "--out", "d3.exact.csv"], ["d3.exact.csv"])
+    r.run("eval-d3", ["eval", "--pred", "d3.exact.csv", "--data", "d3.csv"])
 
     Path("bad.csv").write_text("0.5,1.0\n0.25,abc\n")
     Path("short.csv").write_text("x1,mean,var_y\n0.0,0.0,1.0\n")
