@@ -93,7 +93,7 @@ def _cmd_train(args) -> int:
             "model": args.model_out,
             "rows": raw.n,
             "features": raw.d,
-            "seed": model.seed,
+            "seed": model.config.seed,
             "sigma2": float(model.sigma2),
             "final_loss": model.loss_trace[-1] if model.loss_trace else None,
         }

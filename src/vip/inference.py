@@ -33,7 +33,9 @@ from .numkit import (
     check_value_types, sum_of_squares,
 )
 from .priors import (
+    FAMILIES,
     FunctionDraws,
+    check_settings,
     init_prior,
     kernel_normaliser,
     moment_constants,
@@ -321,8 +323,11 @@ class TrainConfig:
             raise ParameterError("sigma2_grid must be non-empty and positive")
         # rejects an unknown estimator or a negative psi
         kernel_normaliser(self.num_draws, self.estimator, self.psi)
-        if self.prior_family not in ("bnn", "ns"):
+        if self.prior_family not in FAMILIES:
             raise ParameterError(f"unknown prior_family {self.prior_family!r}")
+        # so every config that builds can be trained; a bnn reads no noise settings
+        noise = (self.noise_dim, self.noise_halfwidth) if self.prior_family == "ns" else (0, 0.0)
+        check_settings(self.prior_family, self.hidden, self.activation, *noise)
         if self.coeff_mode not in ("exact", "learned", "auto"):
             raise ParameterError(f"unknown coeff_mode {self.coeff_mode!r}")
 
@@ -343,13 +348,13 @@ class TrainConfig:
 
 @dataclass
 class TrainedModel:
-    """Everything prediction needs: prior, q, noise, seed, and the train block."""
+    """Everything prediction needs: prior, q, noise, the config (whose seed
+    sets the prediction stream) and the train block."""
 
     prior: object
     q: CoefficientPosterior
     sigma2: float
     config: TrainConfig
-    seed: int
     loss_trace: list
     train_x: np.ndarray
     train_y: np.ndarray
@@ -480,7 +485,6 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
         q=q_from_raw(params["q_mu"], params["q_tril"], params["q_diag"]),
         sigma2=sigma2,
         config=config,
-        seed=config.seed,
         loss_trace=trace,
         train_x=x,
         train_y=y,

@@ -71,7 +71,7 @@ def model_to_dict(model: TrainedModel) -> dict:
         prior.update(noise_dim=p.noise_dim, noise_halfwidth=p.noise_halfwidth)
     return {
         "format_version": FORMAT_VERSION,
-        "seed": int(model.seed),
+        "seed": model.config.seed,
         "sigma2": float(model.sigma2),
         "config": model.config.to_dict(),
         "prior": prior,
@@ -111,9 +111,10 @@ def _check_stats(stats: Stats, input_dim: int) -> None:
         raise ModelFileError("stats.target_std must be positive and finite")
 
 
-def _check_agreement(config: TrainConfig, prior: Prior, seed: int) -> None:
-    """The config block restates the prior's settings and the file's seed;
-    each copy must agree. A bnn prior has no noise settings, so its config's go unread."""
+def _check_agreement(config: dict, prior: Prior, seed: int) -> None:
+    """The config block, its values type-checked and its missing keys at
+    their defaults, restates the prior's settings and the file's seed; each
+    copy must agree. A bnn prior has no noise settings, so its config's go unread."""
     sizes = list(prior.layer_sizes)
     rules = [("prior_family", "prior.family", prior.family, prior.family),
              ("hidden", "prior.layer_sizes", sizes, sizes[1:-1]),
@@ -123,7 +124,7 @@ def _check_agreement(config: TrainConfig, prior: Prior, seed: int) -> None:
         rules += [(k, f"prior.{k}", getattr(prior, k), getattr(prior, k))
                   for k in ("noise_dim", "noise_halfwidth")]
     for key, other, shown, expected in rules:
-        value = getattr(config, key)
+        value = config[key]
         value = list(value) if isinstance(value, tuple) else value
         if value != expected:
             raise ModelFileError(
@@ -154,11 +155,12 @@ def model_from_dict(d: dict) -> TrainedModel:
         # typed here as well as in TrainConfig, so that the error names config.<key>
         cfg = d["config"]
         check_value_types({k: cfg[k] for k in _CONFIG if k in cfg}, _CONFIG, "config.")
+        # before TrainConfig, whose rule for the prior's settings names no block
+        _check_agreement({**_CONFIG, **cfg}, prior, top["seed"])
         try:
             config = TrainConfig.from_dict(cfg)
         except ParameterError as e:  # a range or unknown-key error names no block
             raise ParameterError(f"config: {e}") from e
-        _check_agreement(config, prior, top["seed"])
         stats = None if d.get("stats") is None else Stats(**_read(d["stats"], "stats.", _STATS))
         train = _read(d["train"], "train.", _TRAIN)
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError, DimensionError) as e:
@@ -182,7 +184,7 @@ def model_from_dict(d: dict) -> TrainedModel:
     if stats is not None:
         _check_stats(stats, prior.input_dim)
     return TrainedModel(
-        prior=prior, q=q, sigma2=sigma2, config=config, seed=top["seed"], loss_trace=[],
+        prior=prior, q=q, sigma2=sigma2, config=config, loss_trace=[],
         train_x=train_x, train_y=train_y, stats=stats,
     )
 

@@ -143,7 +143,7 @@ def posterior_predict(
     if mode not in ("exact", "learned"):
         raise ParameterError(f"unknown prediction mode {mode!r}")
     s = cfg.num_draws
-    rng = Rng(model.seed, STREAM_PREDICT)
+    rng = Rng(cfg.seed, STREAM_PREDICT)
     denom, ridge = kernel_normaliser(s, cfg.estimator, cfg.psi)
 
     if mode == "learned":

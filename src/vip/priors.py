@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DimensionError, ParameterError
-from .numkit import Rng, as_matrix, check_value_types
+from .numkit import Rng, as_matrix, check_finite, check_value_types
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -49,9 +49,34 @@ _LAYOUT = {
 }
 
 
+FAMILIES = tuple(_LAYOUT)
+
+
 def _check_family(family):
     if family not in _LAYOUT:
         raise ParameterError(f"unknown prior family {family!r}")
+
+
+def check_settings(family: str, hidden, activation: str, noise_dim: int, noise_halfwidth: float):
+    """Reject the first setting that no prior of a known ``family`` takes
+    at any input width, naming it: a hidden width below 1, an unknown
+    activation, any noise input for a bnn, and for an ns prior fewer than
+    one noise input or a noise range [-a, a) whose width 2a is negative or
+    not finite. ``Prior`` and ``TrainConfig`` check by this one rule.
+    """
+    if any(h < 1 for h in hidden):
+        raise ParameterError(f"hidden widths must be >= 1, got {list(hidden)}")
+    if activation not in _ACTIVATIONS:
+        raise ParameterError(f"activation must be one of {_ACTIVATIONS}, got {activation!r}")
+    if family == "bnn" and (noise_dim or noise_halfwidth):
+        raise ParameterError("only the ns family takes noise inputs")
+    if family == "ns" and noise_dim < 1:
+        raise ParameterError(f"noise_dim must be >= 1, got {noise_dim}")
+    if not 0.0 <= 2.0 * noise_halfwidth < np.inf:
+        raise ParameterError(
+            f"noise_halfwidth must be >= 0 with 2 * noise_halfwidth finite, "
+            f"got {noise_halfwidth}"
+        )
 
 
 # the JSON types of a Prior's settings, as check_value_types reads them
@@ -82,21 +107,9 @@ class Prior:
         _check_family(self.family)
         self.layer_sizes = tuple(self.layer_sizes)
         _check_layers(self.layer_sizes)
-        if self.activation not in _ACTIVATIONS:
-            raise ParameterError(
-                f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}"
-            )
         self.noise_halfwidth = float(self.noise_halfwidth)  # a checked integer becomes a float
-        if self.family == "bnn" and (self.noise_dim or self.noise_halfwidth):
-            raise ParameterError("only the ns family takes noise inputs")
-        if self.family == "ns" and self.noise_dim < 1:
-            raise ParameterError(f"noise_dim must be >= 1, got {self.noise_dim}")
-        # the noise is drawn from [-a, a), whose width 2a must be finite too
-        if not 0.0 <= 2.0 * self.noise_halfwidth < np.inf:
-            raise ParameterError(
-                f"noise_halfwidth must be >= 0 with 2 * noise_halfwidth finite, "
-                f"got {self.noise_halfwidth}"
-            )
+        check_settings(self.family, self.layer_sizes[1:-1], self.activation, self.noise_dim,
+                       self.noise_halfwidth)
         if self.layer_sizes[0] <= self.noise_dim:
             raise ParameterError("first layer must be wider than noise_dim (x gets the rest)")
         shapes = {}
@@ -162,22 +175,20 @@ def init_prior(
     return Prior(family, sizes, activation, params, noise_dim, noise_halfwidth)
 
 
-_StepConstants = namedtuple("_StepConstants", "mean_row ones_col ones_row eye strict")
+_StepConstants = namedtuple("_StepConstants", "ones_col ones_row eye strict")
 
 
 @lru_cache(maxsize=16)
 def moment_constants(s: int) -> _StepConstants:
     """A training step's constants at S draws.
 
-    The (1,S) row of 1/S and the (S,1) ones column form the draws' moments;
-    the identity's columns place taped BNN draws in their rows; the (1,S)
-    ones row, the identity and the strict lower mask build q's factor L.
-    Built once per S and read-only, since every step at that S shares them.
-    Numeric draws, whose S may be far larger, make their two moment arrays.
+    The (S,1) ones column sums the energy's per-draw terms; the identity's
+    columns place taped BNN draws in their rows; the (1,S) ones row, the
+    identity and the strict lower mask build q's factor L. Built once per S
+    and read-only, since every step at that S shares them.
     """
     out = _StepConstants(
-        np.full((1, s), 1.0 / s), np.ones((s, 1)), np.ones((1, s)), np.eye(s),
-        np.tril(np.ones((s, s)), -1),
+        np.ones((s, 1)), np.ones((1, s)), np.eye(s), np.tril(np.ones((s, s)), -1),
     )
     for a in out:
         a.flags.writeable = False
@@ -208,16 +219,6 @@ class FunctionDraws:
     @property
     def num_points(self) -> int:
         return self.values.shape[1]
-
-    @classmethod
-    def from_matrix(cls, f) -> "FunctionDraws":
-        f = as_matrix(f, "draw matrix")
-        if f.shape[0] < 2:
-            raise ParameterError(f"need at least 2 draws, got {f.shape[0]}")
-        s = f.shape[0]
-        mean = np.full((1, s), 1.0 / s) @ f
-        deltas = f - np.ones((s, 1)) @ mean
-        return cls(f, mean, deltas)
 
     def slice_columns(self, start: int, stop: int) -> "FunctionDraws":
         if self.is_symbolic:
@@ -303,19 +304,19 @@ def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None)
             term = ad.matmul(tape.constant(eye[:, k : k + 1]), row)
             f = term if f is None else ad.add(f, term)
     if tape is None:
-        return FunctionDraws.from_matrix(f)
-    c = moment_constants(s)
-    mean = ad.matmul(tape.constant(c.mean_row), f)
-    deltas = ad.sub(f, ad.matmul(tape.constant(c.ones_col), mean))
+        check_finite(f, "draw matrix")
+    # arrays made per call: moment_constants builds S x S masks, and numeric S runs to thousands
+    mean = ops.matmul(ops.const(np.full((1, s), 1.0 / s)), f)
+    deltas = ops.sub(f, ops.matmul(ops.const(np.ones((s, 1))), mean))
     return FunctionDraws(f, mean, deltas)
 
 
 # The arithmetic of a forward pass: plain numpy for prediction, tape ops for training.
 # The numpy add_row and tanh write over their first operand, which is always an
 # array the pass has just made; at S*N rows that saves two large temporaries.
-_Ops = namedtuple("_Ops", "const add mul exp matmul add_row tanh relu reshape")
+_Ops = namedtuple("_Ops", "const add sub mul exp matmul add_row tanh relu reshape")
 _NUMPY_OPS = _Ops(
-    lambda v: v, np.add, np.multiply, np.exp, np.matmul,
+    lambda v: v, np.add, np.subtract, np.multiply, np.exp, np.matmul,
     lambda h, b: np.add(h, b, out=h), lambda h: np.tanh(h, out=h),
     lambda h: np.where(h > 0.0, h, 0.0), np.reshape,
 )
@@ -323,8 +324,8 @@ _NUMPY_OPS = _Ops(
 
 def _tape_ops(tape) -> _Ops:
     return _Ops(
-        tape.constant, ad.add, ad.mul, ad.vexp, ad.matmul, ad.broadcast_add_row, ad.vtanh, ad.relu,
-        ad.reshape,
+        tape.constant, ad.add, ad.sub, ad.mul, ad.vexp, ad.matmul, ad.broadcast_add_row,
+        ad.vtanh, ad.relu, ad.reshape,
     )
 
 

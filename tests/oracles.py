@@ -2,10 +2,11 @@
 
 No code path of ``vip`` calls these. They are the scalar, per-point forms of
 quantities the package computes batched on the tape (the alpha and ELBO
-data terms, the KL), a finite-difference gradient checker, the dense
-empirical kernel matrix that the rank-S feature route avoids forming, the
-shuffles of :class:`vip.numkit.Rng` as numpy-scalar loops, ``Rng`` tracking
-its leftover words with an offset and its leftover normal as a float,
+data terms, the KL), a finite-difference gradient checker, a draw set's
+moments formed from a given matrix of function values, the dense empirical
+kernel matrix that the rank-S feature route avoids forming, the shuffles of
+:class:`vip.numkit.Rng` as numpy-scalar loops, ``Rng`` tracking its
+leftover words with an offset and its leftover normal as a float,
 Adam updating each parameter group on its own, as ``adam_step`` did before
 it moved to one flat buffer, the Cholesky factor and GP log marginal as
 they were computed before ``numkit.cholesky`` factored in its input's memory,
@@ -110,6 +111,18 @@ def grad_check(build, point, h: float = 1e-5) -> float:
         numeric[idx] = (f(hi) - f(lo)) / (2.0 * h)
     rel = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-8)
     return float(rel.max()) if rel.size else 0.0
+
+
+def draws_from_matrix(f) -> FunctionDraws:
+    """A numeric draw set made from an S x N matrix of function values, its
+    mean and deltas formed as ``sample_functions`` forms them."""
+    f = as_matrix(f, "draw matrix")
+    if f.shape[0] < 2:
+        raise ParameterError(f"need at least 2 draws, got {f.shape[0]}")
+    s = f.shape[0]
+    mean = np.full((1, s), 1.0 / s) @ f
+    deltas = f - np.ones((s, 1)) @ mean
+    return FunctionDraws(f, mean, deltas)
 
 
 def empirical_kernel_matrix(

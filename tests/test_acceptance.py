@@ -26,11 +26,12 @@ from vip.data import load_csv
 from vip.inference import CoefficientPosterior, TrainConfig, energy_loss
 from vip.numkit import Rng
 from vip.predict import exact_coefficient_posterior, predict_features
-from vip.priors import FunctionDraws, init_prior, sample_functions
+from vip.priors import init_prior, sample_functions
 
 from oracles import (
     alpha_local_term,
     cov,
+    draws_from_matrix,
     elbo_local_term,
     empirical_kernel_matrix,
     kl_standard_normal,
@@ -140,7 +141,7 @@ def test_criterion_03_dense_feature_equivalence():
         s = int(rng.integers(2, 11))
         n = int(rng.integers(1, 51))
         k = int(rng.integers(1, 11))
-        joint = FunctionDraws.from_matrix(rng.standard_normal((s, n + k)))
+        joint = draws_from_matrix(rng.standard_normal((s, n + k)))
         dt = joint.slice_columns(0, n)
         ds = joint.slice_columns(n, n + k)
         y = rng.standard_normal(n)
@@ -289,14 +290,14 @@ def test_criterion_07_kernel_estimators():
     for _ in range(50):
         s = int(rng.integers(2, 41))
         n = int(rng.integers(2, 31))
-        draws = FunctionDraws.from_matrix(rng.standard_normal((s, n)) * (0.1 + rng.random()))
+        draws = draws_from_matrix(rng.standard_normal((s, n)) * (0.1 + rng.random()))
         kmat = empirical_kernel_matrix(draws, estimator="mle")
         w = np.linalg.eigvalsh((kmat + kmat.T) / 2)
         min_eig = min(min_eig, float(w[0]))
     psd_ok = min_eig >= -1e-8
 
     # (b) two-draw hand example, exact in float64
-    two = FunctionDraws.from_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
+    two = draws_from_matrix(np.array([[1.0, 3.0], [3.0, 1.0]]))
     mle = empirical_kernel_matrix(two, estimator="mle")
     pm = empirical_kernel_matrix(two, estimator="pm", psi=0.1)
     hand_ok = np.array_equal(mle, np.array([[1.0, -1.0], [-1.0, 1.0]])) and np.array_equal(
@@ -315,7 +316,7 @@ def test_criterion_07_kernel_estimators():
     for _ in range(5):
         x1, x2 = oracle_rng.standard_normal(2)
         f = np.tanh(np.outer(w, np.array([x1, x2])) + b[:, None])
-        est = empirical_kernel_matrix(FunctionDraws.from_matrix(f), estimator="mle")[0, 1]
+        est = empirical_kernel_matrix(draws_from_matrix(f), estimator="mle")[0, 1]
         mc = float(np.mean(np.tanh(w2 * x1 + b2) * np.tanh(w2 * x2 + b2)))
         conv_worst = max(conv_worst, abs(est - mc))
     conv_ok = conv_worst <= 0.05

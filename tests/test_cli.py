@@ -59,7 +59,7 @@ def _synth(tmp_path, n=30, seed=1, name="data.csv"):
 class TestSynth:
     def test_writes_rows(self, tmp_path, capsys):
         path = _synth(tmp_path, n=25)
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert len(lines) == 25
         assert all(len(l.split(",")) == 2 for l in lines)
         summary = json.loads(capsys.readouterr().out)
@@ -68,7 +68,7 @@ class TestSynth:
     def test_deterministic_bytes(self, tmp_path):
         a = _synth(tmp_path, seed=4, name="a.csv")
         b = _synth(tmp_path, seed=4, name="b.csv")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_bad_n_is_usage_error(self, tmp_path):
         assert cli.main(["synth", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
@@ -85,7 +85,7 @@ class TestTrain:
         )
         assert rc == 0
         m = load_model(model_out)
-        assert m.seed == 7
+        assert m.config.seed == 7
         summary = json.loads(capsys.readouterr().out)
         assert summary["rows"] == 30 and summary["features"] == 1
 
@@ -97,7 +97,7 @@ class TestTrain:
             assert cli.main(
                 ["train", "--data", data, "--config", cfg, "--seed", "3", "--model-out", out]
             ) == 0
-        assert open(m1, "rb").read() == open(m2, "rb").read()
+        assert Path(m1).read_bytes() == Path(m2).read_bytes()
 
     def test_noise_halfwidth_with_overflowing_range_is_usage_error(self, tmp_path, capsys):
         # the noise range 2 * 1e308 overflowed in the first step's draw, and
@@ -179,7 +179,7 @@ class TestPredictEval:
         pred_out = str(tmp_path / "p.csv")
         assert cli.main(["train", "--data", data, "--config", cfg, "--model-out", model_out]) == 0
         assert cli.main(["predict", "--model", model_out, "--data", data, "--out", pred_out]) == 0
-        rows = open(pred_out).read().strip().split("\n")
+        rows = Path(pred_out).read_text().strip().split("\n")
         assert rows[0] == "x1,mean,var_y"
         assert len(rows) == 41
         capsys.readouterr()
@@ -200,7 +200,7 @@ class TestPredictEval:
         pred_out = str(tmp_path / "p.csv")
         assert cli.main(["train", "--data", str(data), "--config", cfg, "--model-out", model_out]) == 0
         assert cli.main(["predict", "--model", model_out, "--data", str(data), "--out", pred_out]) == 0
-        means = [float(l.split(",")[1]) for l in open(pred_out).read().strip().split("\n")[1:]]
+        means = [float(l.split(",")[1]) for l in Path(pred_out).read_text().strip().split("\n")[1:]]
         assert 40 < np.mean(means) < 60
 
     def test_coeff_mode_flag(self, tmp_path):
@@ -213,8 +213,8 @@ class TestPredictEval:
             assert cli.main(
                 ["predict", "--model", model_out, "--data", data, "--out", out, "--coeff", mode]
             ) == 0
-        a = open(str(tmp_path / "p_learned.csv")).read()
-        b = open(str(tmp_path / "p_exact.csv")).read()
+        a = (tmp_path / "p_learned.csv").read_text()
+        b = (tmp_path / "p_exact.csv").read_text()
         assert a != b
 
     def test_exact_route_where_only_a_second_factorisation_would_fail(self, tmp_path):

@@ -583,6 +583,20 @@ class TestTrainConfig:
         assert back == cfg
         assert json.dumps(back.to_dict(), allow_nan=False) == text
 
+    # each built, then failed in train's init_prior
+    @pytest.mark.parametrize("key, value, family", [
+        ("activation", "sigmoid", "bnn"), ("hidden", (0,), "bnn"), ("hidden", (-3,), "bnn"),
+        ("noise_dim", 0, "ns"), ("noise_halfwidth", -1.0, "ns"), ("noise_halfwidth", 1e308, "ns"),
+    ])
+    def test_a_prior_setting_no_prior_takes_is_rejected_when_built(self, key, value, family):
+        with pytest.raises(ParameterError, match=f"^{key} "):
+            TrainConfig(prior_family=family, **{key: value})
+
+    def test_a_bnn_config_leaves_its_unread_noise_settings_unchecked(self):
+        cfg = TrainConfig(epochs=1, num_draws=2, hidden=(3,), noise_dim=0, noise_halfwidth=-1.0)
+        x, y = tiny_data()
+        assert len(train(x, y, cfg).loss_trace) == 1
+
     def test_round_trip(self):
         cfg = TrainConfig(alpha=0.25, hidden=(7,), sigma2_mode="fixed")
         back = TrainConfig.from_dict(cfg.to_dict())

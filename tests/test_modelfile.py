@@ -17,8 +17,9 @@ from vip.modelfile import (
     model_to_dict,
     save_model,
 )
-from vip.numkit import Rng
-from vip.priors import init_prior, sample_functions
+from vip.numkit import STREAM_PREDICT, Rng
+from vip.predict import posterior_predict, predict_features
+from vip.priors import init_prior, kernel_normaliser, sample_functions
 
 
 def _small_model(seed=0, family="bnn"):
@@ -65,13 +66,30 @@ class TestRoundTrip:
         save_model(m, str(p))
         m2 = load_model(str(p))
         assert m2.sigma2 == m.sigma2
-        assert m2.seed == m.seed
+        assert m2.config.seed == m.config.seed
         assert m2.config.to_dict() == m.config.to_dict()
         np.testing.assert_array_equal(m2.q.mu, m.q.mu)
         np.testing.assert_array_equal(m2.q.chol, m.q.chol)
         np.testing.assert_array_equal(m2.train_x, m.train_x)
         np.testing.assert_array_equal(m2.train_y, m.train_y)
         assert m2.stats.target_std == m.stats.target_std
+
+    def test_a_replaced_config_seed_is_the_seed_saved_loaded_and_predicted_from(self, tmp_path):
+        # the model once held its own copy of the seed: this model predicted
+        # from stream 0 and saved a file that failed to load
+        m = _small_model()
+        m = replace(m, config=replace(m.config, seed=5))
+        x = np.linspace(-1.0, 1.0, 6).reshape(-1, 1)
+        draws = sample_functions(m.prior, x, 4, Rng(5, STREAM_PREDICT))
+        want = predict_features(draws, m.q, m.sigma2, *kernel_normaliser(4, "mle"))
+        p = tmp_path / "m.json"
+        save_model(m, str(p))
+        loaded = load_model(str(p))
+        assert json.loads(p.read_text())["seed"] == loaded.config.seed == 5
+        for model in (m, loaded):
+            got = posterior_predict(model, x, mode="learned")
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.var_y.tobytes() == want.var_y.tobytes()
 
     @pytest.mark.parametrize("existing", [None, b"a model saved earlier\n"], ids=["new", "existing"])
     def test_failed_save_leaves_the_file_as_it_was(self, tmp_path, existing):

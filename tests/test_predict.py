@@ -26,9 +26,9 @@ from vip.predict import (
     posterior_predict,
     predict_features,
 )
-from vip.priors import FunctionDraws, init_prior, sample_functions
+from vip.priors import init_prior, sample_functions
 
-from oracles import cov, standard_posterior
+from oracles import cov, draws_from_matrix, standard_posterior
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -160,9 +160,9 @@ def dense_oracle(joint, n, y, sigma2, estimator="mle", psi=0.0):
 
 def fixed_model(prior, x, y, sigma2, num_draws, seed=0, **cfg):
     """A trained model as prediction reads it: the standard q and a fixed sigma2."""
-    config = TrainConfig(num_draws=num_draws, sigma2_mode="fixed", sigma2=sigma2, **cfg)
+    config = TrainConfig(num_draws=num_draws, sigma2_mode="fixed", sigma2=sigma2, seed=seed, **cfg)
     q = standard_posterior(num_draws)
-    return TrainedModel(prior, q, sigma2, config, seed, [], x, y)
+    return TrainedModel(prior, q, sigma2, config, [], x, y)
 
 
 def predict_on(joint, n, y, sigma2, **cfg):
@@ -182,7 +182,7 @@ class TestPredictDense:
 
     def test_matches_hand_gp_formulas(self):
         rng = np.random.default_rng(3)
-        joint = FunctionDraws.from_matrix(rng.standard_normal((7, 6)))
+        joint = draws_from_matrix(rng.standard_normal((7, 6)))
         y = rng.standard_normal(4)
         sig2 = 0.3
         got = predict_on(joint, 4, y, sig2)
@@ -201,7 +201,7 @@ class TestPredictDense:
         d = rng.standard_normal((10, 3))
         d[:, 2] = rng.standard_normal(10) * 2.0
         f = d + 5.0
-        joint = FunctionDraws.from_matrix(f)
+        joint = draws_from_matrix(f)
         joint.deltas[:, 2] -= joint.deltas[:, 2].mean()
         joint.deltas[:, :2] = np.linalg.qr(joint.deltas[:, :2])[0] * 3
         joint.deltas[:, 2] -= joint.deltas[:, :2] @ (
@@ -214,7 +214,7 @@ class TestPredictDense:
 
     def test_interpolates_at_tiny_noise(self):
         dt, _ = joint_draws(seed=5, n_train=5, n_test=0, s=12)
-        joint = FunctionDraws.from_matrix(np.hstack([dt.values, dt.values]))
+        joint = draws_from_matrix(np.hstack([dt.values, dt.values]))
         y = np.sin(np.arange(5.0))
         got = predict_on(joint, 5, y, 1e-10)
         np.testing.assert_allclose(got.mean, y, atol=1e-4)
@@ -227,13 +227,13 @@ class TestPredictDense:
             f = rng.standard_normal((s, n + 3))
             y = rng.standard_normal(n + 1)
             # the same two test columns after n, then n + 1, training columns
-            small = predict_on(FunctionDraws.from_matrix(np.delete(f, n, axis=1)), n, y[:n], 0.2)
-            big = predict_on(FunctionDraws.from_matrix(f), n + 1, y, 0.2)
+            small = predict_on(draws_from_matrix(np.delete(f, n, axis=1)), n, y[:n], 0.2)
+            big = predict_on(draws_from_matrix(f), n + 1, y, 0.2)
             assert np.all(big.var_f <= small.var_f + 1e-8)
 
     def test_pm_ridge_inflates_variance(self):
         dt, ds = joint_draws(seed=7)
-        joint = FunctionDraws.from_matrix(np.hstack([dt.values, ds.values]))
+        joint = draws_from_matrix(np.hstack([dt.values, ds.values]))
         y = np.zeros(dt.num_points)
         plain = predict_on(joint, dt.num_points, y, 0.1, estimator="pm", psi=0.0)
         ridged = predict_on(joint, dt.num_points, y, 0.1, estimator="pm", psi=0.5)
@@ -285,7 +285,7 @@ class TestWoodburyEquivalence:
         # S > N: more coefficients than training points; S <= N: Kff has rank < N
         dt, ds = joint_draws(seed=seed, n_train=n, n_test=k, s=s)
         y = np.random.default_rng(seed).standard_normal(n)
-        joint = FunctionDraws.from_matrix(np.hstack([dt.values, ds.values]))
+        joint = draws_from_matrix(np.hstack([dt.values, ds.values]))
         mean, var_f = dense_oracle(joint, n, y, sig2)
         b = dt.deltas.T / math.sqrt(dt.num_draws)
         q = exact_coefficient_posterior(b, y - dt.mean[0], sig2)
@@ -416,7 +416,7 @@ class TestPosteriorPredict:
         xt = np.linspace(-1.5, 1.5, 6).reshape(-1, 1)
         got = posterior_predict(model, xt, mode="exact")
         s = model.config.num_draws
-        joint = sample_functions(model.prior, np.vstack([x, xt]), s, Rng(model.seed, STREAM_PREDICT))
+        joint = sample_functions(model.prior, np.vstack([x, xt]), s, Rng(model.config.seed, STREAM_PREDICT))
         dt = joint.slice_columns(0, 14)
         ds = joint.slice_columns(14, 20)
         b = dt.deltas.T / math.sqrt(s)
@@ -448,7 +448,7 @@ class TestPosteriorPredict:
         model, x, y = small_model(estimator="pm", psi=0.1)
         xt = np.array([[0.3], [1.4]])
         out = posterior_predict(model, xt, mode="exact")
-        joint = sample_functions(model.prior, np.vstack([x, xt]), 5, Rng(model.seed, STREAM_PREDICT))
+        joint = sample_functions(model.prior, np.vstack([x, xt]), 5, Rng(model.config.seed, STREAM_PREDICT))
         mean, var_f = dense_oracle(joint, 14, model.train_y, model.sigma2, "pm", 0.1)
         np.testing.assert_allclose(out.mean, mean, rtol=1e-8, atol=1e-8)
         np.testing.assert_allclose(out.var_f, var_f, rtol=1e-8, atol=1e-8)
@@ -458,7 +458,7 @@ class TestPosteriorPredict:
         xt = np.array([[0.3], [1.4]])
         got = posterior_predict(model, xt, mode="learned")
         s = model.config.num_draws
-        draws = sample_functions(model.prior, xt, s, Rng(model.seed, STREAM_PREDICT))
+        draws = sample_functions(model.prior, xt, s, Rng(model.config.seed, STREAM_PREDICT))
         want = predict_features(draws, model.q, model.sigma2, s - 1, 0.3)
         for field in ("mean", "var_f", "var_y"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()

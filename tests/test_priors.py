@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +10,13 @@ from vip import priors
 from vip.errors import ContractError, DimensionError, ParameterError
 from vip.numkit import Rng
 from vip.priors import (
-    FunctionDraws,
     Prior,
     init_prior,
     kernel_normaliser,
     sample_functions,
 )
 
-from oracles import empirical_kernel_matrix
+from oracles import draws_from_matrix, empirical_kernel_matrix
 
 
 def toy_bnn(seed=0, sizes=(1, 5, 1)):
@@ -87,6 +88,37 @@ class TestSampleShapes:
             (symbolic.deltas.value, numeric.deltas),
         ):
             assert got.tobytes() == want.tobytes()
+
+
+class TestNumericMoments:
+    """Numeric draws form the reference moments of their values, and, since
+    their S may be many thousands, with no S x S array; this class runs
+    before the S = 20,000 draw below."""
+
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
+    def test_peak_is_linear_in_s_and_below_one_s_by_s_array(self, family):
+        priors.moment_constants.cache_clear()
+        prior = init_prior(family, 1, (10, 10), "tanh", Rng(0, 0))
+        x = np.linspace(-1.0, 1.0, 10).reshape(-1, 1)
+        peaks = {}
+        for s in (2000, 4000):
+            tracemalloc.start()
+            try:
+                sample_functions(prior, x, s, Rng(1, 2))
+                peaks[s] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 20.6 MB (bnn) and 7.1 MB (ns) at S = 4,000, each 2.0x its S = 2,000 peak
+        assert peaks[4000] < 4000 * 4000 * 8
+        assert peaks[4000] <= 2.2 * peaks[2000]
+
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
+    def test_moments_are_those_of_the_values(self, family):
+        prior = init_prior(family, 2, (4,), "tanh", Rng(0, 0), noise_dim=2)
+        draws = sample_functions(prior, Rng(0, 1).standard_normal(14).reshape(7, 2), 5, Rng(0, 2))
+        want = draws_from_matrix(draws.values)
+        assert draws.mean.tobytes() == want.mean.tobytes()
+        assert draws.deltas.tobytes() == want.deltas.tobytes()
 
 
 class TestBnnDistribution:
@@ -312,14 +344,14 @@ class TestBatchedDraws:
 
 class TestEmpiricalKernel:
     def test_hand_worked_two_draws(self):
-        draws = FunctionDraws.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        draws = draws_from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         np.testing.assert_allclose(draws.mean, [[1.0, 1.0]])
         k = empirical_kernel_matrix(draws)
         np.testing.assert_allclose(k, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_posterior_mean_variant(self):
         # denominator S - 1 = 1
-        draws = FunctionDraws.from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        draws = draws_from_matrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
         k = empirical_kernel_matrix(draws, "pm", psi=0.1)
         np.testing.assert_allclose(k, [[2.1, -2.0], [-2.0, 2.1]], atol=1e-15)
 
@@ -329,9 +361,9 @@ class TestEmpiricalKernel:
         f = rng.standard_normal((6, 5))
         assert kernel_normaliser(6, "pm", 0.3) == (5, 0.3)
         assert kernel_normaliser(6, "mle", 0.3) == (6, 0.0)
-        whole = empirical_kernel_matrix(FunctionDraws.from_matrix(f), "pm", psi=0.3)
+        whole = empirical_kernel_matrix(draws_from_matrix(f), "pm", psi=0.3)
         for j in range(5):
-            alone = empirical_kernel_matrix(FunctionDraws.from_matrix(f[:, [j]]), "pm", psi=0.3)
+            alone = empirical_kernel_matrix(draws_from_matrix(f[:, [j]]), "pm", psi=0.3)
             assert alone[0, 0] == pytest.approx(whole[j, j], rel=1e-14)
         with pytest.raises(ParameterError):
             kernel_normaliser(6, "pm", psi=-1.0)
@@ -341,7 +373,7 @@ class TestEmpiricalKernel:
     def test_kernel_psd(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            draws = FunctionDraws.from_matrix(rng.standard_normal((8, 5)))
+            draws = draws_from_matrix(rng.standard_normal((8, 5)))
             for est, psi in (("mle", 0.0), ("pm", 0.3)):
                 k = empirical_kernel_matrix(draws, est, psi=psi)
                 np.testing.assert_allclose(k, k.T, atol=1e-15)
@@ -357,7 +389,7 @@ class TestEmpiricalKernel:
         r = Rng(21, 0)
         w = r.standard_normal(s * d).reshape(s, d)
         b = r.standard_normal(s).reshape(s, 1)
-        draws = FunctionDraws.from_matrix(np.tanh(w @ x.T + b))
+        draws = draws_from_matrix(np.tanh(w @ x.T + b))
         oracle_rng = np.random.default_rng(99)
         w2 = oracle_rng.standard_normal((200_000, d))
         b2 = oracle_rng.standard_normal((200_000, 1))
@@ -369,13 +401,13 @@ class TestEmpiricalKernel:
 class TestSliceColumns:
     def test_slice_keeps_joint_normalization(self):
         rng = np.random.default_rng(2)
-        joint = FunctionDraws.from_matrix(rng.standard_normal((5, 8)))
+        joint = draws_from_matrix(rng.standard_normal((5, 8)))
         left = joint.slice_columns(0, 3)
         np.testing.assert_array_equal(left.deltas, joint.deltas[:, :3])
         np.testing.assert_array_equal(left.mean, joint.mean[:, :3])
 
     def test_slice_bounds(self):
-        joint = FunctionDraws.from_matrix(np.zeros((2, 4)) + np.arange(4.0))
+        joint = draws_from_matrix(np.zeros((2, 4)) + np.arange(4.0))
         with pytest.raises(ParameterError):
             joint.slice_columns(2, 5)
 
