@@ -26,7 +26,9 @@ so an error names the same parameters either way.
 ``backward`` never writes into an array: a node's first gradient
 contribution is kept as it is when it is already C-ordered (a transposed
 view is copied to C order, so BLAS sees the same layout downstream), and
-later contributions accumulate out of place as ``prev + contrib``. Arrays
+later contributions accumulate out of place as ``prev + contrib``.
+``np.ascontiguousarray`` makes that hand-off: it returns a C-ordered array
+itself, without a copy, and faster than a test of the array's flags. Arrays
 a VJP returns may therefore be shared between nodes, and leaf gradients may
 share memory with each other; none of them is mutated.
 
@@ -260,8 +262,25 @@ def scale(a: Var, c: float) -> Var:
     return _record1("scale", a, _value("scale", a) * c, lambda g: (g * c,))
 
 
+def column_sums(g: np.ndarray) -> np.ndarray:
+    """The (1, n) column sums of a 2-D g, with ``g.sum(axis=0, keepdims=True)``'s bits.
+
+    numpy's axis-0 sum of a C-ordered g adds the rows in order, and so does
+    einsum's contiguous inner loop, two to three times faster at a training
+    step's (N, 10) bias gradients. A single column, which ``sum`` adds
+    pairwise, and any other layout take ``sum``. einsum starts from +0.0, so
+    an all -0.0 column reads +0.0 where a ``sum`` that starts from the first
+    row gives -0.0. No parameter sees that sign: Adam's first moment starts
+    at +0.0 and never becomes -0.0, and its second moment reads only g * g.
+    """
+    if g.shape[1] > 1 and g.flags.c_contiguous:
+        return np.einsum("ij->j", g)[None, :]
+    return g.sum(axis=0, keepdims=True)
+
+
 def broadcast_add_row(a: Var, row: Var) -> Var:
-    """a (m,n) plus a (1,n) row replicated down the rows."""
+    """a (m,n) plus a (1,n) row replicated down the rows; the row's gradient
+    is ``column_sums`` of g, each column's rows added in order."""
     av, rv = _values("broadcast_add_row", a, row, same_shape=False)
     if rv.shape != (1, av.shape[1]):
         raise DimensionError(
@@ -269,7 +288,7 @@ def broadcast_add_row(a: Var, row: Var) -> Var:
         )
     return _record2(
         "broadcast_add_row", a, row, av + rv,
-        lambda g, na, nb: (g if na else None, g.sum(axis=0, keepdims=True) if nb else None),
+        lambda g, na, nb: (g if na else None, column_sums(g) if nb else None),
     )
 
 

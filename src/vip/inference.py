@@ -207,7 +207,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
 
     The groups are updated as one flat vector in the state's layout; every
     operation is elementwise, so each entry gets the bits a per-group update
-    gives it. The new params, in layout order, are views of one buffer.
+    gives it. ``state.m`` and ``state.v`` are updated in place, in the
+    operation order of ``m = b1 * m + (1 - b1) * g``,
+    ``v = b2 * v + (1 - b2) * (g * g)`` and
+    ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``, and only after every
+    argument has been checked, so a rejected call changes nothing. The new
+    params, in layout order, are views of one buffer of their own.
     """
     names = [k for k, _ in state.layout]
     if params.keys() != grads.keys() or params.keys() != set(names):
@@ -222,11 +227,23 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    g = np.concatenate([grads[k].ravel() for k in names])
-    p = np.concatenate([params[k].ravel() for k in names])
-    state.m = b1 * state.m + (1.0 - b1) * g
-    state.v = b2 * state.v + (1.0 - b2) * (g * g)
-    new = p - lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+    g = np.concatenate([grads[k].ravel() for k in names], dtype=np.float64)
+    new = np.concatenate([params[k].ravel() for k in names], dtype=np.float64)
+    m, v = state.m, state.v
+    step = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += step
+    g *= g
+    g *= 1.0 - b2
+    v *= b2
+    v += g
+    np.divide(m, c1, out=step)
+    step *= lr
+    np.divide(v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    step /= g
+    new -= step
     out, pos = {}, 0
     for k, shape in state.layout:
         size = math.prod(shape)

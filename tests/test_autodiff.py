@@ -585,6 +585,53 @@ class TestExactSumsProperty:
             self._expect("dot", terms, lambda: ad.dot(a, b), a, b)
 
 
+@st.composite
+def _bias_gradient(draw):
+    """A (rows, cols) gradient, C-ordered or a transposed view, of signed
+    entries over a drawn span of decades, some or all of them signed zeros."""
+    rows, cols = draw(st.integers(1, 4096)), draw(st.integers(1, 64))
+    layout = draw(st.sampled_from(["c", "transposed"]))
+    # up to 10^300 * 5 * 4096 rows: every column sum stays finite
+    low = draw(st.integers(-330, 300))
+    high = min(low + draw(st.integers(0, 40)), 300)
+    zeros = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, cols) if layout == "c" else (cols, rows)
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(low, high + 1, shape)
+    signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    g = np.where(rng.random(shape) < zeros, signed_zeros, g)
+    if draw(st.booleans()):  # one all -0.0 column
+        g[(slice(None), 0) if layout == "c" else (0, slice(None))] = -0.0
+    return g if layout == "c" else g.T
+
+
+class TestColumnSums:
+    """``column_sums``, the bias gradient of ``broadcast_add_row``, gives the
+    axis-0 sum's bits, up to the sign of a zero.
+
+    Its einsum route starts each column's sum from +0.0, so an all -0.0
+    column reads +0.0; a numpy whose axis-0 sum starts from the first row
+    gives -0.0 there (numpy 2.4 gives +0.0 as well). No parameter can see
+    that sign: a bias gradient reaches a parameter only through Adam, whose
+    first moment starts at +0.0 and is never -0.0 (b1 * m rounds no nonzero
+    m to zero, +0.0 plus a zero of either sign is +0.0, and an exact
+    cancellation gives +0.0), so adding (1 - b1) * (+-0.0) to it leaves its
+    bits; the second moment reads only g * g. So the results are compared
+    after ``+ 0.0``, which maps -0.0 to +0.0 and leaves every other value as
+    it is.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=_bias_gradient())
+    @example(g=np.full((4096, 64), -0.0))
+    @example(g=np.full((300, 1), -0.0))
+    def test_matches_axis_zero_sum_bitwise(self, g):
+        got = ad.column_sums(g)
+        want = g.sum(axis=0, keepdims=True)
+        assert got.dtype == np.float64 and got.shape == (1, g.shape[1])
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
 class TestUncheckedOpsStayFinite:
     """The ops that record without a finiteness check, at finite extremes."""
 

@@ -396,6 +396,21 @@ class TestEnergyLoss:
             energy_loss(tape, np.zeros(4), draws, {}, 0.5, tape.constant(0.0), 4, 3, 0.0)
 
 
+def _warm_adam_state(params: dict, steps: int = 4) -> AdamState:
+    """A state after ``steps`` accepted updates, every moment entry nonzero."""
+    rng = np.random.default_rng(22)
+    state = AdamState.zeros(params)
+    for _ in range(steps):
+        grads = {k: rng.standard_normal(a.shape) for k, a in params.items()}
+        params = adam_step(params, grads, state, 0.1)
+    assert state.t == steps and state.m.all() and state.v.all()
+    return state
+
+
+def _adam_snapshot(state: AdamState):
+    return state.t, state.m.tobytes(), state.v.tobytes()
+
+
 class TestAdam:
     def test_matches_reference_implementation(self):
         # independent transcription of the published update rule
@@ -431,12 +446,16 @@ class TestAdam:
             adam_step(p, {"y": np.zeros((1, 1))}, AdamState.zeros(p), 0.1)
 
     def test_infinite_learning_rate_rejected(self):
-        # an inf rate moved every entry with a nonzero gradient to -inf
+        # an inf rate moved every entry with a nonzero gradient to -inf; the
+        # moments are updated in place, so a warm state shows an early write
         p = {"x": np.ones((2, 1))}
-        state = AdamState.zeros(p)
-        with pytest.raises(ParameterError, match="^learning rate must be positive and finite"):
-            adam_step(p, {"x": np.ones((2, 1))}, state, math.inf)
-        assert state.t == 0
+        fresh, warm = AdamState.zeros(p), _warm_adam_state(p)
+        for state in (fresh, warm):
+            before = _adam_snapshot(state)
+            with pytest.raises(ParameterError, match="^learning rate must be positive and finite"):
+                adam_step(p, {"x": np.ones((2, 1))}, state, math.inf)
+            assert _adam_snapshot(state) == before
+        assert fresh.t == 0
 
     def test_matches_per_group_oracle_bitwise(self):
         rng = np.random.default_rng(21)
@@ -466,7 +485,9 @@ class TestAdam:
     @pytest.mark.parametrize("case", ["param keys", "grad keys", "param shape", "grad shape"])
     def test_params_or_grads_off_the_state_layout_rejected(self, case):
         p = {"a": np.zeros((2, 3)), "b": np.zeros((1, 1))}
-        state = AdamState.zeros(p)
+        # a fresh state's all-zero moments would not show an in-place update
+        # made before the check (b1 * 0 is 0); a warm state's do
+        fresh, warm = AdamState.zeros(p), _warm_adam_state(p)
         grads = {k: np.ones_like(a) for k, a in p.items()}
         if case == "param keys":  # params and grads agree, the state does not
             p, grads = ({"a": d["a"], "c": d["b"]} for d in (p, grads))
@@ -477,9 +498,12 @@ class TestAdam:
         else:
             grads["b"] = np.ones((1, 2))
         err = ContractError if case.endswith("keys") else DimensionError
-        with pytest.raises(err):
-            adam_step(p, grads, state, 0.1)
-        assert state.t == 0 and not state.m.any() and not state.v.any()
+        for state in (fresh, warm):
+            before = _adam_snapshot(state)
+            with pytest.raises(err):
+                adam_step(p, grads, state, 0.1)
+            assert _adam_snapshot(state) == before
+        assert fresh.t == 0 and not fresh.m.any() and not fresh.v.any()
 
 
 def _model_sha(s: int) -> str:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from vip import autodiff as ad
 from vip import predict as pr
@@ -84,6 +85,9 @@ class TestExactCoefficientPosterior:
     # centred full-rank draws at sigma2 = 1e-14: A factors, and the second
     # factorisation, of sigma2 W^T W, used to fail
     @example(seed=3, s=20, n=300, rank=20, centred=True, log10_sigma2=-14.0)
+    # cond(A) = 1.2e17: A factors, while np.linalg.inv(A) raises "Singular
+    # matrix", so the oracle solves by the factor
+    @example(seed=16, s=5, n=12, rank=5, centred=True, log10_sigma2=-14.0)
     def test_succeeds_wherever_a_factors_and_matches_dense_oracle(
         self, seed, s, n, rank, centred, log10_sigma2
     ):
@@ -98,14 +102,15 @@ class TestExactCoefficientPosterior:
         sigma2 = 10.0**log10_sigma2
         a = b.T @ b + sigma2 * np.eye(s)
         try:
-            cholesky(a.copy())
+            factor = cholesky(a.copy())
         except NotPositiveDefiniteError:
             return
         q = exact_coefficient_posterior(b, y, sigma2)
         # both sides carry forward errors of order cond(A) eps
         tol = 64 * np.linalg.cond(a) * np.finfo(float).eps
-        a_inv, bty = np.linalg.inv(a), b.T @ y
-        err_mu = np.linalg.norm(q.mu - np.linalg.solve(a, bty))
+        a_inv = cho_solve((factor, True), np.eye(s))
+        bty = b.T @ y
+        err_mu = np.linalg.norm(q.mu - cho_solve((factor, True), bty))
         assert err_mu <= tol * np.linalg.norm(a_inv, 2) * np.linalg.norm(bty)
         err_cov = np.linalg.norm(cov(q) - sigma2 * a_inv)
         assert err_cov <= tol * np.linalg.norm(sigma2 * a_inv)
