@@ -3,8 +3,8 @@
 One JSON document per model, rendered canonically (sorted keys, two-space
 indent, no NaN, trailing newline) so identical models serialize to identical
 bytes, and read back value by value through ``numkit.check_value_types``.
-The standardized training block rides along because rank-reduced
-prediction re-evaluates function draws jointly over train and test inputs.
+The standardized training block rides along because the exact coefficient
+posterior is derived from function draws at the training inputs.
 """
 
 import json

@@ -114,49 +114,18 @@ def predict_features(
 # a non-finite draw, posterior or moment is checked and named where it
 # arises; numpy's warnings would only precede that error
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def posterior_predict(
-    model: TrainedModel, x_test, mode: str | None = None
-) -> PredictiveDistribution:
-    """Predict at new inputs from a trained model.
-
-    ``mode``: 'exact' re-derives the coefficient posterior from a fresh
-    fixed-seed draw set over [train; test], which gives the dense GP
-    conditional of the config's kernel estimator; 'learned' reuses the
-    trained q(a), which belongs to the same estimator; 'auto' (default, from
-    the config) picks exact up to 2000 training points. The threshold is a
-    choice between two posteriors, not between two costs: exact never forms
-    an N x N matrix, costs more than learned at every N measured (500 to
-    8000) with no crossover, and moving the threshold would change
-    predictions above it. The prediction stream depends only on the master
-    seed, so training length cannot shift it.
-    """
-    x_test = as_matrix(x_test, "test inputs")
-    n = model.train_x.shape[0]
-    if x_test.shape[1] != model.train_x.shape[1]:
-        raise DimensionError(
-            f"test inputs have {x_test.shape[1]} columns, training had {model.train_x.shape[1]}"
-        )
+def exact_posterior(model: TrainedModel) -> CoefficientPosterior:
+    """A trained model's exact coefficient posterior at noise sigma2 + ridge/denom,
+    from draws at its training rows alone out of a fresh prediction stream: it
+    never depends on the test rows requested."""
     cfg = model.config
-    mode = cfg.coeff_mode if mode is None else mode
-    if mode == "auto":
-        mode = "exact" if n <= 2000 else "learned"
-    if mode not in ("exact", "learned"):
-        raise ParameterError(f"unknown prediction mode {mode!r}")
     s = cfg.num_draws
-    rng = Rng(cfg.seed, STREAM_PREDICT)
     denom, ridge = kernel_normaliser(s, cfg.estimator, cfg.psi)
-
-    if mode == "learned":
-        draws_test = sample_functions(model.prior, x_test, s, rng)
-        return predict_features(draws_test, model.q, model.sigma2, denom, ridge)
-
-    joint = sample_functions(model.prior, np.vstack([model.train_x, x_test]), s, rng)
-    dt = joint.slice_columns(0, n)
-    dtest = joint.slice_columns(n, n + x_test.shape[0])
+    dt = sample_functions(model.prior, model.train_x, s, Rng(cfg.seed, STREAM_PREDICT))
     b = dt.deltas.T / math.sqrt(denom)
     noise = model.sigma2 + ridge / denom
     try:
-        q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], noise)
+        return exact_coefficient_posterior(b, model.train_y - dt.mean[0], noise)
     except NumericalError as e:
         at = f"sigma2 = {model.sigma2:.6g}"
         if ridge:
@@ -164,7 +133,41 @@ def posterior_predict(
         raise NumericalError(
             f"exact coefficient posterior failed at noise variance {at}: {e}"
         ) from e
-    return predict_features(dtest, q, model.sigma2, denom, ridge)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def posterior_predict(
+    model: TrainedModel, x_test, mode: str | None = None
+) -> PredictiveDistribution:
+    """Predict at new inputs from a trained model.
+
+    Both modes predict from the same S draws at the test rows, taken from a
+    fresh fixed-seed prediction stream. ``mode``: 'exact' weights them by
+    ``exact_posterior(model)``, which gives the dense GP conditional of the
+    config's kernel estimator; 'learned' by the trained q(a), which belongs to
+    the same estimator; 'auto' (default, from the config) picks exact up to
+    2000 training points. The threshold is a choice between two posteriors,
+    not between two costs: exact never forms an N x N matrix, costs more than
+    learned at every N measured (500 to 8000) with no crossover, and moving
+    the threshold would change predictions above it. The prediction stream
+    depends only on the master seed, so training length cannot shift it.
+    """
+    x_test = as_matrix(x_test, "test inputs")
+    if x_test.shape[1] != model.train_x.shape[1]:
+        raise DimensionError(
+            f"test inputs have {x_test.shape[1]} columns, training had {model.train_x.shape[1]}"
+        )
+    cfg = model.config
+    mode = cfg.coeff_mode if mode is None else mode
+    if mode == "auto":
+        mode = "exact" if model.train_x.shape[0] <= 2000 else "learned"
+    if mode not in ("exact", "learned"):
+        raise ParameterError(f"unknown prediction mode {mode!r}")
+    q = model.q if mode == "learned" else exact_posterior(model)
+    s = cfg.num_draws
+    draws = sample_functions(model.prior, x_test, s, Rng(cfg.seed, STREAM_PREDICT))
+    denom, ridge = kernel_normaliser(s, cfg.estimator, cfg.psi)
+    return predict_features(draws, q, model.sigma2, denom, ridge)
 
 
 def nll_rmse(pred: PredictiveDistribution, y_true, stats=None) -> dict:

@@ -220,17 +220,6 @@ class FunctionDraws:
     def num_points(self) -> int:
         return self.values.shape[1]
 
-    def slice_columns(self, start: int, stop: int) -> "FunctionDraws":
-        if self.is_symbolic:
-            raise ContractError("slice_columns only applies to numeric draw sets")
-        if not 0 <= start <= stop <= self.num_points:
-            raise ParameterError(f"bad column slice [{start}, {stop})")
-        return FunctionDraws(
-            self.values[:, start:stop],
-            self.mean[:, start:stop],
-            self.deltas[:, start:stop],
-        )
-
 
 def _bnn_draw_eps(prior: Prior, num_draws: int, rng: Rng):
     """Each draw's per-layer (weight, bias) noise, from one request in draw order."""
@@ -261,7 +250,7 @@ def _ns_inputs(prior: Prior, x: np.ndarray, num_draws: int, rng: Rng) -> np.ndar
         h[:, :, d:] = 0.0
     else:
         h[:, :, d:] = rng.uniform(num_draws * prior.noise_dim, -a, a).reshape(num_draws, 1, -1)
-    return h.reshape(num_draws * n, -1)
+    return h.reshape(num_draws * n, d + prior.noise_dim)
 
 
 def sample_functions(prior, x, num_draws: int, rng: Rng, tape=None, params=None) -> FunctionDraws:

@@ -141,9 +141,9 @@ def test_criterion_03_dense_feature_equivalence():
         s = int(rng.integers(2, 11))
         n = int(rng.integers(1, 51))
         k = int(rng.integers(1, 11))
-        joint = draws_from_matrix(rng.standard_normal((s, n + k)))
-        dt = joint.slice_columns(0, n)
-        ds = joint.slice_columns(n, n + k)
+        f = rng.standard_normal((s, n + k))
+        joint = draws_from_matrix(f)
+        dt, ds = draws_from_matrix(f[:, :n]), draws_from_matrix(f[:, n:])
         y = rng.standard_normal(n)
         sig2 = 0.05 + rng.random()
 

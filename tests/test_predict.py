@@ -23,11 +23,12 @@ from vip.inference import (
 from vip.numkit import STREAM_PREDICT, Rng, cholesky
 from vip.predict import (
     exact_coefficient_posterior,
+    exact_posterior,
     nll_rmse,
     posterior_predict,
     predict_features,
 )
-from vip.priors import init_prior, sample_functions
+from vip.priors import FunctionDraws, init_prior, sample_functions
 
 from oracles import cov, draws_from_matrix, standard_posterior
 
@@ -137,10 +138,12 @@ def widened(prior):
 
 
 def joint_draws(seed=0, n_train=6, n_test=3, s=8):
+    """Training-row and test-row draws of one set of S functions, each drawn
+    from the same fresh stream, as posterior_predict draws them."""
     prior = widened(init_prior("bnn", 1, (4,), "tanh", Rng(seed, 0)))
     x = np.linspace(-2, 2, n_train + n_test).reshape(-1, 1)
-    joint = sample_functions(prior, x, s, Rng(seed, 1))
-    return joint.slice_columns(0, n_train), joint.slice_columns(n_train, n_train + n_test)
+    dt = sample_functions(prior, x[:n_train], s, Rng(seed, 1))
+    return dt, sample_functions(prior, x[n_train:], s, Rng(seed, 1))
 
 
 def dense_oracle(joint, n, y, sigma2, estimator="mle", psi=0.0):
@@ -170,11 +173,20 @@ def fixed_model(prior, x, y, sigma2, num_draws, seed=0, **cfg):
     return TrainedModel(prior, q, sigma2, config, [], x, y)
 
 
+def columns(draws, cols):
+    """The given columns of a numeric draw set, its mean and deltas as they are."""
+    return FunctionDraws(draws.values[:, cols], draws.mean[:, cols], draws.deltas[:, cols])
+
+
 def predict_on(joint, n, y, sigma2, **cfg):
-    """posterior_predict's exact route on a given joint draw set over n training columns."""
+    """posterior_predict's exact route on a given joint draw set: its first n
+    columns are the training rows' draws and the rest the test rows'."""
     x = np.zeros((joint.num_points, 1))
     model = fixed_model(None, x[:n], y, sigma2, joint.num_draws, **cfg)
-    with mock.patch.object(pr, "sample_functions", lambda *args: joint):
+    train, test = columns(joint, slice(0, n)), columns(joint, slice(n, None))
+    with mock.patch.object(
+        pr, "sample_functions", lambda prior, x, *rest: train if x is model.train_x else test
+    ):
         return posterior_predict(model, x[n:], mode="exact")
 
 
@@ -421,17 +433,54 @@ class TestPosteriorPredict:
         xt = np.linspace(-1.5, 1.5, 6).reshape(-1, 1)
         got = posterior_predict(model, xt, mode="exact")
         s = model.config.num_draws
-        joint = sample_functions(model.prior, np.vstack([x, xt]), s, Rng(model.config.seed, STREAM_PREDICT))
-        dt = joint.slice_columns(0, 14)
-        ds = joint.slice_columns(14, 20)
+        dt = sample_functions(model.prior, x, s, Rng(model.config.seed, STREAM_PREDICT))
+        ds = sample_functions(model.prior, xt, s, Rng(model.config.seed, STREAM_PREDICT))
         b = dt.deltas.T / math.sqrt(s)
         q = exact_coefficient_posterior(b, model.train_y - dt.mean[0], model.sigma2)
         want = predict_features(ds, q, model.sigma2, s, 0.0)
         for field in ("mean", "var_f", "var_y"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        joint = sample_functions(model.prior, np.vstack([x, xt]), s, Rng(model.config.seed, STREAM_PREDICT))
         mean, var_f = dense_oracle(joint, 14, model.train_y, model.sigma2)
         np.testing.assert_allclose(got.mean, mean, atol=1e-8)
         np.testing.assert_allclose(got.var_f, var_f, atol=1e-8)
+
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
+    def test_both_routes_predict_from_the_same_test_draws(self, family):
+        # (50, 50) hidden units: wide enough that BLAS rounds a row of X @ W
+        # by the row count of X, so a q drawn jointly with the test rows moves
+        prior = init_prior(family, 1, (50, 50), "tanh", Rng(3, 0), noise_dim=2)
+        x = np.linspace(-2, 2, 30).reshape(-1, 1)
+        y = np.sin(2 * x[:, 0])
+        model = fixed_model(prior, x, y, 0.1, 6, seed=3)
+        q = exact_posterior(model)
+        for k in (1, 17):
+            xt = np.linspace(-2.5, 2.5, k).reshape(-1, 1)
+            seen = {}
+            for mode in ("exact", "learned"):
+                with mock.patch.object(pr, "predict_features", wraps=pr.predict_features) as spy:
+                    posterior_predict(model, xt, mode=mode)
+                (seen[mode],) = [c.args for c in spy.call_args_list]
+            for field in ("values", "mean", "deltas"):
+                a, b = (getattr(seen[m][0], field) for m in ("exact", "learned"))
+                assert a.shape[-1] == k and a.tobytes() == b.tobytes()
+            assert seen["exact"][1].mu.tobytes() == q.mu.tobytes()
+            assert seen["exact"][1].chol.tobytes() == q.chol.tobytes()
+            assert seen["learned"][1] is model.q
+
+    @pytest.mark.parametrize("family", ["bnn", "ns"])
+    @pytest.mark.parametrize("mode", ["exact", "learned"])
+    def test_no_test_rows_give_an_empty_prediction(self, family, mode):
+        prior = init_prior(family, 1, (4,), "tanh", Rng(1, 0), noise_dim=2)
+        x = np.linspace(-2, 2, 8).reshape(-1, 1)
+        model = fixed_model(prior, x, np.cos(x[:, 0]), 0.1, 5, seed=1)
+        draws = sample_functions(prior, np.zeros((0, 1)), 5, Rng(1, STREAM_PREDICT))
+        assert (draws.values.shape, draws.mean.shape, draws.deltas.shape) == (
+            (5, 0), (1, 0), (5, 0)
+        )
+        got = posterior_predict(model, np.zeros((0, 1)), mode=mode)
+        assert len(got) == 0
+        assert got.mean.shape == got.var_f.shape == got.var_y.shape == (0,)
 
     def test_learned_mode_runs_and_is_deterministic(self):
         model, x, y = small_model()
@@ -506,8 +555,9 @@ class TestPosteriorPredict:
 
     @pytest.mark.parametrize("family", ["bnn", "ns"])
     def test_exact_peak_memory_doubles_at_most_with_n(self, family):
-        # 1,000 rows from an S=20 model peak at 1.40-1.50x their N=1000 peak
-        # with N=2000 training points; an N x N array would take it past 3
+        # 1,000 rows from an S=20 model peak at 1.90-1.97x their N=1000 peak
+        # with N=2000 training points, where the training rows' draws set the
+        # peak; an N x N array would take it past 3
         xt = np.linspace(-3.0, 3.0, 1000).reshape(-1, 1)
         peaks = []
         for n in (1000, 2000):

@@ -398,25 +398,6 @@ class TestEmpiricalKernel:
         assert empirical_kernel_matrix(draws)[0, 1] == pytest.approx(oracle, abs=0.05)
 
 
-class TestSliceColumns:
-    def test_slice_keeps_joint_normalization(self):
-        rng = np.random.default_rng(2)
-        joint = draws_from_matrix(rng.standard_normal((5, 8)))
-        left = joint.slice_columns(0, 3)
-        np.testing.assert_array_equal(left.deltas, joint.deltas[:, :3])
-        np.testing.assert_array_equal(left.mean, joint.mean[:, :3])
-
-    def test_slice_bounds(self):
-        joint = draws_from_matrix(np.zeros((2, 4)) + np.arange(4.0))
-        with pytest.raises(ParameterError):
-            joint.slice_columns(2, 5)
-
-    def test_symbolic_slice_rejected(self):
-        draws = taped_draws(toy_bnn(), np.zeros((3, 1)), 4, Rng(0, 0))
-        with pytest.raises(ContractError):
-            draws.slice_columns(0, 1)
-
-
 class TestGradientFlow:
     def test_draws_differentiate_through_prior_scales(self):
         x = np.linspace(-1, 1, 4).reshape(-1, 1)

@@ -14,7 +14,9 @@ path a command prints is the same relative path on both sides. It covers:
 - the 32 training configs bnn/ns x alpha 0/0.5 x mle/pm (psi 0.1) x
   fixed/learned sigma2 x full batch/batch 16: each model file and train
   summary, the exact and learned prediction CSVs with their summaries, and
-  the ``vip eval`` report of each CSV;
+  the ``vip eval`` report of each CSV; then the exact and learned prediction
+  CSVs, with their summaries, of a one-row CSV (the first row of the
+  prediction data), since BLAS may round a row by how many rows it comes with;
 - ``vip bench`` toy, uci and interp reports;
 - ``vip gp-baseline`` at N=80 and N=1000;
 - on a fixed CSV of 1,000 rows with three input columns, ``vip gp-baseline``
@@ -147,6 +149,7 @@ def _run_commands(r: _Runner, configs) -> None:
                                  ("gp", "1000", "5", "std"), ("toy300", "300", "0", "std")):
         r.run(f"synth-{name}", ["synth", "--n", n, "--seed", seed, "--noise", noise,
                                 "--out", f"{name}.csv"], [f"{name}.csv"])
+    Path("one.csv").write_text(Path("rows.csv").read_text().splitlines(keepends=True)[0])
     for name, cfg in itertools.islice(_train_configs(), configs):
         model = f"{name}.model.json"
         r.run(f"train-{name}", ["train", "--data", "train.csv", "--config",
@@ -157,6 +160,10 @@ def _run_commands(r: _Runner, configs) -> None:
                                               "rows.csv", "--coeff", coeff, "--out", pred],
                   [pred])
             r.run(f"eval-{name}-{coeff}", ["eval", "--pred", pred, "--data", "rows.csv"])
+            pred = f"{name}.one.{coeff}.csv"
+            r.run(f"predict-one-{name}-{coeff}", ["predict", "--model", model, "--data",
+                                                  "one.csv", "--coeff", coeff, "--out", pred],
+                  [pred])
     if configs is not None:
         return
 
