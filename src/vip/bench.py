@@ -34,12 +34,15 @@ def grid_search_sigma2(ds: datamod.Dataset, cfg: TrainConfig) -> TrainedModel:
     One model is trained on the sub-training rows; each grid value is scored
     by re-deriving the exact coefficient posterior at that sigma2 (the draws
     are pinned by the model seed, so nothing else moves).  Ties go to the
-    smallest sigma2.  A single-element grid skips the search entirely.
+    smallest sigma2.  A single-element grid skips the search; a longer one needs 3 rows.
     Returns the refit model, whose sigma2 is the value picked.
     """
     grid = sorted(float(g) for g in cfg.sigma2_grid)
     best = grid[0]
     if len(set(grid)) > 1:
+        if ds.n < 3:  # the split must leave 2 rows to train on and 1 to validate
+            raise ParameterError(f"the sigma2 grid search needs at least 3 training points, got "
+                                 f"{ds.n}: its validation split holds out {GRID_VAL_FRAC:.0%}")
         sub_tr, val = datamod.split(ds, 1.0 - GRID_VAL_FRAC, derive_seed(cfg.seed, STREAM_GRID))
         probe = train(sub_tr.x, sub_tr.y, replace(cfg, sigma2_mode="fixed"))
         best_nll = math.inf

@@ -342,11 +342,15 @@ class TrainConfig:
         kernel_normaliser(self.num_draws, self.estimator, self.psi)
         if self.prior_family not in FAMILIES:
             raise ParameterError(f"unknown prior_family {self.prior_family!r}")
-        # so every config that builds can be trained; a bnn reads no noise settings
-        noise = (self.noise_dim, self.noise_halfwidth) if self.prior_family == "ns" else (0, 0.0)
-        check_settings(self.prior_family, self.hidden, self.activation, *noise)
+        # so every config that builds can be trained
+        check_settings(self.prior_family, self.hidden, self.activation, *self.prior_noise)
         if self.coeff_mode not in ("exact", "learned", "auto"):
             raise ParameterError(f"unknown coeff_mode {self.coeff_mode!r}")
+
+    @property
+    def prior_noise(self) -> tuple:
+        """The prior's (noise_dim, noise_halfwidth): a bnn reads no noise settings."""
+        return (self.noise_dim, self.noise_halfwidth) if self.prior_family == "ns" else (0, 0.0)
 
     def to_dict(self) -> dict:
         out = {}
@@ -455,11 +459,8 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
             "train() runs with 'fixed' or 'learned'"
         )
 
-    prior = init_prior(
-        config.prior_family, x.shape[1], config.hidden, config.activation,
-        Rng(config.seed, STREAM_INIT), noise_dim=config.noise_dim,
-        noise_halfwidth=config.noise_halfwidth,
-    )
+    prior = init_prior(config.prior_family, x.shape[1], config.hidden, config.activation,
+                       Rng(config.seed, STREAM_INIT), *config.prior_noise)
     s = config.num_draws
     params = dict(prior.params)
     params["q_mu"] = np.zeros((s, 1))

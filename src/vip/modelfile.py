@@ -3,8 +3,11 @@
 One JSON document per model, rendered canonically (sorted keys, two-space
 indent, no NaN, trailing newline) so identical models serialize to identical
 bytes, and read back value by value through ``numkit.check_value_types``.
-The standardized training block rides along because the exact coefficient
-posterior is derived from function draws at the training inputs.
+Each fact is stored once: the config block is the only copy of the seed and
+of the prior's settings, the prior block maps each name in ``Prior.params``
+to its matrix, and the input width is train.x's. The standardized training
+block rides along because the exact coefficient posterior is derived from
+function draws at the training inputs.
 """
 
 import json
@@ -14,24 +17,16 @@ from dataclasses import fields
 import numpy as np
 
 from .data import Stats
-from .errors import DimensionError, ModelFileError, ParameterError
+from .errors import ContractError, DimensionError, ModelFileError, ParameterError
 from .inference import CoefficientPosterior, TrainConfig, TrainedModel, _check_sigma2
 from .numkit import check_value_types
 from .priors import Prior
 
-FORMAT_VERSION = 2
-
-# Each prior family's per-layer arrays: model-file key -> parameter-name prefix.
-_PRIOR_ARRAYS = {
-    "bnn": {"weight_mean": "w_mean", "weight_log_scale": "w_log_scale",
-            "bias_mean": "b_mean", "bias_log_scale": "b_log_scale"},
-    "ns": {"weights": "w", "biases": "b"},
-}
+FORMAT_VERSION = 3
 
 # The type each value is read as: an array stands for JSON lists nested as
 # deep as its ndim around finite numbers, a tuple for a list of its item.
 _VECTOR, _MATRIX = np.zeros(1), np.zeros((1, 1))
-_TOP = {"seed": 0, "sigma2": 0.1}
 _Q = {"mu": _VECTOR, "chol": _MATRIX}
 _TRAIN = {"x": _MATRIX, "y": _VECTOR}
 _STATS = {"feature_means": _VECTOR, "feature_stds": _VECTOR, "target_mean": 0.0, "target_std": 0.0}
@@ -63,18 +58,17 @@ def read_json(path, error):
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    p = model.prior
-    prior = {"family": p.family, "layer_sizes": list(p.layer_sizes), "activation": p.activation}
-    for key, prefix in _PRIOR_ARRAYS[p.family].items():
-        prior[key] = [p.params[f"{prefix}_{l}"].tolist() for l in range(len(p.layer_sizes) - 1)]
-    if p.family == "ns":
-        prior.update(noise_dim=p.noise_dim, noise_halfwidth=p.noise_halfwidth)
+    p, cfg = model.prior, model.config
+    # the config and train.x's width are the file's one record of the prior's settings
+    sizes = (model.train_x.shape[1] + p.noise_dim, *cfg.hidden, 1)
+    if (p.family, p.layer_sizes, p.activation, (p.noise_dim, p.noise_halfwidth)) != (
+            cfg.prior_family, sizes, cfg.activation, cfg.prior_noise):
+        raise ContractError("the model's prior does not have its config's settings")
     return {
         "format_version": FORMAT_VERSION,
-        "seed": model.config.seed,
         "sigma2": float(model.sigma2),
-        "config": model.config.to_dict(),
-        "prior": prior,
+        "config": cfg.to_dict(),
+        "prior": {name: a.tolist() for name, a in p.params.items()},
         "q": {"mu": model.q.mu.tolist(), "chol": model.q.chol.tolist()},
         "stats": None if model.stats is None else {
             k: np.asarray(v, float).tolist() for k, v in vars(model.stats).items()
@@ -83,22 +77,12 @@ def model_to_dict(model: TrainedModel) -> dict:
     }
 
 
-_REQUIRED = ("format_version", "seed", "sigma2", "config", "prior", "q", "train")
+_REQUIRED = ("format_version", "sigma2", "config", "prior", "q", "train")
 
 
 def _read(block: dict, where: str, types: dict) -> dict:
     """The values of ``types``' keys in ``block``, by the type rule; a missing key reads as null."""
     return check_value_types({k: block.get(k) for k in types}, types, where)
-
-
-def _prior_from_dict(d: dict) -> Prior:
-    family = d.get("family")
-    # an unknown family reads no arrays; Prior then rejects it by name
-    keys = _PRIOR_ARRAYS.get(family, {}) if isinstance(family, str) else {}
-    layers = _read(d, "prior.", dict.fromkeys(keys, (_MATRIX,)))
-    params = {f"{keys[k]}_{l}": a for k, arrays in layers.items() for l, a in enumerate(arrays)}
-    noise = (d.get("noise_dim"), d.get("noise_halfwidth")) if family == "ns" else ()
-    return Prior(family, d.get("layer_sizes"), d.get("activation"), params, *noise)
 
 
 def _check_stats(stats: Stats, input_dim: int) -> None:
@@ -109,27 +93,6 @@ def _check_stats(stats: Stats, input_dim: int) -> None:
         raise ModelFileError("stats.feature_stds must be positive")
     if not stats.target_std > 0.0:
         raise ModelFileError("stats.target_std must be positive and finite")
-
-
-def _check_agreement(config: dict, prior: Prior, seed: int) -> None:
-    """The config block, its values type-checked and its missing keys at
-    their defaults, restates the prior's settings and the file's seed; each
-    copy must agree. A bnn prior has no noise settings, so its config's go unread."""
-    sizes = list(prior.layer_sizes)
-    rules = [("prior_family", "prior.family", prior.family, prior.family),
-             ("hidden", "prior.layer_sizes", sizes, sizes[1:-1]),
-             ("activation", "prior.activation", prior.activation, prior.activation),
-             ("seed", "seed", seed, seed)]
-    if prior.family == "ns":
-        rules += [(k, f"prior.{k}", getattr(prior, k), getattr(prior, k))
-                  for k in ("noise_dim", "noise_halfwidth")]
-    for key, other, shown, expected in rules:
-        value = config[key]
-        value = list(value) if isinstance(value, tuple) else value
-        if value != expected:
-            raise ModelFileError(
-                f"malformed model file: config.{key} {value!r} disagrees with {other} {shown!r}"
-            )
 
 
 def model_from_dict(d: dict) -> TrainedModel:
@@ -144,32 +107,29 @@ def model_from_dict(d: dict) -> TrainedModel:
             raise ModelFileError(
                 f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
             )
-        top = _read(d, "", _TOP)
+        sigma2 = _check_sigma2(_read(d, "", {"sigma2": 0.1})["sigma2"])
         for key in ("config", "prior", "q", "train", "stats"):
             if not (isinstance(d.get(key), dict) or key == "stats" and d.get(key) is None):
                 or_null = " or null" if key == "stats" else ""
                 raise ModelFileError(f"model file field {key!r} must be a JSON object{or_null}")
-        sigma2 = _check_sigma2(top["sigma2"])
-        prior = _prior_from_dict(d["prior"])
-        q = CoefficientPosterior(**_read(d["q"], "q.", _Q))
         # typed here as well as in TrainConfig, so that the error names config.<key>
         cfg = d["config"]
         check_value_types({k: cfg[k] for k in _CONFIG if k in cfg}, _CONFIG, "config.")
-        # before TrainConfig, whose rule for the prior's settings names no block
-        _check_agreement({**_CONFIG, **cfg}, prior, top["seed"])
         try:
             config = TrainConfig.from_dict(cfg)
         except ParameterError as e:  # a range or unknown-key error names no block
             raise ParameterError(f"config: {e}") from e
+        params = check_value_types(d["prior"], dict.fromkeys(d["prior"], _MATRIX), "prior.")
+        q = CoefficientPosterior(**_read(d["q"], "q.", _Q))
         stats = None if d.get("stats") is None else Stats(**_read(d["stats"], "stats.", _STATS))
         train = _read(d["train"], "train.", _TRAIN)
+        # the config is the one copy of the network's settings, train.x of its input width
+        noise = config.prior_noise
+        sizes = (train["x"].shape[1] + noise[0], *config.hidden, 1)
+        prior = Prior(config.prior_family, sizes, config.activation, params, *noise)
     except (KeyError, TypeError, ValueError, OverflowError, ParameterError, DimensionError) as e:
         raise ModelFileError(f"malformed model file: {e}") from e
     train_x, train_y = train["x"], train["y"]
-    if train_x.shape[1] != prior.input_dim:
-        raise ModelFileError(
-            f"train.x has shape {train_x.shape}, prior.input_dim is {prior.input_dim}"
-        )
     if train_y.shape != (train_x.shape[0],):
         raise ModelFileError(
             f"train.y has shape {train_y.shape}, train.x has {train_x.shape[0]} rows"

@@ -124,7 +124,7 @@ class Prior:
         self.params = {name: np.asarray(self.params[name], float) for name in shapes}
         for name, shape in shapes.items():
             if self.params[name].shape != shape:
-                raise DimensionError(f"{name} must be {shape}, got {self.params[name].shape}")
+                raise DimensionError(f"prior.{name} must be {shape}, got {self.params[name].shape}")
 
     @property
     def input_dim(self) -> int:

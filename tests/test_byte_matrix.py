@@ -23,9 +23,9 @@ def test_two_config_subset_gives_equal_digests_twice(tmp_path):
         assert run.returncode == 0, run.stderr
     digests = json.loads(outs[0].read_text())["digests"]
     # four synth commands with their CSVs, then per config a train with its
-    # model file, two predicts with their CSVs and evals, and two one-row
-    # predicts with their CSVs
-    assert len(digests) == 4 * 4 + 2 * (4 + 2 * (4 + 3) + 2 * 4)
+    # model file and the model's contents, two predicts with their CSVs and
+    # evals, and two one-row predicts with their CSVs
+    assert len(digests) == 4 * 4 + 2 * (4 + 1 + 2 * (4 + 3) + 2 * 4)
     assert {v for k, v in digests.items() if k.endswith(".exit")} == {"0"}
     same = _tool("--compare", *outs, cwd=tmp_path)
     assert (same.returncode, same.stdout) == (0, f"{len(digests)} identical, 0 differ\n")

@@ -22,6 +22,7 @@ import vip.cli as cli
 from vip.errors import NumericalError
 from vip.inference import TrainConfig
 from vip.modelfile import load_model
+from vip.priors import _LAYOUT
 
 from test_data import _NUMBER, _csv_text
 
@@ -170,6 +171,31 @@ class TestTrain:
         assert cli.main(["train", "--data", data, "--config", cfg, "--model-out", model_out]) == 0
         assert load_model(model_out).sigma2 in (0.1, 0.5)
 
+    # the user gave 2 rows, but the error named the 1 the validation split left
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_grid_search_on_two_rows_is_usage_error_naming_the_split(self, tmp_path, capsys,
+                                                                     command):
+        cfg = _cfg_file(tmp_path, extra={"sigma2_mode": "grid", "sigma2_grid": [0.1, 0.5]})
+        if command == "train":
+            argv = ["train", "--data", _synth(tmp_path, n=2), "--config", cfg,
+                    "--model-out", str(tmp_path / "m.json")]
+        else:
+            argv = ["bench", "--protocol", "toy", "--toy-n", "2", "--splits", "1",
+                    "--config", cfg]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the sigma2 grid search needs at least 3 training points, got 2: "
+            "its validation split holds out 20%\n"
+        )
+
+    def test_single_valued_grid_trains_on_two_rows(self, tmp_path):
+        data = _synth(tmp_path, n=2)
+        cfg = _cfg_file(tmp_path, extra={"sigma2_mode": "grid", "sigma2_grid": [0.3, 0.3]})
+        model_out = str(tmp_path / "m.json")
+        assert cli.main(["train", "--data", data, "--config", cfg, "--model-out", model_out]) == 0
+        assert load_model(model_out).sigma2 == 0.3
+
 
 class TestPredictEval:
     def test_full_pipeline(self, tmp_path, capsys):
@@ -301,11 +327,12 @@ class TestPredictEval:
         rc = cli.main(["predict", "--model", str(model_out), "--data", data,
                        "--out", str(tmp_path / "p.csv"), "--coeff", coeff])
         assert rc == 3
-        assert f"{field} has " in capsys.readouterr().err
+        # train.x gives the prior's input width, so a wider one misfits the first weights
+        named = "prior.w_mean_0 must be (2, 3)" if field == "train.x" else f"{field} has "
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
         ("sigma2", "x"), ("sigma2", -1.0), ("sigma2", 0.0), ("sigma2", None),
-        ("seed", "3"), ("seed", 1.5),
     ])
     def test_bad_model_scalar_is_data_error(self, tmp_path, capsys, field, value):
         data = _synth(tmp_path, n=10)
@@ -381,8 +408,8 @@ class TestPredictEval:
                          "--model-out", str(model_out)]) == 0
         d = json.loads(model_out.read_text())
         if field == "prior":
-            field = "prior.weight_mean" if family == "bnn" else "prior.weights"
-            d["prior"][field.split(".")[1]][0][0][0] = float("nan")
+            field = "prior.w_mean_0" if family == "bnn" else "prior.w_0"
+            d["prior"][field.split(".")[1]][0][0] = float("nan")
         elif field == "q.mu":
             d["q"]["mu"][1] = float("nan")
         else:
@@ -403,7 +430,7 @@ class TestPredictEval:
         assert cli.main(["train", "--data", data, "--config", cfg,
                          "--model-out", str(model_out)]) == 0
         d = json.loads(model_out.read_text())
-        d["prior"]["noise_halfwidth"] = "@"
+        d["config"]["noise_halfwidth"] = "@"
         model_out.write_text(json.dumps(d).replace('"@"', text))
         capsys.readouterr()
         rc = cli.main(["predict", "--model", str(model_out), "--data", data,
@@ -517,18 +544,22 @@ _MODEL_TYPE_PROBES = [
     ("bnn", ["stats", "target_std"], "2", "stats.target_std"),
     ("bnn", ["stats", "target_mean"], True, "stats.target_mean"),
     ("bnn", ["stats", "feature_means", 0], "0", "stats.feature_means"),
-    ("bnn", ["prior", "layer_sizes"], [1, 3.7, 1], "prior.layer_sizes"),
-    ("bnn", ["prior", "layer_sizes", 0], True, "prior.layer_sizes"),
-    ("bnn", ["prior", "layer_sizes", 1], "3", "prior.layer_sizes"),
-    ("bnn", ["prior", "weight_mean", 0, 0, 0], "0.1", "prior.weight_mean"),
-    ("bnn", ["format_version"], 2.0, "format_version"),
-    ("ns", ["prior", "noise_dim"], 2.5, "prior.noise_dim"),
-    ("ns", ["prior", "noise_dim"], "2", "prior.noise_dim"),
-    ("ns", ["prior", "noise_halfwidth"], "1", "prior.noise_halfwidth"),
-    ("ns", ["prior", "weights", 0, 0, 0], True, "prior.weights"),
+    ("bnn", ["config", "hidden"], [3.7], "config.hidden"),
+    ("bnn", ["config", "hidden", 0], True, "config.hidden"),
+    ("bnn", ["config", "hidden", 0], "3", "config.hidden"),
+    ("bnn", ["prior", "w_mean_0", 0, 0], "0.1", "prior.w_mean_0"),
+    ("bnn", ["format_version"], 3.0, "format_version"),
     ("ns", ["config", "noise_dim"], 2.5, "config.noise_dim"),
+    ("ns", ["config", "noise_dim"], "2", "config.noise_dim"),
+    ("ns", ["config", "noise_halfwidth"], "1", "config.noise_halfwidth"),
+    ("ns", ["prior", "w_0", 0, 0], True, "prior.w_0"),
     ("bnn", ["config", "num_draws"], "5", "config.num_draws"),
 ]
+
+
+def _param_names(family, layers):
+    """The parameter names of a ``family`` prior with ``layers`` layers, in its order."""
+    return [f"{prefix}_{l}" for l in range(layers) for prefix, _ in _LAYOUT[family]]
 
 
 @pytest.fixture(scope="module")
@@ -587,37 +618,73 @@ class TestModelFileTypes:
                                     "--out", probe_dir / "p.csv"])
         assert (rc, err) == (3, f"error: malformed model file: config: {message}\n")
 
-    # the config block restates the network and the seed the other blocks
-    # hold; each edit alone loaded at exit 0, and prediction ignored it
-    @pytest.mark.parametrize("family, key, value, other", [
-        ("bnn", "activation", "sigmoid", "prior.activation 'tanh'"),
-        ("bnn", "hidden", [0], "prior.layer_sizes [1, 3, 1]"),
-        ("bnn", "hidden", [], "prior.layer_sizes [1, 3, 1]"),
-        ("bnn", "hidden", [7, 7], "prior.layer_sizes [1, 3, 1]"),
-        ("bnn", "prior_family", "ns", "prior.family 'bnn'"),
-        ("bnn", "seed", 99, "seed 0"),
-        ("ns", "noise_dim", 5, "prior.noise_dim 2"),
-        ("ns", "noise_halfwidth", 2.0, "prior.noise_halfwidth 1.0"),
-        ("ns", "prior_family", "bnn", "prior.family 'ns'"),
-        ("ns", "activation", "relu", "prior.activation 'tanh'"),
-        # a bnn prior has no noise settings, so its config's are not compared
-        ("bnn", "noise_dim", 5, None),
-        ("bnn", "noise_halfwidth", 2.0, None),
-    ], ids=lambda v: json.dumps(v) if isinstance(v, (list, float, int)) else str(v))
-    def test_config_that_disagrees_with_the_file_exits_3_naming_both(
-        self, probe_dir, family, key, value, other
+    # the config is the one copy of the network's settings, and train.x gives
+    # its input width: a config the prior arrays do not fit, or arrays that do
+    # not fit the config, are rejected by the prior that both build
+    @pytest.mark.parametrize("family, path, value, message", [
+        ("bnn", ["config", "hidden"], [7, 7],
+         f"a bnn prior with layers (1, 7, 7, 1) takes parameters {_param_names('bnn', 3)}, "
+         f"got {sorted(_param_names('bnn', 2))}"),
+        ("bnn", ["config", "hidden"], [],
+         f"a bnn prior with layers (1, 1) takes parameters {_param_names('bnn', 1)}, "
+         f"got {sorted(_param_names('bnn', 2))}"),
+        ("bnn", ["config", "prior_family"], "ns",
+         f"a ns prior with layers (11, 3, 1) takes parameters {_param_names('ns', 2)}, "
+         f"got {sorted(_param_names('bnn', 2))}"),
+        ("ns", ["config", "prior_family"], "bnn",
+         f"a bnn prior with layers (1, 3, 1) takes parameters {_param_names('bnn', 2)}, "
+         f"got {sorted(_param_names('ns', 2))}"),
+        ("bnn", ["prior", "w_mean_2"], [[0.0]],
+         f"a bnn prior with layers (1, 3, 1) takes parameters {_param_names('bnn', 2)}, "
+         f"got {sorted(_param_names('bnn', 2) + ['w_mean_2'])}"),
+        ("bnn", ["prior", "w_mean_0"], [[0.1, 0.2]], "prior.w_mean_0 must be (1, 3), got (1, 2)"),
+        ("ns", ["config", "noise_dim"], 5, "prior.w_0 must be (6, 3), got (3, 3)"),
+        ("bnn", ["config", "hidden"], [0], "config: hidden widths must be >= 1, got [0]"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, (list, int)) else str(v)[:40])
+    def test_config_and_prior_arrays_that_do_not_fit_exit_3_naming_the_prior(
+        self, probe_dir, family, path, value, message
     ):
         d = json.loads((probe_dir / f"{family}.json").read_text())
-        d["config"][key] = value
+        d[path[0]][path[1]] = value
         (probe_dir / "edited.json").write_text(json.dumps(d))
         rc, err = _main_in_process(["predict", "--model", probe_dir / "edited.json",
                                     "--data", probe_dir / "data.csv",
                                     "--out", probe_dir / "p.csv"])
-        if other is None:
+        assert (rc, err) == (3, f"error: malformed model file: {message}\n")
+
+    # a config edit the arrays still fit is the model's setting, not a
+    # disagreement: it loads, and prediction follows it (a bnn prior reads
+    # no noise settings)
+    @pytest.mark.parametrize("family, key, value, moves", [
+        ("bnn", "seed", 99, True),
+        ("bnn", "activation", "relu", True),
+        ("ns", "noise_halfwidth", 2.0, True),
+        ("bnn", "noise_dim", 5, False),
+        ("bnn", "noise_halfwidth", 2.0, False),
+    ])
+    def test_config_edit_that_fits_the_prior_sets_the_prediction(self, probe_dir, family, key,
+                                                                 value, moves):
+        outputs = []
+        for edit in (False, True):
+            d = json.loads((probe_dir / f"{family}.json").read_text())
+            if edit:
+                d["config"][key] = value
+            (probe_dir / "edited.json").write_text(json.dumps(d))
+            out = probe_dir / f"p-{edit}.csv"
+            rc, err = _main_in_process(["predict", "--model", probe_dir / "edited.json",
+                                        "--data", probe_dir / "data.csv", "--out", out])
             assert (rc, err) == (0, "")
-        else:
-            assert (rc, err) == (3, f"error: malformed model file: config.{key} "
-                                    f"{value!r} disagrees with {other}\n")
+            outputs.append(out.read_bytes())
+        assert (outputs[0] != outputs[1]) == moves
+
+    def test_format_version_2_file_exits_3(self, probe_dir):
+        d = json.loads((probe_dir / "bnn.json").read_text())
+        d["format_version"] = 2
+        (probe_dir / "edited.json").write_text(json.dumps(d))
+        rc, err = _main_in_process(["predict", "--model", probe_dir / "edited.json",
+                                    "--data", probe_dir / "data.csv",
+                                    "--out", probe_dir / "p.csv"])
+        assert (rc, err) == (3, "error: unsupported format_version 2, expected 3\n")
 
 
 def _trained(tmp_path):
@@ -900,7 +967,7 @@ _DELETE = "<delete>"
 _MODEL_EDGES = [math.nan, math.inf, -math.inf, 1e308, -0.0, 2**70, 10**400,
                 "1", True, None, [], {}, _DELETE]
 # the top-level fields, each that is validated drawn three times as often
-_MODEL_FIELDS = ["stats", "q", "train", "prior", "sigma2", "seed", "config"] * 3 + [
+_MODEL_FIELDS = ["stats", "q", "train", "prior", "sigma2", "config"] * 3 + [
     "format_version"
 ]
 
@@ -1270,8 +1337,7 @@ class TestNoNumpyWarningsOnStderr:
         assert cli.main(["train", "--data", data, "--config", cfg,
                          "--model-out", str(model)]) == 0
         doc = json.loads(model.read_text())
-        for block in ("weights", "biases"):
-            doc["prior"][block] = [np.copysign(1e300, a).tolist() for a in doc["prior"][block]]
+        doc["prior"] = {k: np.copysign(1e300, a).tolist() for k, a in doc["prior"].items()}
         model.write_text(json.dumps(doc))
         proc = _cli_process("predict", "--model", "m.json", "--data", "toy.csv",
                             "--out", "p.csv", cwd=tmp_path)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vip.data import Dataset, compute_stats, standardize, synth_toy
-from vip.errors import ModelFileError
+from vip.errors import ContractError, ModelFileError
 from vip.inference import TrainConfig, train
 from vip.modelfile import (
     FORMAT_VERSION,
@@ -85,7 +85,7 @@ class TestRoundTrip:
         p = tmp_path / "m.json"
         save_model(m, str(p))
         loaded = load_model(str(p))
-        assert json.loads(p.read_text())["seed"] == loaded.config.seed == 5
+        assert json.loads(p.read_text())["config"]["seed"] == loaded.config.seed == 5
         for model in (m, loaded):
             got = posterior_predict(model, x, mode="learned")
             assert got.mean.tobytes() == want.mean.tobytes()
@@ -103,6 +103,22 @@ class TestRoundTrip:
             save_model(m, str(p))
         assert (p.read_bytes() if p.exists() else None) == existing
 
+    # the file keeps the prior's settings only in the config and train.x's
+    # width, so a model whose prior has others would load as another model
+    @pytest.mark.parametrize("edit", [
+        {"config": {"activation": "relu"}}, {"config": {"hidden": (4,)}},
+        {"config": {"prior_family": "ns", "noise_dim": 2}}, {"train_x": np.zeros((20, 2))},
+    ], ids=["activation", "hidden", "family", "train.x"])
+    def test_model_whose_prior_does_not_have_its_config_settings_is_not_saved(self, tmp_path,
+                                                                               edit):
+        m = _small_model()
+        m = replace(m, config=replace(m.config, **edit.get("config", {})),
+                    train_x=edit.get("train_x", m.train_x))
+        p = tmp_path / "m.json"
+        with pytest.raises(ContractError, match="the model's prior does not have its config's"):
+            save_model(m, str(p))
+        assert not p.exists()
+
     def test_float_values_bitwise_exact(self, tmp_path):
         # json repr of a double parses back to the identical double
         m = _small_model(seed=9)
@@ -118,8 +134,8 @@ class TestRoundTrip:
 
 def _carrying(prior):
     """_small_model() with ``prior`` in place of its own, a config that
-    restates it, train.x as wide as its inputs and no stats, so the model
-    file stays consistent."""
+    describes it, train.x as wide as its inputs and no stats, so the model
+    file fits the prior's arrays."""
     m = _small_model()
     config = replace(m.config, prior_family=prior.family, hidden=prior.layer_sizes[1:-1],
                      activation=prior.activation)
@@ -148,16 +164,22 @@ class TestBlocks:
             sample_functions(back, x, 4, Rng(6, 0)).values,
         )
 
+    def test_prior_block_maps_each_parameter_name_to_its_matrix(self):
+        m = _small_model(family="ns")
+        prior = model_to_dict(m)["prior"]
+        assert sorted(prior) == sorted(m.prior.params) == ["b_0", "b_1", "w_0", "w_1"]
+        assert prior["w_0"] == m.prior.params["w_0"].tolist()
+
     def test_unknown_prior_family(self):
         d = model_to_dict(_small_model())
-        d["prior"]["family"] = "gp"
-        with pytest.raises(ModelFileError, match="unknown prior family 'gp'"):
+        d["config"]["prior_family"] = "gp"
+        with pytest.raises(ModelFileError, match="config: unknown prior_family 'gp'"):
             model_from_dict(d)
 
     def test_prior_layer_array_count_checked(self):
         d = model_to_dict(_carrying(init_prior("bnn", 2, (4,), "tanh", Rng(0, 0))))
-        d["prior"]["bias_mean"].append([[0.0]])
-        with pytest.raises(ModelFileError):
+        d["prior"]["b_mean_2"] = [[0.0]]
+        with pytest.raises(ModelFileError, match=r"a bnn prior with layers \(2, 4, 1\)"):
             model_from_dict(d)
 
     def test_stats_round_trip(self):
@@ -198,9 +220,12 @@ class TestValidation:
     def test_version_checked(self, tmp_path):
         m = _small_model()
         d = model_to_dict(m)
+        assert FORMAT_VERSION == 3 and sorted(d) == [
+            "config", "format_version", "prior", "q", "sigma2", "stats", "train"
+        ]
         for version in (FORMAT_VERSION - 1, FORMAT_VERSION + 1):
             d["format_version"] = version
-            with pytest.raises(ModelFileError):
+            with pytest.raises(ModelFileError, match=f"unsupported format_version {version}, "):
                 model_from_dict(d)
 
     def test_missing_field(self):
@@ -225,10 +250,11 @@ class TestValidation:
         with pytest.raises(Exception):
             model_from_dict(d)
 
-    def test_train_x_width_checked_against_prior(self):
+    def test_train_x_width_checked_against_the_prior_arrays(self):
+        # train.x gives the prior's input width, so its first weights must fit it
         d = model_to_dict(_small_model())
         d["train"]["x"] = [row + [0.0] for row in d["train"]["x"]]
-        with pytest.raises(ModelFileError, match=r"train\.x .*prior\.input_dim"):
+        with pytest.raises(ModelFileError, match=r"prior\.w_mean_0 must be \(2, 3\), got \(1, 3\)"):
             model_from_dict(d)
 
     def test_train_y_length_checked_against_train_x(self):

@@ -2,7 +2,9 @@
 
 Two source trees behave the same when their digest files are equal: every
 model file, summary, prediction CSV, report and error text matches byte for
-byte.
+byte. Each trained model also gets a ``model-content:<name>`` digest of what
+``load_model`` reads from its file, which does not depend on the file's
+layout: two trees whose model files differ only in format give equal ones.
 
     python tools/byte_matrix.py TREE OUT.json [--configs K]
     python tools/byte_matrix.py --compare A.json B.json
@@ -74,8 +76,8 @@ FAILING = [
     ("repeated-config-key", '{"epochs": 1, "num_draws": 4, "epochs": 2}',
      ["train", "--data", "train.csv"]),
     # the first training config's model file, with config.hidden edited
-    ("config-disagrees-with-prior", None,
-     ["predict", "--model", "disagree.model.json", "--data", "rows.csv", "--out", "p.csv"]),
+    ("config-does-not-fit-prior", None,
+     ["predict", "--model", "unfit.model.json", "--data", "rows.csv", "--out", "p.csv"]),
 ]
 
 
@@ -85,6 +87,28 @@ def _digest(data: bytes) -> str:
 
 def _file(path) -> str:
     return _digest(Path(path).read_bytes())
+
+
+def _model_content(path) -> str:
+    """A digest of the model ``vip.modelfile.load_model`` reads from ``path``:
+    the prior's arrays by name, q, repr(sigma2), the config's canonical JSON,
+    the training block and the stats, each array with its name and shape."""
+    import numpy as np
+    from vip.modelfile import canonical_json, load_model
+
+    m = load_model(path)
+    arrays = {f"prior.{k}": v for k, v in sorted(m.prior.params.items())}
+    arrays.update({"q.mu": m.q.mu, "q.chol": m.q.chol, "train_x": m.train_x,
+                   "train_y": m.train_y})
+    if m.stats is not None:
+        arrays.update({f"stats.{k}": v for k, v in sorted(vars(m.stats).items())})
+    h = hashlib.sha256()
+    for name, a in arrays.items():
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(f"{name} {a.shape}\n".encode() + a.tobytes())
+    h.update(f"sigma2 {m.sigma2!r}\n".encode())
+    h.update(canonical_json(m.config.to_dict()).encode())
+    return h.hexdigest()
 
 
 class _Runner:
@@ -103,6 +127,13 @@ class _Runner:
         self.digests[f"{name}.stderr"] = _digest(err.getvalue().encode())
         for path in outputs:
             self.digests[f"{name}:{path}"] = _file(path) if os.path.exists(path) else "missing"
+
+    def train(self, name, argv, model):
+        """``run`` a train command, then digest the contents of the model it wrote."""
+        self.run(f"train-{name}", argv + ["--model-out", model], [model])
+        self.digests[f"model-content:{name}"] = (
+            _model_content(model) if os.path.exists(model) else "missing"
+        )
 
 
 def _config(name, cfg) -> str:
@@ -152,8 +183,7 @@ def _run_commands(r: _Runner, configs) -> None:
     Path("one.csv").write_text(Path("rows.csv").read_text().splitlines(keepends=True)[0])
     for name, cfg in itertools.islice(_train_configs(), configs):
         model = f"{name}.model.json"
-        r.run(f"train-{name}", ["train", "--data", "train.csv", "--config",
-                                _config(name, cfg), "--model-out", model], [model])
+        r.train(name, ["train", "--data", "train.csv", "--config", _config(name, cfg)], model)
         for coeff in ("exact", "learned"):
             pred = f"{name}.{coeff}.csv"
             r.run(f"predict-{name}-{coeff}", ["predict", "--model", model, "--data",
@@ -180,8 +210,8 @@ def _run_commands(r: _Runner, configs) -> None:
     Path("d3.csv").write_text("".join(",".join(map(repr, _d3_row(i))) + "\n"
                                       for i in range(1000)))
     r.run("gp-baseline-d3", ["gp-baseline", "--data", "d3.csv", "--grid-config", grid])
-    r.run("train-d3", ["train", "--data", "d3.csv", "--config", _config("d3", TRAIN_BASE),
-                       "--model-out", "d3.model.json"], ["d3.model.json"])
+    r.train("d3", ["train", "--data", "d3.csv", "--config", _config("d3", TRAIN_BASE)],
+            "d3.model.json")
     r.run("predict-d3", ["predict", "--model", "d3.model.json", "--data", "d3.csv",
                          "--coeff", "exact", "--out", "d3.exact.csv"], ["d3.exact.csv"])
     r.run("eval-d3", ["eval", "--pred", "d3.exact.csv", "--data", "d3.csv"])
@@ -190,7 +220,7 @@ def _run_commands(r: _Runner, configs) -> None:
     Path("short.csv").write_text("x1,mean,var_y\n0.0,0.0,1.0\n")
     model = json.loads(Path(f"{next(_train_configs())[0]}.model.json").read_text())
     model["config"]["hidden"] = [7, 7]
-    Path("disagree.model.json").write_text(json.dumps(model))
+    Path("unfit.model.json").write_text(json.dumps(model))
     for name, cfg, argv in FAILING:
         if cfg is not None:
             flag = "--grid-config" if argv[0] == "gp-baseline" else "--config"
