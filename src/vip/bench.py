@@ -14,7 +14,7 @@ from . import data as datamod
 from .baseline_gp import gp_fit_grid, gp_predict
 from .errors import ParameterError, ParseError
 from .inference import TrainConfig, TrainedModel, train
-from .numkit import STREAM_GRID, derive_seed
+from .numkit import STREAM_GRID, derive_seed, reject_unknown
 from .predict import nll_rmse, posterior_predict
 
 # offset keeping per-split seeds clear of the fixed per-purpose streams
@@ -86,9 +86,7 @@ def _repeated_splits(protocol, data, fit_predict, options, head=None) -> dict:
     set and test inputs and returns (predictive distribution, extra per-split
     fields). ``head`` adds report fields after ``protocol``.
     """
-    unknown = sorted(set(options) - set(SPLIT_OPTIONS))
-    if unknown:
-        raise ParameterError(f"unknown protocol options: {', '.join(unknown)}")
+    reject_unknown(options, SPLIT_OPTIONS, "unknown protocol options")
     opts = {**SPLIT_OPTIONS, **options}
     splits, seed = opts["splits"], opts["seed"]
     if needs_data(protocol) and data is None:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .inference import TrainConfig, train
 from .modelfile import canonical_json, load_model, read_json, save_model
-from .numkit import check_value_types
+from .numkit import check_value_types, reject_unknown
 from .predict import gaussian_nll_rmse, posterior_predict
 
 
@@ -162,9 +162,7 @@ def _cmd_gp_baseline(args) -> int:
     opts = {}
     if args.grid_config is not None:
         opts = _load_json_object(args.grid_config)
-        unknown = sorted(set(opts) - set(benchmod.GRID_CONFIG))
-        if unknown:
-            raise ParameterError(f"unknown grid-config keys: {', '.join(unknown)}")
+        reject_unknown(opts, benchmod.GRID_CONFIG, "unknown grid-config keys")
         check_value_types(opts, benchmod.GRID_CONFIG)
     protocol = opts.pop("protocol", benchmod.GRID_CONFIG["protocol"])
     report = benchmod.gp_baseline_protocol(

@@ -30,7 +30,7 @@ from . import autodiff as ad
 from .errors import ContractError, DimensionError, NumericalError, ParameterError
 from .numkit import (
     STREAM_DRAWS, STREAM_INIT, STREAM_SHUFFLE, Rng, all_finite, as_matrix, as_vector,
-    check_value_types, sum_of_squares,
+    check_value_types, reject_unknown, sum_of_squares,
 )
 from .priors import (
     FAMILIES,
@@ -181,99 +181,91 @@ def energy_loss(
 # optimizer
 
 
+def flat_params(groups: dict) -> tuple:
+    """One float64 vector theta holding the arrays ``groups`` back to back,
+    in dict order and each row-major, and a dict of views of theta shaped as
+    the groups, which follow every in-place update of theta."""
+    theta = np.concatenate([a.ravel() for a in groups.values()], dtype=np.float64)
+    pieces = np.split(theta, np.cumsum([a.size for a in groups.values()])[:-1])
+    return theta, {k: p.reshape(a.shape) for (k, a), p in zip(groups.items(), pieces)}
+
+
 @dataclass
 class AdamState:
-    """Adam's moment estimates over all parameter groups as two flat buffers.
+    """Adam's moment estimates ``m`` and ``v``, each a flat vector laid out
+    as the theta they update, and the step count ``t``."""
 
-    ``layout`` lists each group's (name, shape) in buffer order; ``m`` and
-    ``v`` hold the groups' entries back to back, each group in row-major
-    order.
-    """
-
-    layout: tuple
     m: np.ndarray
     v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros(cls, params: dict) -> "AdamState":
-        layout = tuple((k, a.shape) for k, a in params.items())
-        size = sum(a.size for a in params.values())
-        return cls(layout, np.zeros(size), np.zeros(size))
+    def zeros(cls, size: int) -> "AdamState":
+        return cls(np.zeros(size), np.zeros(size))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> dict:
-    """One bias-corrected Adam update. Mutates ``state``, returns new params.
-
-    The groups are updated as one flat vector in the state's layout; every
-    operation is elementwise, so each entry gets the bits a per-group update
-    gives it. ``state.m`` and ``state.v`` are updated in place, in the
-    operation order of ``m = b1 * m + (1 - b1) * g``,
-    ``v = b2 * v + (1 - b2) * (g * g)`` and
-    ``p - lr * (m / c1) / (sqrt(v / c2) + eps)``, and only after every
-    argument has been checked, so a rejected call changes nothing. The new
-    params, in layout order, are views of one buffer of their own.
-    """
-    names = [k for k, _ in state.layout]
-    if params.keys() != grads.keys() or params.keys() != set(names):
-        raise ContractError("params, grads and optimizer state must share keys")
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of the flat vector ``theta`` along
+    ``grad``, laid out alike and only read. Updates ``theta``, ``state.m``
+    and ``state.v`` in place, in the operation order of
+    ``m = b1 * m + (1 - b1) * g``, ``v = b2 * v + (1 - b2) * (g * g)`` and
+    ``theta - lr * (m / c1) / (sqrt(v / c2) + eps)``: each op is elementwise,
+    so each entry gets the bits a per-group update gives it. The rate and
+    the shapes are checked first, so a rejected call changes nothing."""
     if not 0 < lr < math.inf:
         raise ParameterError(f"learning rate must be positive and finite, got {lr}")
-    for k, shape in state.layout:
-        for what, a in (("parameter", params[k]), ("gradient", grads[k])):
-            if a.shape != shape:
-                raise DimensionError(f"{what} {k} has shape {a.shape}, expected {shape}")
+    if theta.ndim != 1 or not theta.shape == grad.shape == state.m.shape == state.v.shape:
+        raise DimensionError(f"theta, gradient, m and v must be flat and of one length, got "
+                             f"{[a.shape for a in (theta, grad, state.m, state.v)]}")
     b1, b2, eps = ADAM_BETAS_EPS
     state.t += 1
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
-    g = np.concatenate([grads[k].ravel() for k in names], dtype=np.float64)
-    new = np.concatenate([params[k].ravel() for k in names], dtype=np.float64)
     m, v = state.m, state.v
-    step = np.multiply(g, 1.0 - b1)
+    step = np.multiply(grad, 1.0 - b1)
     m *= b1
     m += step
-    g *= g
-    g *= 1.0 - b2
+    sq = np.multiply(grad, grad)
+    sq *= 1.0 - b2
     v *= b2
-    v += g
+    v += sq
     np.divide(m, c1, out=step)
     step *= lr
-    np.divide(v, c2, out=g)
-    np.sqrt(g, out=g)
-    g += eps
-    step /= g
-    new -= step
-    out, pos = {}, 0
-    for k, shape in state.layout:
-        size = math.prod(shape)
-        out[k] = new[pos : pos + size].reshape(shape)
-        pos += size
-    return out
+    np.divide(v, c2, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += eps
+    step /= sq
+    theta -= step
 
 
-def _check_update(params: dict) -> None:
+_LOG_SCALES = ("w_log_scale_", "b_log_scale_")
+_RANGED = ("log_sigma2", "q_diag", *_LOG_SCALES)
+
+
+def _check_update(params: dict, theta: np.ndarray) -> None:
     """Reject an update that leaves a group where the model cannot read it:
     each group finite, exp of a BNN log-scale below inf (underflow to 0
-    passes), and math.exp(log_sigma2) and softplus(q_diag) in (0, inf). The
+    passes), and exp(log_sigma2) and softplus(q_diag) in (0, inf). The
     error gives the first offending value and names every offending group.
     Failing those, it rejects every group whose sum of squares overflows: a
     group finite and in range but so large that the next step's products
-    overflow. One BLAS dot per group answers on the success path."""
+    overflow. ``params`` are views of ``theta``: when theta's sum of squares
+    is finite, every group is finite and none's own sum overflows, so only
+    the groups with a range rule are read one by one."""
+    total = sum_of_squares(theta)
     bad, huge = [], []
     for name, a in params.items():
+        if math.isfinite(total) and not name.startswith(_RANGED):
+            continue
         what, value, low = name, a, -math.inf
         squares = sum_of_squares(a)
         if not (math.isfinite(squares) or all_finite(a)):
             pass
         elif name == "log_sigma2":
-            try:
-                what, value, low = "exp(log_sigma2)", math.exp(a[0, 0]), 0.0
-            except OverflowError:
-                what, value, low = "exp(log_sigma2)", math.inf, 0.0
+            what, value, low = "exp(log_sigma2)", np.exp(a), 0.0
         elif name == "q_diag":
             what, value, low = "softplus(q_diag)", np.logaddexp(0.0, a), 0.0
-        elif name.startswith(("w_log_scale_", "b_log_scale_")):
+        elif name.startswith(_LOG_SCALES):
             what, value = f"exp({name})", np.exp(a)
         elif math.isfinite(squares):
             continue
@@ -361,9 +353,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
+        reject_unknown(d, [f.name for f in fields(cls)], "unknown config keys")
         return cls(**d)
 
 
@@ -384,8 +374,8 @@ class TrainedModel:
 
 
 def _pass(lazy: bool, prior, params: dict, x, y, n_total: int, config: TrainConfig, rng: Rng):
-    """One step's loss, gradients and function draws at ``params`` on the
-    batch (x, y), recorded on a lazy or an eager tape.
+    """One step's loss, flat gradient (laid out as theta) and function draws
+    at ``params`` on the batch (x, y), recorded on a lazy or an eager tape.
 
     Either pass returns only a finite loss: a lazy tape lets a non-finite
     value reach the loss, so its loss is checked here. A NumericalError
@@ -397,10 +387,7 @@ def _pass(lazy: bool, prior, params: dict, x, y, n_total: int, config: TrainConf
     try:
         draws = sample_functions(prior, x, config.num_draws, rng, tape=tape,
                                  params={k: leaves[k] for k in prior.params})
-        if "log_sigma2" in leaves:
-            lo = leaves["log_sigma2"]
-        else:
-            lo = tape.constant(math.log(config.sigma2))
+        lo = leaves.get("log_sigma2") or tape.constant(math.log(config.sigma2))
         loss, _ = energy_loss(tape, y, draws, leaves, config.alpha, lo, n_total, denom, ridge)
         if lazy and not all_finite(loss.value):
             raise NumericalError("loss: non-finite value")
@@ -409,11 +396,12 @@ def _pass(lazy: bool, prior, params: dict, x, y, n_total: int, config: TrainConf
         involved = f" (parameters: {', '.join(names)})" if names else ""
         raise NumericalError(f"{err}{involved}") from err
     grads = ad.backward(loss)
-    return float(loss.value[0, 0]), {k: grads[v.nid] for k, v in leaves.items()}, draws
+    grad = np.concatenate([grads[v.nid].ravel() for v in leaves.values()])
+    return float(loss.value[0, 0]), grad, draws
 
 
 def _step(prior, params: dict, x, y, n_total: int, config: TrainConfig, rng: Rng):
-    """One training step's loss, gradients and draws: a lazy pass, replayed
+    """One training step's loss, gradient and draws: a lazy pass, replayed
     once on an eager tape if it fails. ``rng`` is put back where the lazy
     pass found it, so the replay draws the same functions and names the op
     that made the first non-finite value; should the replay succeed, its
@@ -445,6 +433,9 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     read. The Adam update follows the accepted pass, and an update the model
     cannot read (see ``_check_update``) names every group it left out of
     range.
+    Every group (prior arrays, q_mu, q_tril, q_diag, log_sigma2 if learned)
+    is a view of one flat vector theta that ``adam_step`` updates in place;
+    ``final_params`` holds these views.
     """
     x = as_matrix(x, "inputs")
     y = as_vector(y, "targets")
@@ -462,15 +453,14 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
     prior = init_prior(config.prior_family, x.shape[1], config.hidden, config.activation,
                        Rng(config.seed, STREAM_INIT), *config.prior_noise)
     s = config.num_draws
-    params = dict(prior.params)
-    params["q_mu"] = np.zeros((s, 1))
-    params["q_tril"] = np.zeros((s, s))
-    params["q_diag"] = np.full((s, 1), SOFTPLUS_INV_ONE)
+    groups = dict(prior.params, q_mu=np.zeros((s, 1)), q_tril=np.zeros((s, s)),
+                  q_diag=np.full((s, 1), SOFTPLUS_INV_ONE))
     learn_sigma = config.sigma2_mode == "learned"
     if learn_sigma:
-        params["log_sigma2"] = np.array([[math.log(config.sigma2)]])
+        groups["log_sigma2"] = np.array([[math.log(config.sigma2)]])
+    theta, params = flat_params(groups)  # params stay views of theta for the whole run
 
-    state = AdamState.zeros(params)
+    state = AdamState.zeros(theta.size)
     rng_draws = Rng(config.seed, STREAM_DRAWS)
     rng_shuffle = Rng(config.seed, STREAM_SHUFFLE)
     mb = min(config.batch_size or n, n)
@@ -487,10 +477,10 @@ def train(x, y, config: TrainConfig, stats=None, callback=None) -> TrainedModel:
                 # the heap top that glibc returns to the system and the next
                 # step faults back in (about 200 page faults and a tenth of a
                 # criterion-01 step, measured)
-                loss, grads, draws = _step(prior, params, x[idx], y[idx], n, config, rng_draws)
+                loss, grad, draws = _step(prior, params, x[idx], y[idx], n, config, rng_draws)
                 epoch_losses.append(loss)
-                params = adam_step(params, grads, state, config.learning_rate)
-                _check_update(params)
+                adam_step(theta, grad, state, config.learning_rate)
+                _check_update(params, theta)
             except NumericalError as err:
                 raise NumericalError(f"epoch {epoch}, batch at {start}: {err}") from err
         trace.append(math.fsum(epoch_losses) / len(epoch_losses))

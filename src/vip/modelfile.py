@@ -19,7 +19,7 @@ import numpy as np
 from .data import Stats
 from .errors import ContractError, DimensionError, ModelFileError, ParameterError
 from .inference import CoefficientPosterior, TrainConfig, TrainedModel, _check_sigma2
-from .numkit import check_value_types
+from .numkit import check_value_types, reject_unknown
 from .priors import Prior
 
 FORMAT_VERSION = 3
@@ -107,6 +107,7 @@ def model_from_dict(d: dict) -> TrainedModel:
             raise ModelFileError(
                 f"unsupported format_version {version!r}, expected {FORMAT_VERSION}"
             )
+        reject_unknown(d, (*_REQUIRED, "stats"), "unknown fields")  # the version sets the keys
         sigma2 = _check_sigma2(_read(d, "", {"sigma2": 0.1})["sigma2"])
         for key in ("config", "prior", "q", "train", "stats"):
             if not (isinstance(d.get(key), dict) or key == "stats" and d.get(key) is None):
@@ -120,6 +121,8 @@ def model_from_dict(d: dict) -> TrainedModel:
         except ParameterError as e:  # a range or unknown-key error names no block
             raise ParameterError(f"config: {e}") from e
         params = check_value_types(d["prior"], dict.fromkeys(d["prior"], _MATRIX), "prior.")
+        for key, types in (("q", _Q), ("stats", _STATS), ("train", _TRAIN)):
+            reject_unknown(d.get(key) or {}, types, "unknown fields", f"{key}.")
         q = CoefficientPosterior(**_read(d["q"], "q.", _Q))
         stats = None if d.get("stats") is None else Stats(**_read(d["stats"], "stats.", _STATS))
         train = _read(d["train"], "train.", _TRAIN)

@@ -282,6 +282,13 @@ def _read_as(value, default):
     return float(value) if finite else None
 
 
+def reject_unknown(keys, known, what: str, where: str = "") -> None:
+    """Raise a ParameterError ``what: a, b`` naming each of ``keys`` not in ``known``, sorted."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise ParameterError(f"{what}: {', '.join(where + k for k in unknown)}")
+
+
 def check_value_types(d: dict, defaults: dict, where: str = "") -> dict:
     """``d``'s values, each read as the type of its key's default; the
     ParameterError names ``where`` and the first key whose value is not.

@@ -116,11 +116,13 @@ class Prior:
         for l, (fi, fo) in enumerate(zip(self.layer_sizes[:-1], self.layer_sizes[1:])):
             for prefix, kind in _LAYOUT[self.family]:
                 shapes[f"{prefix}_{l}"] = (fi, fo) if kind == "weight" else (1, fo)
-        if set(self.params) != set(shapes):
-            raise ParameterError(
-                f"a {self.family} prior with layers {self.layer_sizes} takes parameters "
-                f"{list(shapes)}, got {sorted(self.params)}"
-            )
+        missing = [name for name in shapes if name not in self.params]
+        extra = sorted(set(self.params) - set(shapes))
+        if missing or extra:
+            parts = [f"{what} {', '.join(names)}" for what, names in
+                     (("lacks", missing), ("does not take", extra)) if names]
+            raise ParameterError(f"a {self.family} prior with layers {self.layer_sizes} "
+                                 + " and ".join(parts))
         self.params = {name: np.asarray(self.params[name], float) for name in shapes}
         for name, shape in shapes.items():
             if self.params[name].shape != shape:

@@ -22,7 +22,6 @@ import vip.cli as cli
 from vip.errors import NumericalError
 from vip.inference import TrainConfig
 from vip.modelfile import load_model
-from vip.priors import _LAYOUT
 
 from test_data import _NUMBER, _csv_text
 
@@ -557,11 +556,6 @@ _MODEL_TYPE_PROBES = [
 ]
 
 
-def _param_names(family, layers):
-    """The parameter names of a ``family`` prior with ``layers`` layers, in its order."""
-    return [f"{prefix}_{l}" for l in range(layers) for prefix, _ in _LAYOUT[family]]
-
-
 @pytest.fixture(scope="module")
 def probe_dir(tmp_path_factory):
     """A 40-row toy CSV and a bnn and an ns model (noise_dim 2) trained on it."""
@@ -623,20 +617,21 @@ class TestModelFileTypes:
     # not fit the config, are rejected by the prior that both build
     @pytest.mark.parametrize("family, path, value, message", [
         ("bnn", ["config", "hidden"], [7, 7],
-         f"a bnn prior with layers (1, 7, 7, 1) takes parameters {_param_names('bnn', 3)}, "
-         f"got {sorted(_param_names('bnn', 2))}"),
+         "a bnn prior with layers (1, 7, 7, 1) lacks w_mean_2, w_log_scale_2, b_mean_2, "
+         "b_log_scale_2"),
         ("bnn", ["config", "hidden"], [],
-         f"a bnn prior with layers (1, 1) takes parameters {_param_names('bnn', 1)}, "
-         f"got {sorted(_param_names('bnn', 2))}"),
+         "a bnn prior with layers (1, 1) does not take b_log_scale_1, b_mean_1, w_log_scale_1, "
+         "w_mean_1"),
         ("bnn", ["config", "prior_family"], "ns",
-         f"a ns prior with layers (11, 3, 1) takes parameters {_param_names('ns', 2)}, "
-         f"got {sorted(_param_names('bnn', 2))}"),
+         "a ns prior with layers (11, 3, 1) lacks w_0, b_0, w_1, b_1 and does not take "
+         "b_log_scale_0, b_log_scale_1, b_mean_0, b_mean_1, w_log_scale_0, w_log_scale_1, "
+         "w_mean_0, w_mean_1"),
         ("ns", ["config", "prior_family"], "bnn",
-         f"a bnn prior with layers (1, 3, 1) takes parameters {_param_names('bnn', 2)}, "
-         f"got {sorted(_param_names('ns', 2))}"),
+         "a bnn prior with layers (1, 3, 1) lacks w_mean_0, w_log_scale_0, b_mean_0, "
+         "b_log_scale_0, w_mean_1, w_log_scale_1, b_mean_1, b_log_scale_1 and does not take "
+         "b_0, b_1, w_0, w_1"),
         ("bnn", ["prior", "w_mean_2"], [[0.0]],
-         f"a bnn prior with layers (1, 3, 1) takes parameters {_param_names('bnn', 2)}, "
-         f"got {sorted(_param_names('bnn', 2) + ['w_mean_2'])}"),
+         "a bnn prior with layers (1, 3, 1) does not take w_mean_2"),
         ("bnn", ["prior", "w_mean_0"], [[0.1, 0.2]], "prior.w_mean_0 must be (1, 3), got (1, 2)"),
         ("ns", ["config", "noise_dim"], 5, "prior.w_0 must be (6, 3), got (3, 3)"),
         ("bnn", ["config", "hidden"], [0], "config: hidden widths must be >= 1, got [0]"),
@@ -685,6 +680,28 @@ class TestModelFileTypes:
                                     "--data", probe_dir / "data.csv",
                                     "--out", probe_dir / "p.csv"])
         assert (rc, err) == (3, "error: unsupported format_version 2, expected 3\n")
+
+    # every block holds only the keys the reader knows; a stray one was dropped
+    # and the file predicted at exit 0
+    @pytest.mark.parametrize("path, names", [
+        ([], None),  # the file vip train wrote
+        (["seed"], "seed"),
+        (["q", "extra"], "q.extra"),
+        (["train", "extra"], "train.extra"),
+        (["stats", "extra"], "stats.extra"),
+    ], ids=lambda v: ".".join(v) if isinstance(v, list) else None)
+    def test_unknown_key_exits_3_naming_it(self, probe_dir, path, names):
+        d = json.loads((probe_dir / "bnn.json").read_text())
+        if path:
+            (d[path[0]] if len(path) == 2 else d)[path[-1]] = 5
+        (probe_dir / "edited.json").write_text(json.dumps(d))
+        for coeff in ("exact", "learned"):
+            rc, err = _main_in_process(["predict", "--model", probe_dir / "edited.json",
+                                        "--data", probe_dir / "data.csv", "--coeff", coeff,
+                                        "--out", probe_dir / "p.csv"])
+            want = (0, "") if names is None else (
+                3, f"error: malformed model file: unknown fields: {names}\n")
+            assert (rc, err) == want
 
 
 def _trained(tmp_path):

@@ -22,6 +22,7 @@ from vip.inference import (
     TrainConfig,
     adam_step,
     energy_loss,
+    flat_params,
     q_from_raw,
     train,
 )
@@ -396,73 +397,67 @@ class TestEnergyLoss:
             energy_loss(tape, np.zeros(4), draws, {}, 0.5, tape.constant(0.0), 4, 3, 0.0)
 
 
-def _warm_adam_state(params: dict, steps: int = 4) -> AdamState:
+def _warm_adam_state(size: int, steps: int = 4) -> AdamState:
     """A state after ``steps`` accepted updates, every moment entry nonzero."""
     rng = np.random.default_rng(22)
-    state = AdamState.zeros(params)
+    theta, state = np.zeros(size), AdamState.zeros(size)
     for _ in range(steps):
-        grads = {k: rng.standard_normal(a.shape) for k, a in params.items()}
-        params = adam_step(params, grads, state, 0.1)
+        adam_step(theta, rng.standard_normal(size), state, 0.1)
     assert state.t == steps and state.m.all() and state.v.all()
     return state
 
 
-def _adam_snapshot(state: AdamState):
-    return state.t, state.m.tobytes(), state.v.tobytes()
+def _adam_snapshot(theta, state: AdamState):
+    return theta.tobytes(), state.t, state.m.tobytes(), state.v.tobytes()
 
 
 class TestAdam:
     def test_matches_reference_implementation(self):
         # independent transcription of the published update rule
         rng = np.random.default_rng(20)
-        p = {"a": rng.standard_normal((2, 2)), "b": rng.standard_normal((3, 1))}
+        theta, p = flat_params({"a": rng.standard_normal((2, 2)), "b": rng.standard_normal((3, 1))})
         ref_p = {k: v.copy() for k, v in p.items()}
         ref_m = {k: np.zeros_like(v) for k, v in p.items()}
         ref_v = {k: np.zeros_like(v) for k, v in p.items()}
-        state = AdamState.zeros(p)
+        state = AdamState.zeros(theta.size)
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         for t in range(1, 8):
             grads = {k: rng.standard_normal(v.shape) for k, v in p.items()}
-            p = adam_step(p, grads, state, lr)
+            adam_step(theta, np.concatenate([g.ravel() for g in grads.values()]), state, lr)
             for k in ref_p:
                 ref_m[k] = b1 * ref_m[k] + (1 - b1) * grads[k]
                 ref_v[k] = b2 * ref_v[k] + (1 - b2) * grads[k] ** 2
                 mhat = ref_m[k] / (1 - b1**t)
                 vhat = ref_v[k] / (1 - b2**t)
                 ref_p[k] = ref_p[k] - lr * mhat / (np.sqrt(vhat) + eps)
-        for k in p:
+        for k in p:  # the views follow theta
             np.testing.assert_allclose(p[k], ref_p[k], rtol=1e-12)
 
     def test_minimizes_quadratic(self):
-        p = {"x": np.array([[5.0]])}
-        state = AdamState.zeros(p)
+        theta = np.array([5.0])
+        state = AdamState.zeros(1)
         for _ in range(400):
-            p = adam_step(p, {"x": 2 * p["x"]}, state, 0.1)
-        assert abs(p["x"][0, 0]) < 1e-3
-
-    def test_key_mismatch(self):
-        p = {"x": np.zeros((1, 1))}
-        with pytest.raises(ContractError):
-            adam_step(p, {"y": np.zeros((1, 1))}, AdamState.zeros(p), 0.1)
+            adam_step(theta, 2 * theta, state, 0.1)
+        assert abs(theta[0]) < 1e-3
 
     def test_infinite_learning_rate_rejected(self):
         # an inf rate moved every entry with a nonzero gradient to -inf; the
         # moments are updated in place, so a warm state shows an early write
-        p = {"x": np.ones((2, 1))}
-        fresh, warm = AdamState.zeros(p), _warm_adam_state(p)
+        theta = np.ones(2)
+        fresh, warm = AdamState.zeros(2), _warm_adam_state(2)
         for state in (fresh, warm):
-            before = _adam_snapshot(state)
+            before = _adam_snapshot(theta, state)
             with pytest.raises(ParameterError, match="^learning rate must be positive and finite"):
-                adam_step(p, {"x": np.ones((2, 1))}, state, math.inf)
-            assert _adam_snapshot(state) == before
+                adam_step(theta, np.ones(2), state, math.inf)
+            assert _adam_snapshot(theta, state) == before
         assert fresh.t == 0
 
     def test_matches_per_group_oracle_bitwise(self):
         rng = np.random.default_rng(21)
         shapes = {"w": (3, 4), "one": (1, 1), "tril": (50, 50), "col": (50, 1), "idle": (2, 5)}
-        p = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
-        ref_p = dict(p)
-        state, ref_state = AdamState.zeros(p), GroupAdamState.zeros(p)
+        theta, p = flat_params({k: rng.standard_normal(shape) for k, shape in shapes.items()})
+        ref_p = {k: a.copy() for k, a in p.items()}
+        state, ref_state = AdamState.zeros(theta.size), GroupAdamState.zeros(ref_p)
         for step in range(20):
             grads = {
                 k: rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 4)
@@ -472,38 +467,79 @@ class TestAdam:
             if step % 5 == 0:
                 grads["one"] = np.zeros((1, 1))
             grads["tril"] = np.tril(grads["tril"], -1)  # zero on and above the diagonal
-            p = adam_step(p, grads, state, 0.01)
+            adam_step(theta, np.concatenate([grads[k].ravel() for k in shapes]), state, 0.01)
             ref_p = group_adam_step(ref_p, grads, ref_state, 0.01)
             assert list(p) == list(ref_p)
             for k, shape in shapes.items():
                 assert p[k].shape == shape
                 assert p[k].tobytes() == ref_p[k].tobytes(), (step, k)
         assert state.t == ref_state.t == 20
-        for flat, groups in ((state.m, ref_state.m), (state.v, ref_state.v)):
+        for flat, groups in ((theta, ref_p), (state.m, ref_state.m), (state.v, ref_state.v)):
             assert flat.tobytes() == np.concatenate([groups[k].ravel() for k in shapes]).tobytes()
 
-    @pytest.mark.parametrize("case", ["param keys", "grad keys", "param shape", "grad shape"])
-    def test_params_or_grads_off_the_state_layout_rejected(self, case):
-        p = {"a": np.zeros((2, 3)), "b": np.zeros((1, 1))}
+    @pytest.mark.parametrize("case", ["theta", "gradient", "m", "v", "theta not flat"])
+    def test_arguments_of_another_length_rejected(self, case):
         # a fresh state's all-zero moments would not show an in-place update
         # made before the check (b1 * 0 is 0); a warm state's do
-        fresh, warm = AdamState.zeros(p), _warm_adam_state(p)
-        grads = {k: np.ones_like(a) for k, a in p.items()}
-        if case == "param keys":  # params and grads agree, the state does not
-            p, grads = ({"a": d["a"], "c": d["b"]} for d in (p, grads))
-        elif case == "grad keys":
-            grads = {"a": grads["a"]}
-        elif case == "param shape":  # as many entries as the state's (2,3), laid out (3,2)
-            p["a"], grads["a"] = np.zeros((3, 2)), np.ones((3, 2))
-        else:
-            grads["b"] = np.ones((1, 2))
-        err = ContractError if case.endswith("keys") else DimensionError
-        for state in (fresh, warm):
-            before = _adam_snapshot(state)
-            with pytest.raises(err):
-                adam_step(p, grads, state, 0.1)
-            assert _adam_snapshot(state) == before
-        assert fresh.t == 0 and not fresh.m.any() and not fresh.v.any()
+        for state in (AdamState.zeros(6), _warm_adam_state(6)):
+            theta, grad = np.ones(6), np.ones(6)
+            if case == "theta":
+                theta = np.ones(7)
+            elif case == "gradient":
+                grad = np.ones(5)
+            elif case == "theta not flat":  # as many entries, laid out (2, 3)
+                theta = np.ones((2, 3))
+            else:
+                setattr(state, case, np.zeros(7))
+            before = _adam_snapshot(theta, state)
+            with pytest.raises(DimensionError, match="^theta, gradient, m and v must be flat"):
+                adam_step(theta, grad, state, 0.1)
+            assert _adam_snapshot(theta, state) == before
+
+
+class TestCheckUpdate:
+    """Each step checks the groups of theta the model reads through a range.
+
+    theta's one sum of squares answers for every group when it is finite;
+    the messages are those the per-group check gave."""
+
+    @staticmethod
+    def _groups(**values):
+        rng = np.random.default_rng(23)
+        groups = {
+            "w_mean_0": rng.standard_normal((2, 3)), "w_log_scale_0": rng.standard_normal((2, 3)),
+            "q_mu": rng.standard_normal((4, 1)), "q_tril": rng.standard_normal((4, 4)),
+            "q_diag": rng.standard_normal((4, 1)), "log_sigma2": np.array([[-2.0]]),
+        }
+        for name, value in values.items():
+            groups[name].flat[1 if groups[name].size > 1 else 0] = value
+        return flat_params(groups)
+
+    @staticmethod
+    def _check(theta, params):
+        with np.errstate(over="ignore", invalid="ignore"):  # as in train
+            inf._check_update(params, theta)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("log_sigma2", 710.0, "log_sigma2 out of range: exp(log_sigma2) = inf"),
+        ("q_diag", -800.0, "q_diag out of range: softplus(q_diag) = 0.0"),
+        ("w_log_scale_0", 710.0, "w_log_scale_0 out of range: exp(w_log_scale_0) = inf"),
+    ])
+    def test_ranged_group_out_of_range_with_every_square_finite(self, name, value, message):
+        theta, params = self._groups(**{name: value})
+        assert math.isfinite(float(theta @ theta))
+        with pytest.raises(NumericalError) as exc:
+            self._check(theta, params)
+        assert str(exc.value) == f"the Adam update took {message} (parameters: {name})"
+
+    @pytest.mark.parametrize("name", ["w_mean_0", "q_mu", "q_tril"])
+    def test_nan_in_one_plain_group_names_only_it(self, name):
+        theta, params = self._groups(**{name: math.nan})
+        with pytest.raises(NumericalError) as exc:
+            self._check(theta, params)
+        assert str(exc.value) == (
+            f"the Adam update took {name} out of range: {name} = nan (parameters: {name})"
+        )
 
 
 def _model_sha(s: int) -> str:
@@ -651,7 +687,7 @@ class TestTrainConfig:
             lambda: TrainConfig(estimator="pm", psi=math.nan),
             lambda: kernel_normaliser(10, "pm", psi=math.nan),
             lambda: Rng(0).permutation(-1),  # returned an empty array
-            lambda: adam_step({}, {}, AdamState.zeros({}), math.nan),  # NaN parameters
+            lambda: adam_step(np.zeros(0), np.zeros(0), AdamState.zeros(0), math.nan),
         ):
             with pytest.raises(ParameterError):
                 bad()
@@ -908,11 +944,10 @@ class TestLazyStepMatchesEager:
     @staticmethod
     def _outcome(step, *args):
         try:
-            loss, grads, draws = step(*args)
+            loss, grad, draws = step(*args)
         except NumericalError as err:
             return str(err)
-        grads = {k: g.tobytes() for k, g in grads.items()}
-        return np.float64(loss).tobytes(), grads, draws.values.value.tobytes()
+        return np.float64(loss).tobytes(), grad.tobytes(), draws.values.value.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
